@@ -100,13 +100,16 @@ def _hwm_kb(pid: int) -> int:
     return 0
 
 
+#: Seconds between peak-RSS samples; a /proc scan costs a few ms of CPU.
+RSS_SAMPLE_PERIOD = 0.5
+
+
 class PeakRss:
     """Samples the summed peak RSS (VmHWM) of this process and all of its
     descendants on a background thread; :attr:`peak_mb` is the largest
     sum seen.  Use as a context manager around the measured phase."""
 
-    def __init__(self, period: float = 0.5) -> None:
-        self.period = period
+    def __init__(self) -> None:
         self.peak_kb = 0
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._loop, daemon=True)
@@ -116,7 +119,7 @@ class PeakRss:
         self.peak_kb = max(self.peak_kb, total)
 
     def _loop(self) -> None:
-        while not self._stop.wait(self.period):
+        while not self._stop.wait(RSS_SAMPLE_PERIOD):
             self.sample()
 
     def __enter__(self) -> "PeakRss":

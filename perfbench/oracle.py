@@ -22,8 +22,6 @@ from repro.circuits.decompose import lower_to_two_qubit
 from repro.core.binformat import encode_program
 from repro.sim import program_to_circuit, simulate
 
-EXPECTED_PATH = Path(__file__).with_name("expected.json")
-
 #: Largest register the statevector check simulates.
 SEMANTIC_MAX_QUBITS = 12
 
@@ -81,7 +79,7 @@ def quality(metrics: list[CompiledMetrics]) -> dict[str, float]:
     }
 
 
-def load_expected(path: Path = EXPECTED_PATH) -> dict:
+def load_expected(path: Path) -> dict:
     try:
         return json.loads(path.read_text())
     except FileNotFoundError:

@@ -6,7 +6,8 @@ Workloads (all closed loops from this one process; see manifest.json):
 
 * ``flagship``        — back-to-back ``compile_on`` of QAOA-rand-200;
 * ``sweep``           — back-to-back ``compile_many`` over a Fig. 22 grid;
-* ``service-small``   — a real ``repro serve`` daemon, 8-12-qubit jobs;
+* ``service-small``   — a real ``repro serve`` daemon, 8-12-qubit jobs
+  (runnable, but not declared in BENCHMARK.json; see manifest.json);
 * ``service-program`` — the same daemon, ``keep_program`` jobs whose
   programs are streamed back and then re-fetched.
 

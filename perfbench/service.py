@@ -25,7 +25,8 @@ from .library import loop
 from .measure import PeakRss, median, nproc, proc_stats, tail
 from .workloads import warm_jobs
 
-#: In-process compiles of each job for ``compile_s`` and the overhead.
+#: In-process compiles of each job whose median wall-clock a traced run
+#: subtracts from the service latency (``service.overhead_s``).
 REFERENCE_REPEATS = 3
 
 #: Seconds a daemon gets to boot, drain or die.
@@ -238,7 +239,7 @@ class ServiceWorkload:
                     jobs_per_s = self.after_loop(daemon, ops / wall)
         finally:
             daemon.stop()
-        reference, direct_wall, direct_compile = self.reference()
+        reference, direct_wall = self.reference()
         ctx.reference = reference
         if ctx.trace:
             for name, latency in traced:
@@ -254,7 +255,8 @@ class ServiceWorkload:
         return {
             "setup_s": median([s[2] for s in setups]),
             "first_job_s": median([s[1] for s in setups]),
-            "compile_s": median(direct_compile),
+            # the shards' own compile seconds, sampled over the whole run
+            "compile_s": median(ctx.compile_samples),
             "jobs_per_s": jobs_per_s,
             "latency_p50_s": median(latencies),
             "latency_tail_s": lat_tail,
@@ -263,22 +265,20 @@ class ServiceWorkload:
             **oracle.quality(list(ctx.first_outputs().values())),
         }
 
-    def reference(self) -> tuple[dict, dict, list]:
-        """In-process compiles of every job that ran: its output digest, the
-        median ``compile_on`` wall-clock, and the compiler's own compile
-        seconds of every repeat.  Circuits of up to 12 qubits are also
-        checked on statevectors."""
+    def reference(self) -> tuple[dict, dict]:
+        """In-process compiles of every job that ran: its output digest and
+        (traced runs) its median ``compile_on`` wall-clock.  Circuits of up
+        to 12 qubits are also checked on statevectors."""
         ctx = self.ctx
-        reference, wall, compile_s = {}, {}, []
+        reference, wall = {}, {}
         for job in ctx.jobs:
             if job.name not in ctx.outputs:
                 continue
             walls = []
-            for _ in range(REFERENCE_REPEATS):
+            for _ in range(REFERENCE_REPEATS if ctx.trace else 1):
                 t0 = time.perf_counter()
                 metrics = recording.compile_direct(job)
                 walls.append(time.perf_counter() - t0)
-                compile_s.append(metrics.compile_seconds)
             wall[job.name] = median(walls)
             small = job.circuit.num_qubits <= oracle.SEMANTIC_MAX_QUBITS
             result = None
@@ -288,7 +288,7 @@ class ServiceWorkload:
             reference[job.name] = oracle.digest(metrics, program)
             if small and not oracle.semantically_equivalent(job.circuit, result):
                 ctx.tally.fail_job(job.name, "statevector differs from input")
-        return reference, wall, compile_s
+        return reference, wall
 
     def report_passes(self, events: list[dict], parent: int) -> None:
         """The daemon's per-pass seconds (last attempt) under span *parent*."""

@@ -112,11 +112,11 @@ def program_jobs(seed: int, size: str) -> list[Job]:
     return jobs
 
 
-def warm_jobs(seed: int, count: int = 64) -> list[Job]:
+def warm_jobs(seed: int) -> list[Job]:
     """Extra tiny jobs used only to reach every shard during set-up."""
     return [
         _job(f"warm{i:02d}", qaoa_random(6, edge_prob=0.5, seed=sub))
-        for i, sub in enumerate(_subseeds(seed + 1_000_003, count))
+        for i, sub in enumerate(_subseeds((seed + 1_000_003) % 2**32, 64))
     ]
 
 

@@ -41,12 +41,12 @@ class SpannedPass(Pass):
         self.context = context
 
 
-def loop(seconds: float, op) -> tuple[float, int]:
-    """Run ``op(i)`` back to back for *seconds*, at least twice (so a
-    traced run has both an untraced and a traced op); ``(wall, ops)``."""
+def loop(seconds: float, op, min_ops: int = 2) -> tuple[float, int]:
+    """Run ``op(i)`` back to back for *seconds*, at least *min_ops* times
+    (so a traced run has both an untraced and a traced op); ``(wall, ops)``."""
     start = time.perf_counter()
     i = 0
-    while time.perf_counter() - start < seconds or i < 2:
+    while time.perf_counter() - start < seconds or i < min_ops:
         op(i)
         i += 1
     return time.perf_counter() - start, i
@@ -73,23 +73,30 @@ class CacheFetch:
             for job in ctx.jobs:
                 self.cache.put(job.job, finished[job.name])
             self.want = [oracle.digest(finished[j.name]) for j in ctx.jobs]
+            self.fetch()  # the first fetch meets a cold cache; not sampled
         # Collect the op's garbage first, so its cost is not billed to the
         # re-fetches.
         gc.collect()
         for _ in range(FETCHES_PER_OP):
-            t0 = time.perf_counter()
-            got = compile_many([j.job for j in ctx.jobs], cache=self.cache)
-            self.samples.append(time.perf_counter() - t0)
-            for job, m, want in zip(ctx.jobs, got, self.want):
-                if oracle.digest(m) != want:
-                    ctx.tally.fail_job(job.name, "result-cache fetch differs")
+            self.samples.append(self.fetch())
+
+    def fetch(self) -> float:
+        """One checked re-fetch of every job; returns its seconds."""
+        ctx = self.ctx
+        t0 = time.perf_counter()
+        got = compile_many([j.job for j in ctx.jobs], cache=self.cache)
+        elapsed = time.perf_counter() - t0
+        for job, m, want in zip(ctx.jobs, got, self.want):
+            if oracle.digest(m) != want:
+                ctx.tally.fail_job(job.name, "result-cache fetch differs")
+        return elapsed
 
 
-def cold_op(workload: str, jobs, scratch: Path) -> dict[str, str]:
-    """The first operation of a fresh process (a set-up probe's second
-    step): ``{job name: output digest}``."""
+def cold_op(workload: str, jobs, probe: int, scratch: Path) -> dict[str, str]:
+    """The first operation of a fresh process (set-up probe number *probe*,
+    its second step): ``{job name: output digest}``."""
     if workload == "flagship":
-        (job,) = jobs
+        job = jobs[probe % len(jobs)]  # the probes take turns over the graphs
         return {job.name: oracle.digest(compile_direct(job))}
     directory = tempfile.mkdtemp(dir=scratch)
     try:
@@ -125,10 +132,9 @@ def _probes(ctx) -> dict[str, float]:
 
 
 def flagship(ctx) -> dict[str, float]:
-    (job,) = ctx.jobs
-    opts = job.job.options
+    jobs = ctx.jobs
 
-    def untraced() -> float:
+    def untraced(job) -> float:
         t0 = time.perf_counter()
         with ctx.guard(job.name):
             m = compile_direct(job)
@@ -137,41 +143,52 @@ def flagship(ctx) -> dict[str, float]:
             return elapsed
         return time.perf_counter() - t0
 
-    def traced() -> None:
+    def traced(job) -> None:
+        opts = job.job.options
         ledger = ctx.ledger
         passes = [SpannedPass(p, ledger) for p in default_passes()]
-        with ctx.guard(job.name), ledger.span("op"):
-            pipeline = PassPipeline(
-                opts.raa, AtomiqueConfig(seed=opts.seed), passes=passes
-            )
-            result = pipeline.compile(job.circuit)
-            # metrics_from_result = estimate_raa_fidelity + program_aggregates
-            with ledger.span("score"):
-                m = metrics_from_result(result, job.circuit.name)
-        ctx.record(job.name, m)
-        program = result.program
-        ctx.count("lower.native_gates", len(passes[0].context.native.gates))
-        ctx.count("sabre_swap.swaps", result.num_swaps)
-        ctx.count("router.stages", program.num_stages)
-        ctx.count("router.moves", program.num_moves)
-        ctx.count("router.gates_per_stage", m.num_2q_gates / max(1, m.depth))
-        ctx.count("router.overlap_rejections", program.overlap_rejections)
+        with ctx.guard(job.name):
+            with ledger.span("op"):
+                pipeline = PassPipeline(
+                    opts.raa, AtomiqueConfig(seed=opts.seed), passes=passes
+                )
+                result = pipeline.compile(job.circuit)
+                # metrics_from_result = estimate_raa_fidelity + program_aggregates
+                with ledger.span("score"):
+                    m = metrics_from_result(result, job.circuit.name)
+            ctx.record(job.name, m)
+            program = result.program
+            ctx.count("lower.native_gates", len(passes[0].context.native.gates))
+            ctx.count("sabre_swap.swaps", result.num_swaps)
+            ctx.count("router.stages", program.num_stages)
+            ctx.count("router.moves", program.num_moves)
+            ctx.count("router.gates_per_stage", m.num_2q_gates / max(1, m.depth))
+            ctx.count("router.overlap_rejections", program.overlap_rejections)
 
     out = {} if ctx.trace else _probes(ctx)
     with PeakRss() as rss:
-        untraced()  # warm-up: the cold first op is timed by the probes
+        untraced(jobs[0])  # warm-up: the cold first op is timed by the probes
+        ctx.compile_samples.clear()
         if ctx.trace:
             plain: list[float] = []
-            loop(ctx.seconds, lambda i: plain.append(untraced()) if i % 2 == 0 else traced())
+
+            def step(i):
+                job = jobs[(i // 2) % len(jobs)]
+                if i % 2 == 0:
+                    plain.append(untraced(job))
+                else:
+                    traced(job)
+
+            loop(ctx.seconds, step, min_ops=2 * len(jobs))
         else:
             latencies: list[float] = []
             fetch = CacheFetch(ctx)
 
             def step(i):
-                latencies.append(untraced())
+                latencies.append(untraced(jobs[i % len(jobs)]))
                 fetch.after_op()
 
-            wall, ops = loop(ctx.seconds, step)
+            wall, ops = loop(ctx.seconds, step, min_ops=len(jobs))
     if ctx.trace:
         return ctx.layer_report(plain)
     return _report(
@@ -235,6 +252,7 @@ def sweep(ctx) -> dict[str, float]:
     out = {} if ctx.trace else _probes(ctx)
     with PeakRss() as rss:
         batch(False)  # warm-up: the cold first op is timed by the probes
+        batch_means.clear()
         if ctx.trace:
             plain: list[float] = []
             loop(ctx.seconds, lambda i: plain.append(batch(False)) if i % 2 == 0

@@ -1,15 +1,13 @@
-"""Benchmark of the Atomique reproduction: one command, four workloads.
+"""Benchmark of the Atomique reproduction: one command, three workloads.
 
     python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>
 
 Workloads (all closed loops from this one process; see manifest.json):
 
-* ``flagship``        — back-to-back ``compile_on`` of QAOA-rand-200;
+* ``flagship``        — back-to-back ``compile_on`` of three QAOA-rand-200s;
 * ``sweep``           — back-to-back ``compile_many`` over a Fig. 22 grid;
-* ``service-small``   — a real ``repro serve`` daemon, 8-12-qubit jobs
-  (runnable, but not declared in BENCHMARK.json; see manifest.json);
-* ``service-program`` — the same daemon, ``keep_program`` jobs whose
-  programs are streamed back and then re-fetched.
+* ``service-program`` — a real ``repro serve`` daemon receiving
+  ``keep_program`` jobs whose programs are streamed back and re-fetched.
 
 ``--trace 0`` prints every end-to-end metric; ``--trace 1`` interleaves
 untraced and traced operations and prints the per-layer ledger derived
@@ -45,7 +43,7 @@ OUT = HERE / "out"
 #: A run that has not finished by then is abandoned without a result.
 WATCHDOG_SECONDS = 170
 
-WORKLOADS = ("flagship", "sweep", "service-small", "service-program")
+WORKLOADS = ("flagship", "sweep", "service-program")
 
 #: (name, unit) of every end-to-end metric, in print order.
 END_TO_END = (
@@ -202,10 +200,11 @@ class Context:
         process start -> inputs ready, then the first operation.  The
         probes' outputs are checked like every other op's."""
         setups, firsts = [], []
-        for _ in range(self.setup_repeats):
+        for probe in range(self.setup_repeats):
             t0 = time.perf_counter()
             proc = subprocess.Popen(
-                [sys.executable, str(HERE / "run.py"), "--probe-setup",
+                [sys.executable, str(HERE / "run.py"),
+                 "--probe-setup", str(probe),
                  "--workload", self.workload, "--seed", str(self.seed),
                  "--size", self.size],
                 cwd=ROOT, stdout=subprocess.PIPE, text=True,
@@ -272,7 +271,7 @@ def _runner(workload: str):
         return getattr(library, workload)
     from perfbench import service
 
-    return service.small if workload == "service-small" else service.program
+    return service.program
 
 
 def benchmark(args) -> dict:
@@ -362,19 +361,19 @@ def main(argv: list[str] | None = None) -> int:
                         help="expected-output file to check against")
     parser.add_argument("--record", metavar="SEED[-SEED]",
                         help="record expected outputs for these seeds instead")
-    parser.add_argument("--probe-setup", action="store_true",
-                        help=argparse.SUPPRESS)
+    parser.add_argument("--probe-setup", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     _import_program()
     os.chdir(ROOT)
     OUT.mkdir(exist_ok=True)
-    if args.probe_setup:
+    if args.probe_setup is not None:
         from perfbench import library, workloads
 
         jobs = workloads.build(args.workload, args.seed, args.size)
         print("ready", flush=True)
-        print(json.dumps(library.cold_op(args.workload, jobs, OUT)), flush=True)
+        print(json.dumps(library.cold_op(args.workload, jobs, args.probe_setup,
+                                         OUT)), flush=True)
         return 0
     if args.record:
         record(args)

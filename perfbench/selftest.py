@@ -2,7 +2,7 @@
 
     python3 -m pytest perfbench/selftest.py
 
-Tiny-size runs of every workload (a few seconds each, two of them boot a
+Tiny-size runs of every workload (a few seconds each, one of them boots a
 daemon), plus unit tests of the ledger and the tail statistic.  The file
 name keeps these out of the repository's default test collection.
 """
@@ -104,7 +104,7 @@ def test_benchmark_alone_exits_nonzero_without_a_result(tmp_path):
 
 
 def test_service_run_leaves_no_daemon():
-    tiny("service-small")
+    tiny("service-program")
     for entry in os.scandir("/proc"):
         if not entry.name.isdigit():
             continue

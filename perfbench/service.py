@@ -1,10 +1,8 @@
-"""Service workloads: a real ``python -m repro serve`` daemon on a fresh
-socket and spool, driven by one :class:`~repro.service.ServiceClient`.
-
-* ``service-small``   — closed-loop ``submit`` -> ``result`` on 8-12-qubit
-  jobs, then a pipelined ``submit_many`` -> ``results`` phase;
-* ``service-program`` — closed-loop ``submit(keep_program)`` ->
-  ``result_stream`` (program in hand), then a ``program()`` re-fetch.
+"""The ``service-program`` workload: a real ``python -m repro serve`` daemon
+on a fresh socket and spool, driven by one
+:class:`~repro.service.ServiceClient` in a closed loop of
+``submit(keep_program)`` -> ``result_stream`` (program in hand), then a
+``program()`` re-fetch of the finished job.
 """
 
 from __future__ import annotations
@@ -100,11 +98,8 @@ def _wait_group_gone(pgid: int, timeout: float = 10.0) -> None:
         time.sleep(0.02)
 
 
-class ServiceWorkload:
-    """The closed loop shared by both service workloads; subclasses give
-    the operation and what follows the closed loop."""
-
-    keep_program = False
+class ProgramJobs:
+    """``keep_program`` jobs: stream the program back, then re-fetch it."""
 
     def __init__(self, ctx) -> None:
         self.ctx = ctx
@@ -112,9 +107,9 @@ class ServiceWorkload:
         self.last_job_id: str | None = None
 
     def op(self, daemon: Daemon, job, traced: bool) -> tuple[float, float]:
-        """One operation on *job*: submit, wait for the reply, re-fetch it.
-        Returns ``(submit -> reply in hand, whole op)`` seconds; a traced
-        op reads them off its spans."""
+        """One operation on *job*: submit, wait for the program, re-fetch
+        it.  Returns ``(submit -> program in hand, whole op)`` seconds; a
+        traced op reads them off its spans."""
         ctx, client = self.ctx, daemon.client
         t0 = time.perf_counter()
         with ctx.guard(job.name):
@@ -123,50 +118,58 @@ class ServiceWorkload:
                 events: list[dict] = []
                 with ledger.span("op") as op:
                     with ledger.span("service.submit"):
-                        job_id = client.submit(job.job, keep_program=self.keep_program)
+                        job_id = client.submit(job.job, keep_program=True)
                     with ledger.span("service.wait") as wait:
-                        reply = self.wait(client, job_id, events)
+                        reply = self.wait(client, job_id, events.append)
                     with ledger.span("service.fetch"):
-                        again = self.refetch(client, job_id, reply)
+                        again = client.program(job_id)
                 # Outside the op: the daemon's own pass timings and counts.
                 self.after_traced(daemon, job, job_id, wait, events, reply)
                 latency = ledger.spans[wait].end - ledger.spans[op].start
                 wall = ledger.spans[op].duration
             else:
-                job_id = client.submit(job.job, keep_program=self.keep_program)
+                job_id = client.submit(job.job, keep_program=True)
                 reply = self.wait(client, job_id, None)
                 t1 = time.perf_counter()
-                again = self.refetch(client, job_id, reply)
+                again = client.program(job_id)
                 wall = time.perf_counter() - t0
                 latency = t1 - t0
                 self.fetch.append(wall - latency)
-            if oracle.digest(*again) != ctx.record(job.name, *reply):
+            if oracle.digest(reply[0], again) != ctx.record(job.name, *reply):
                 ctx.tally.fail_job(job.name, "re-fetched output differs")
             self.last_job_id = job_id
             return latency, wall
         elapsed = time.perf_counter() - t0
         return elapsed, elapsed
 
-    def wait(self, client, job_id: str, events) -> tuple:
-        """``(metrics, program or None)`` once the job is done; progress
-        events go to *events* when it is a list."""
-        raise NotImplementedError
-
-    def refetch(self, client, job_id: str, reply) -> tuple:
-        """The finished job's output again, shaped like :meth:`wait`'s."""
-        raise NotImplementedError
+    @staticmethod
+    def wait(client, job_id: str, on_event) -> tuple:
+        """``(metrics, program)`` once the job is done."""
+        metrics, store = client.result_stream(job_id, on_event=on_event)
+        if store is None:
+            raise RuntimeError("result_stream returned no program")
+        return metrics, store
 
     def after_traced(self, daemon: Daemon, job, job_id: str, wait: int,
                      events, reply) -> None:
-        """Ledger bookkeeping after a traced op, outside its span."""
-        raise NotImplementedError
-
-    def closed_seconds(self) -> float:
-        return self.ctx.seconds
-
-    def after_loop(self, daemon: Daemon, jobs_per_s: float) -> float:
-        """Runs with the daemon still up; returns the workload's jobs/s."""
-        return jobs_per_s
+        """Pass timings, counts and codec timings of one streamed program,
+        recorded after the traced op, outside its span."""
+        ctx = self.ctx
+        self.report_passes(events, wait)
+        stats = daemon.client.last_stream_stats or {}
+        ctx.count("service.binary_chunks", stats.get("binary_chunks", 0))
+        ctx.count("service.json_chunks", stats.get("json_chunks", 0))
+        store = reply[1]
+        with ctx.ledger.span("codec.encode"):
+            blob = encode_program(store)
+        with ctx.ledger.span("codec.decode"):
+            decoded = decode_program(blob)
+        ctx.count("codec.bytes", len(blob))
+        spool, program_file = daemon.spool_bytes(job_id)
+        ctx.count("queue.spool_bytes", spool)
+        ctx.count("service.program_bytes", program_file)
+        if oracle.program_digest(decoded) != oracle.program_digest(store):
+            ctx.tally.fail_job(job.name, "codec round trip differs")
 
     # -- set-up ------------------------------------------------------------
 
@@ -210,6 +213,10 @@ class ServiceWorkload:
             setups.append(times)
             if r < repeats - 1:
                 daemon.stop()
+        # The boots' first ops met cold shards; they are timed as
+        # first_job_s, not sampled with the measured loop's ops.
+        self.fetch.clear()
+        ctx.compile_samples.clear()
         if ctx.trace:
             ready, _first, warm = times
             ctx.ledger.add("service.boot", t0, t0 + ready)
@@ -235,8 +242,7 @@ class ServiceWorkload:
                         job = jobs[i % len(jobs)]
                         latencies.append(self.op(daemon, job, traced=False)[0])
 
-                    wall, ops = loop(self.closed_seconds(), step)
-                    jobs_per_s = self.after_loop(daemon, ops / wall)
+                    wall, ops = loop(ctx.seconds, step)
         finally:
             daemon.stop()
         reference, direct_wall = self.reference()
@@ -255,9 +261,9 @@ class ServiceWorkload:
         return {
             "setup_s": median([s[2] for s in setups]),
             "first_job_s": median([s[1] for s in setups]),
-            # the shards' own compile seconds, sampled over the whole run
+            # the shards' own compile seconds over the measured loop
             "compile_s": median(ctx.compile_samples),
-            "jobs_per_s": jobs_per_s,
+            "jobs_per_s": ops / wall,
             "latency_p50_s": median(latencies),
             "latency_tail_s": lat_tail,
             "fetch_p50_s": median(self.fetch),
@@ -280,12 +286,9 @@ class ServiceWorkload:
                 metrics = recording.compile_direct(job)
                 walls.append(time.perf_counter() - t0)
             wall[job.name] = median(walls)
+            result = atomique_result(job.circuit, job.job.options)
+            reference[job.name] = oracle.digest(metrics, result.program)
             small = job.circuit.num_qubits <= oracle.SEMANTIC_MAX_QUBITS
-            result = None
-            if self.keep_program or small:
-                result = atomique_result(job.circuit, job.job.options)
-            program = result.program if self.keep_program else None
-            reference[job.name] = oracle.digest(metrics, program)
             if small and not oracle.semantically_equivalent(job.circuit, result):
                 ctx.tally.fail_job(job.name, "statevector differs from input")
         return reference, wall
@@ -301,78 +304,6 @@ class ServiceWorkload:
                 self.ctx.ledger.report(e["pass"], e["seconds"], parent)
                 total += e["seconds"]
         self.ctx.count("service.passes_s", total)
-
-
-class SmallJobs(ServiceWorkload):
-    """Metric-only jobs: closed loop, then pipelined batches."""
-
-    def closed_seconds(self) -> float:
-        return self.ctx.seconds / 2
-
-    def wait(self, client, job_id: str, events):
-        return client.result(job_id), None
-
-    def refetch(self, client, job_id: str, reply):
-        return client.result(job_id, wait=False), None
-
-    def after_traced(self, daemon: Daemon, job, job_id: str, wait: int,
-                     events, reply) -> None:
-        self.report_passes(daemon.client.status(job_id)["progress"], wait)
-        self.ctx.count("queue.spool_bytes", daemon.spool_bytes(job_id)[0])
-
-    def after_loop(self, daemon: Daemon, jobs_per_s: float) -> float:
-        """Pipelined batches of the whole pool."""
-        ctx, client = self.ctx, daemon.client
-        names = [j.name for j in ctx.jobs]
-        start = time.perf_counter()
-        done = 0
-        while time.perf_counter() - start < ctx.seconds / 2 or done == 0:
-            with ctx.guard(*names):
-                ids = client.submit_many([j.job for j in ctx.jobs])
-                for name, metrics in zip(names, client.results(ids)):
-                    ctx.record(name, metrics)
-            done += len(names)
-        return done / (time.perf_counter() - start)
-
-
-class ProgramJobs(ServiceWorkload):
-    """``keep_program`` jobs: stream the program back, then re-fetch it."""
-
-    keep_program = True
-
-    def wait(self, client, job_id: str, events):
-        on_event = events.append if events is not None else None
-        metrics, store = client.result_stream(job_id, on_event=on_event)
-        if store is None:
-            raise RuntimeError("result_stream returned no program")
-        return metrics, store
-
-    def refetch(self, client, job_id: str, reply):
-        return reply[0], client.program(job_id)
-
-    def after_traced(self, daemon: Daemon, job, job_id: str, wait: int,
-                     events, reply) -> None:
-        """Pass timings, counts and codec timings of one streamed program."""
-        ctx = self.ctx
-        self.report_passes(events, wait)
-        stats = daemon.client.last_stream_stats or {}
-        ctx.count("service.binary_chunks", stats.get("binary_chunks", 0))
-        ctx.count("service.json_chunks", stats.get("json_chunks", 0))
-        store = reply[1]
-        with ctx.ledger.span("codec.encode"):
-            blob = encode_program(store)
-        with ctx.ledger.span("codec.decode"):
-            decoded = decode_program(blob)
-        ctx.count("codec.bytes", len(blob))
-        spool, program_file = daemon.spool_bytes(job_id)
-        ctx.count("queue.spool_bytes", spool)
-        ctx.count("service.program_bytes", program_file)
-        if oracle.program_digest(decoded) != oracle.program_digest(store):
-            ctx.tally.fail_job(job.name, "codec round trip differs")
-
-
-def small(ctx) -> dict[str, float]:
-    return SmallJobs(ctx).run()
 
 
 def program(ctx) -> dict[str, float]:

@@ -3,27 +3,19 @@ and ``sweep`` (back-to-back ``compile_many`` over a Fig. 22-style grid)."""
 
 from __future__ import annotations
 
-import gc
 import shutil
-import tempfile
 import time
 from collections import defaultdict
-from pathlib import Path
 
 from repro.baselines.atomique_adapter import metrics_from_result
 from repro.core.compiler import AtomiqueConfig
 from repro.core.pipeline import Pass, PassPipeline, cache_stats, default_passes
-from repro.experiments.batch import ResultCache, compile_many
 
 from . import oracle
-from .measure import PeakRss, median, nproc, tail
+from .measure import Latencies, PeakRss, median, nproc
 from .recording import compile_direct, compile_grid
 
 PASSES = tuple(p.name for p in default_passes())
-
-#: Result-cache re-fetches timed after each op of the measured loop, so the
-#: samples spread over the whole run rather than one moment of it.
-FETCHES_PER_OP = 5
 
 
 class SpannedPass(Pass):
@@ -41,82 +33,19 @@ class SpannedPass(Pass):
         self.context = context
 
 
-def loop(seconds: float, op, min_ops: int = 2) -> tuple[float, int]:
+def loop(seconds: float, op, min_ops: int = 2) -> None:
     """Run ``op(i)`` back to back for *seconds*, at least *min_ops* times
-    (so a traced run has both an untraced and a traced op); ``(wall, ops)``."""
+    (so a traced run has both an untraced and a traced op)."""
     start = time.perf_counter()
     i = 0
     while time.perf_counter() - start < seconds or i < min_ops:
         op(i)
         i += 1
-    return time.perf_counter() - start, i
 
 
-class CacheFetch:
-    """Re-fetches the workload's finished jobs through the batch
-    ResultCache (``compile_many(jobs, cache=...)`` answering every job from
-    disk): what a library caller pays to get finished outputs back."""
-
-    def __init__(self, ctx) -> None:
-        self.ctx = ctx
-        self.cache: ResultCache | None = None
-        self.want: list[str] = []
-        self.samples: list[float] = []
-
-    def after_op(self) -> None:
-        ctx = self.ctx
-        if self.cache is None:
-            finished = ctx.first_outputs()
-            if len(finished) < len(ctx.jobs):
-                return  # nothing to fetch until every job has an output
-            self.cache = ResultCache(ctx.tmpdir())
-            for job in ctx.jobs:
-                self.cache.put(job.job, finished[job.name])
-            self.want = [oracle.digest(finished[j.name]) for j in ctx.jobs]
-            self.fetch()  # the first fetch meets a cold cache; not sampled
-        # Collect the op's garbage first, so its cost is not billed to the
-        # re-fetches.
-        gc.collect()
-        for _ in range(FETCHES_PER_OP):
-            self.samples.append(self.fetch())
-
-    def fetch(self) -> float:
-        """One checked re-fetch of every job; returns its seconds."""
-        ctx = self.ctx
-        t0 = time.perf_counter()
-        got = compile_many([j.job for j in ctx.jobs], cache=self.cache)
-        elapsed = time.perf_counter() - t0
-        for job, m, want in zip(ctx.jobs, got, self.want):
-            if oracle.digest(m) != want:
-                ctx.tally.fail_job(job.name, "result-cache fetch differs")
-        return elapsed
-
-
-def cold_op(workload: str, jobs, probe: int, scratch: Path) -> dict[str, str]:
-    """The first operation of a fresh process (set-up probe number *probe*,
-    its second step): ``{job name: output digest}``."""
-    if workload == "flagship":
-        job = jobs[probe % len(jobs)]  # the probes take turns over the graphs
-        return {job.name: oracle.digest(compile_direct(job))}
-    directory = tempfile.mkdtemp(dir=scratch)
-    try:
-        results = compile_grid(jobs, directory)
-    finally:
-        shutil.rmtree(directory, ignore_errors=True)
-    return {j.name: oracle.digest(m) for j, m in zip(jobs, results)}
-
-
-
-def _report(ctx, out, rss, compiles, latencies, wall, jobs_done, fetch) -> dict:
-    lat_tail, pct, n = tail(latencies)
-    ctx.info["latency_tail"] = {"percentile": pct, "samples": n}
+def _report(ctx, out, rss, latencies) -> dict:
     out.update(
-        compile_s=median(compiles),
-        # the loop's wall-clock less the re-fetches timed inside it
-        jobs_per_s=jobs_done / (wall - sum(fetch.samples)),
-        latency_p50_s=median(latencies),
-        latency_tail_s=lat_tail,
-        fetch_p50_s=median(fetch.samples),
+        latency_s=latencies.report(ctx.info),
         peak_rss_mb=rss.peak_mb,
         **oracle.quality(list(ctx.first_outputs().values())),
     )
@@ -124,8 +53,7 @@ def _report(ctx, out, rss, compiles, latencies, wall, jobs_done, fetch) -> dict:
 
 
 def _probes(ctx) -> dict[str, float]:
-    setups, firsts = ctx.setup_probes()
-    return {"setup_s": median(setups), "first_job_s": median(firsts)}
+    return {"setup_s": median(ctx.setup_probes())}
 
 
 # -- flagship ----------------------------------------------------------------
@@ -167,8 +95,7 @@ def flagship(ctx) -> dict[str, float]:
 
     out = {} if ctx.trace else _probes(ctx)
     with PeakRss() as rss:
-        untraced(jobs[0])  # warm-up: the cold first op is timed by the probes
-        ctx.compile_samples.clear()
+        untraced(jobs[0])  # warm-up: a cold first op, not sampled
         if ctx.trace:
             plain: list[float] = []
 
@@ -181,19 +108,16 @@ def flagship(ctx) -> dict[str, float]:
 
             loop(ctx.seconds, step, min_ops=2 * len(jobs))
         else:
-            latencies: list[float] = []
-            fetch = CacheFetch(ctx)
+            latencies = Latencies()
 
             def step(i):
-                latencies.append(untraced(jobs[i % len(jobs)]))
-                fetch.after_op()
+                job = jobs[i % len(jobs)]
+                latencies.add(job.name, untraced(job))
 
-            wall, ops = loop(ctx.seconds, step, min_ops=len(jobs))
+            loop(ctx.seconds, step, min_ops=len(jobs))
     if ctx.trace:
         return ctx.layer_report(plain)
-    return _report(
-        ctx, out, rss, ctx.compile_samples, latencies, wall, ops, fetch
-    )
+    return _report(ctx, out, rss, latencies)
 
 
 # -- sweep -------------------------------------------------------------------
@@ -202,7 +126,6 @@ def flagship(ctx) -> dict[str, float]:
 def sweep(ctx) -> dict[str, float]:
     workers = nproc()
     ctx.info["workers"] = workers
-    batch_means: list[float] = []
 
     def batch(traced: bool) -> float:
         directory = ctx.tmpdir()
@@ -241,9 +164,6 @@ def sweep(ctx) -> dict[str, float]:
                     elapsed = time.perf_counter() - t0
                 for job, m in zip(ctx.jobs, results):
                     ctx.record(job.name, m)
-                batch_means.append(
-                    sum(m.compile_seconds for m in results) / len(results)
-                )
                 _check_relaxations(ctx, results)
         finally:
             shutil.rmtree(directory, ignore_errors=True)
@@ -251,28 +171,17 @@ def sweep(ctx) -> dict[str, float]:
 
     out = {} if ctx.trace else _probes(ctx)
     with PeakRss() as rss:
-        batch(False)  # warm-up: the cold first op is timed by the probes
-        batch_means.clear()
+        batch(False)  # warm-up: a cold pool and imports, not sampled
         if ctx.trace:
             plain: list[float] = []
             loop(ctx.seconds, lambda i: plain.append(batch(False)) if i % 2 == 0
                  else batch(True))
         else:
-            latencies: list[float] = []
-            fetch = CacheFetch(ctx)
-
-            def step(i):
-                latencies.append(batch(False))
-                fetch.after_op()
-
-            wall, ops = loop(ctx.seconds, step)
+            latencies = Latencies()
+            loop(ctx.seconds, lambda i: latencies.add("grid", batch(False)))
     if ctx.trace:
         return ctx.layer_report(plain)
-    # A batch's jobs mix prefix-cache hits and misses, so the median job
-    # jumps between modes; the per-batch mean is the stable statistic.
-    return _report(
-        ctx, out, rss, batch_means, latencies, wall, ops * len(ctx.jobs), fetch
-    )
+    return _report(ctx, out, rss, latencies)
 
 
 def _check_relaxations(ctx, results) -> None:

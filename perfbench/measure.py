@@ -3,30 +3,123 @@
 from __future__ import annotations
 
 import hashlib
+import heapq
 import os
 import platform
+import random
 import statistics
 import threading
+import time
+from collections import defaultdict
 from pathlib import Path
 
-#: Percentiles tried for the tail, highest first, in tenths of a percent.
-TAIL_LADDER = (999, 990, 950, 900, 750, 500)
+import numpy as np
 
 
 def nproc() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def tail(samples: list[float]) -> tuple[float, str, int]:
-    """``(value, percentile label, n)`` for the highest percentile with at
-    least ten samples beyond it; the maximum when there are too few."""
-    n = len(samples)
-    ordered = sorted(samples)
-    for permille in TAIL_LADDER:
-        if n * (1000 - permille) >= 10 * 1000:
-            rank = min(n - 1, permille * n // 1000)
-            return ordered[rank], f"p{permille / 10:g}", n
-    return ordered[-1], "max", n
+def per_job_median(samples: dict[str, list[float]]) -> float:
+    """The median of each job's samples, averaged over the jobs that have
+    any, so a pool of unequal jobs reads the same whichever job ran last."""
+    medians = [statistics.median(v) for v in samples.values() if v]
+    return sum(medians) / len(medians)
+
+
+#: Seconds the host probe takes at the reference speed: about its median
+#: time on a quiet 2-vCPU Xeon (Sapphire Rapids) KVM guest.
+PROBE_REFERENCE_S = 0.012
+
+
+class HostSpeed:
+    """Converts op seconds to reference seconds: seconds on a host running
+    at the reference speed.
+
+    The benchmark's hosts are shared, and their speed drifts by up to 2x
+    over minutes (a fixed pure-Python loop, and the same compile, both
+    slowed by that much within one 25-minute series of runs), so raw op
+    times of two runs a few minutes apart are not comparable.  Between
+    every two measured ops this times a fixed probe that does not touch
+    the program under test (object-graph shortest paths, sorting, numpy
+    argsort and an arithmetic loop), and scales each op by
+    ``PROBE_REFERENCE_S / probe time``, the probe time being the mean of
+    the probes just before and just after the op.  A slower program still
+    reads slower; a slower host mostly does not."""
+
+    REPEATS = 3
+
+    def __init__(self) -> None:
+        rng = random.Random(7)
+        self._edges = [[rng.randrange(600) for _ in range(6)] for _ in range(600)]
+        self._array = np.random.default_rng(7).random(20_000)
+        self.probes: list[float] = []
+        self._last = self.probe()
+
+    def _work(self) -> int:
+        edges = self._edges
+        dist = {0: 0}
+        queue = [(0, 0)]
+        while queue:
+            d, i = heapq.heappop(queue)
+            if d > dist[i]:
+                continue
+            for j in edges[i]:
+                nd = d + 1 + (j * 7 + i) % 5
+                if nd < dist.get(j, 1 << 30):
+                    dist[j] = nd
+                    heapq.heappush(queue, (nd, j))
+        layers: dict[int, list[int]] = {}
+        for node, d in dist.items():
+            layers.setdefault(d, []).append(node)
+        order = sorted(((len(v), k) for k, v in layers.items()), reverse=True)
+        total = int(np.argsort(self._array)[0]) + len(order)
+        for i in range(100_000):
+            total += i * i % 7
+        return total
+
+    def probe(self) -> float:
+        """Median seconds of a few runs of the probe, now."""
+        times = []
+        for _ in range(self.REPEATS):
+            t0 = time.perf_counter()
+            self._work()
+            times.append(time.perf_counter() - t0)
+        seconds = statistics.median(times)
+        self.probes.append(seconds)
+        return seconds
+
+    def scale(self, seconds: float) -> float:
+        """*seconds* of the op that just ended, in reference seconds."""
+        after = self.probe()
+        host = (self._last + after) / 2
+        self._last = after
+        return seconds * PROBE_REFERENCE_S / host
+
+
+class Latencies:
+    """Seconds of each measured op, per job, as measured and in reference
+    seconds.  Add each op right after it ends: that times the probe that
+    closes it."""
+
+    def __init__(self) -> None:
+        self.speed = HostSpeed()
+        self.raw: dict[str, list[float]] = defaultdict(list)
+        self.ref: dict[str, list[float]] = defaultdict(list)
+
+    def add(self, job: str, seconds: float) -> None:
+        self.raw[job].append(seconds)
+        self.ref[job].append(self.speed.scale(seconds))
+
+    def report(self, info: dict) -> float:
+        """``latency_s``; the as-measured figures go to *info*."""
+        info["latency"] = {
+            "samples": sum(map(len, self.raw.values())),
+            "measured_median_s": per_job_median(self.raw),
+            "measured_best_s": sum(map(min, self.raw.values())) / len(self.raw),
+            "probe_median_s": statistics.median(self.speed.probes),
+        }
+        return per_job_median(self.ref)
 
 
 def median(samples: list[float]) -> float:

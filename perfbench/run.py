@@ -4,7 +4,7 @@
 
 Workloads (all closed loops from this one process; see manifest.json):
 
-* ``flagship``        — back-to-back ``compile_on`` of three QAOA-rand-200s;
+* ``flagship``        — back-to-back ``compile_on`` of six QAOA-rand-200s;
 * ``sweep``           — back-to-back ``compile_many`` over a Fig. 22 grid;
 * ``service-program`` — a real ``repro serve`` daemon receiving
   ``keep_program`` jobs whose programs are streamed back and re-fetched.
@@ -48,12 +48,7 @@ WORKLOADS = ("flagship", "sweep", "service-program")
 #: (name, unit) of every end-to-end metric, in print order.
 END_TO_END = (
     ("setup_s", "s"),
-    ("first_job_s", "s"),
-    ("compile_s", "s"),
-    ("jobs_per_s", "1/s"),
-    ("latency_p50_s", "s"),
-    ("latency_tail_s", "s"),
-    ("fetch_p50_s", "s"),
+    ("latency_s", "s"),
     ("peak_rss_mb", "MB"),
     ("success_rate", "ratio"),
     ("num_2q_gates", "count"),
@@ -150,7 +145,6 @@ class Context:
         self.tally = Tally()
         self.outputs: dict[str, set[str]] = defaultdict(set)
         self.first: dict = {}
-        self.compile_samples: list[float] = []
         self.counts: dict[str, float] = defaultdict(float)
         self.info: dict = {}
         self.errors: list[str] = []
@@ -165,7 +159,6 @@ class Context:
         d = digest(metrics, program)
         self.outputs[name].add(d)
         self.first.setdefault(name, metrics)
-        self.compile_samples.append(metrics.compile_seconds)
         self.tally.op(name)
         return d
 
@@ -195,41 +188,27 @@ class Context:
 
     # -- set-up probes ----------------------------------------------------
 
-    def setup_probes(self) -> tuple[list[float], list[float]]:
-        """Set-up and first-job seconds measured in fresh interpreters:
-        process start -> inputs ready, then the first operation.  The
-        probes' outputs are checked like every other op's."""
-        setups, firsts = [], []
-        for probe in range(self.setup_repeats):
+    def setup_probes(self) -> list[float]:
+        """Set-up seconds measured in fresh interpreters: process start ->
+        inputs ready."""
+        setups = []
+        for _ in range(self.setup_repeats):
             t0 = time.perf_counter()
             proc = subprocess.Popen(
-                [sys.executable, str(HERE / "run.py"),
-                 "--probe-setup", str(probe),
+                [sys.executable, str(HERE / "run.py"), "--probe-setup",
                  "--workload", self.workload, "--seed", str(self.seed),
                  "--size", self.size],
                 cwd=ROOT, stdout=subprocess.PIPE, text=True,
             )
             try:
                 ready = proc.stdout.readline().strip()
-                t1 = time.perf_counter()
-                done = proc.stdout.readline()
-                t2 = time.perf_counter()
+                setups.append(time.perf_counter() - t0)
             finally:
                 proc.stdout.close()
                 proc.wait(timeout=60)
-            if ready != "ready":
+            if ready != "ready" or proc.returncode != 0:
                 raise RuntimeError("set-up probe did not report ready")
-            setups.append(t1 - t0)
-            firsts.append(t2 - t1)
-            if proc.returncode != 0 or not done.strip():
-                for job in self.jobs:
-                    self.tally.op(job.name, ok=False)
-                self.tally.notes.append("a set-up probe's first op failed")
-                continue
-            for name, d in json.loads(done).items():
-                self.outputs[name].add(d)
-                self.tally.op(name)
-        return setups, firsts
+        return setups
 
     # -- traced-run ledger ------------------------------------------------
 
@@ -361,19 +340,18 @@ def main(argv: list[str] | None = None) -> int:
                         help="expected-output file to check against")
     parser.add_argument("--record", metavar="SEED[-SEED]",
                         help="record expected outputs for these seeds instead")
-    parser.add_argument("--probe-setup", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--probe-setup", action="store_true",
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     _import_program()
     os.chdir(ROOT)
     OUT.mkdir(exist_ok=True)
-    if args.probe_setup is not None:
-        from perfbench import library, workloads
+    if args.probe_setup:
+        from perfbench import workloads
 
-        jobs = workloads.build(args.workload, args.seed, args.size)
+        workloads.build(args.workload, args.seed, args.size)
         print("ready", flush=True)
-        print(json.dumps(library.cold_op(args.workload, jobs, args.probe_setup,
-                                         OUT)), flush=True)
         return 0
     if args.record:
         record(args)

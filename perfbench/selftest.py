@@ -3,7 +3,7 @@
     python3 -m pytest perfbench/selftest.py
 
 Tiny-size runs of every workload (a few seconds each, one of them boots a
-daemon), plus unit tests of the ledger and the tail statistic.  The file
+daemon), plus unit tests of the ledger and the per-job median.  The file
 name keeps these out of the repository's default test collection.
 """
 
@@ -24,7 +24,7 @@ ROOT = HERE.parent
 sys.path.insert(0, str(ROOT))
 
 from perfbench.ledger import Ledger  # noqa: E402
-from perfbench.measure import tail  # noqa: E402
+from perfbench.measure import per_job_median  # noqa: E402
 from perfbench.run import LEDGER, WORKLOADS  # noqa: E402
 
 QUALITY = ("num_2q_gates", "two_qubit_depth", "neg_log10_fidelity", "program_exec_s")
@@ -157,9 +157,5 @@ def test_ledger_reported_child_is_subtracted_from_parent():
     assert by_name == {"op": 6.0, "remote": 4.0}
 
 
-def test_tail_is_highest_percentile_with_ten_samples_beyond():
-    samples = [float(i) for i in range(100)]
-    assert tail(samples)[1:] == ("p90", 100)
-    assert tail(samples[:40])[1:] == ("p75", 40)
-    assert tail(samples[:20]) == (10.0, "p50", 20)
-    assert tail(samples[:19]) == (18.0, "max", 19)
+def test_per_job_median_is_the_mean_of_each_jobs_median():
+    assert per_job_median({"a": [3.0, 1.0, 2.0], "b": [5.0, 4.0], "c": []}) == 3.25

@@ -20,7 +20,7 @@ from repro.service import ServiceClient
 
 from . import oracle, recording
 from .library import loop
-from .measure import PeakRss, median, nproc, proc_stats, tail
+from .measure import Latencies, PeakRss, median, nproc, proc_stats
 from .workloads import warm_jobs
 
 #: In-process compiles of each job whose median wall-clock a traced run
@@ -103,7 +103,6 @@ class ProgramJobs:
 
     def __init__(self, ctx) -> None:
         self.ctx = ctx
-        self.fetch: list[float] = []
         self.last_job_id: str | None = None
 
     def op(self, daemon: Daemon, job, traced: bool) -> tuple[float, float]:
@@ -134,7 +133,6 @@ class ProgramJobs:
                 again = client.program(job_id)
                 wall = time.perf_counter() - t0
                 latency = t1 - t0
-                self.fetch.append(wall - latency)
             if oracle.digest(reply[0], again) != ctx.record(job.name, *reply):
                 ctx.tally.fail_job(job.name, "re-fetched output differs")
             self.last_job_id = job_id
@@ -173,10 +171,10 @@ class ProgramJobs:
 
     # -- set-up ------------------------------------------------------------
 
-    def boot(self) -> tuple[Daemon, tuple[float, float, float]]:
+    def boot(self) -> tuple[Daemon, tuple[float, float]]:
         """Spawn a daemon and warm every shard.  Returns it with
-        ``(ready_at, first_job_s, warm_at)``, the two instants measured
-        from spawn: answering pings, and every shard served one job."""
+        ``(ready_at, warm_at)``, the two instants measured from spawn:
+        answering pings, and every shard served one job."""
         ctx = self.ctx
         t0 = time.perf_counter()
         daemon = Daemon(ctx, nproc())
@@ -184,7 +182,7 @@ class ProgramJobs:
             client = daemon.client
             client.wait_ready(timeout=DAEMON_TIMEOUT, poll=0.005)
             ready = time.perf_counter() - t0
-            first, _wall = self.op(daemon, ctx.jobs[0], traced=False)
+            self.op(daemon, ctx.jobs[0], traced=False)
             if self.last_job_id is None:
                 raise RuntimeError("the first job failed")
             served = {client.status(self.last_job_id)["shard"]}
@@ -196,7 +194,7 @@ class ProgramJobs:
                 served.add(client.status(job_id)["shard"])
             if len(served) != daemon.shards:
                 raise RuntimeError(f"warm-up reached shards {sorted(served)} only")
-            return daemon, (ready, first, time.perf_counter() - t0)
+            return daemon, (ready, time.perf_counter() - t0)
         except BaseException:
             daemon.stop()
             raise
@@ -213,16 +211,12 @@ class ProgramJobs:
             setups.append(times)
             if r < repeats - 1:
                 daemon.stop()
-        # The boots' first ops met cold shards; they are timed as
-        # first_job_s, not sampled with the measured loop's ops.
-        self.fetch.clear()
-        ctx.compile_samples.clear()
         if ctx.trace:
-            ready, _first, warm = times
+            ready, warm = times
             ctx.ledger.add("service.boot", t0, t0 + ready)
             ctx.ledger.add("service.warm", t0 + ready, t0 + warm)
         plain: list[float] = []
-        latencies: list[float] = []
+        latencies = Latencies()
         traced: list[tuple[str, float]] = []
         jobs = ctx.jobs
         try:
@@ -240,9 +234,10 @@ class ProgramJobs:
                 else:
                     def step(i):
                         job = jobs[i % len(jobs)]
-                        latencies.append(self.op(daemon, job, traced=False)[0])
+                        latency, _wall = self.op(daemon, job, traced=False)
+                        latencies.add(job.name, latency)
 
-                    wall, ops = loop(ctx.seconds, step)
+                    loop(ctx.seconds, step)
         finally:
             daemon.stop()
         reference, direct_wall = self.reference()
@@ -252,21 +247,10 @@ class ProgramJobs:
                 if name in direct_wall:
                     ctx.count("service.overhead_s", latency - direct_wall[name])
             return ctx.layer_report(plain)
-        lat_tail, pct, n = tail(latencies)
-        ctx.info.update(
-            latency_tail={"percentile": pct, "samples": n},
-            clients=1,
-            shards=nproc(),
-        )
+        ctx.info.update(clients=1, shards=nproc())
         return {
-            "setup_s": median([s[2] for s in setups]),
-            "first_job_s": median([s[1] for s in setups]),
-            # the shards' own compile seconds over the measured loop
-            "compile_s": median(ctx.compile_samples),
-            "jobs_per_s": ops / wall,
-            "latency_p50_s": median(latencies),
-            "latency_tail_s": lat_tail,
-            "fetch_p50_s": median(self.fetch),
+            "setup_s": median([warm for _ready, warm in setups]),
+            "latency_s": latencies.report(ctx.info),
             "peak_rss_mb": rss.peak_mb,
             **oracle.quality(list(ctx.first_outputs().values())),
         }

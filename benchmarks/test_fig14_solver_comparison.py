@@ -38,6 +38,7 @@ def test_fig14_solver_comparison(benchmark, record_rows):
     record_rows(
         "fig14_speedup",
         [{"compiler": k, "mean_slowdown_vs_atomique": round(v, 1)} for k, v in speed.items()],
+        timing=True,
     )
 
     # similar fidelity ...

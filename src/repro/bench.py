@@ -254,6 +254,7 @@ def bench_router(
 ) -> dict:
     """Run the router benchmark; return (and optionally write) the report."""
     from .core import AtomiqueCompiler, AtomiqueConfig
+    from .core.pipeline import CompilationContext, LowerToNativePass, SabreSwapPass
     from .core.router import HighParallelismRouter
     from .experiments import raa_for
 
@@ -267,7 +268,19 @@ def bench_router(
         best = float("inf")
         best_emit = float("inf")
         best_probe = float("inf")
+        best_sabre = result.pass_seconds["sabre_swap"]
+        # The SABRE pass rerun alone on the compile's own inputs to it.
+        sabre_context = CompilationContext(
+            circuit,
+            result.architecture,
+            compiler.config,
+            array_of_qubit=result.array_of_qubit,
+        )
+        LowerToNativePass().run(sabre_context)
         for _ in range(max(1, spec.repeats)):
+            t0 = time.perf_counter()
+            SabreSwapPass().run(sabre_context)
+            best_sabre = min(best_sabre, time.perf_counter() - t0)
             # A fresh router per repeat, constructed inside the timed
             # region, keeps every measurement cold: the router now persists
             # its location-epoch caches (site cache, LocationIndex) across
@@ -284,7 +297,6 @@ def bench_router(
         codec = codec_timings(program)
         seed_s = SEED_ROUTER_SECONDS.get(spec.name)
         pr5_router = PR5_ROUTER_SECONDS.get(spec.name)
-        sabre_s = result.pass_seconds.get("sabre_swap")
         pr2_sabre = PR2_SABRE_SECONDS.get(spec.name)
         pr3_emit = PR3_EMIT_SECONDS.get(spec.name)
         rows.append(
@@ -315,12 +327,13 @@ def bench_router(
                     if best_emit and pr3_emit
                     else None
                 ),
-                # SABRE trajectory: one full-pipeline compile, vs the PR 2
-                # (pre-incremental-scoring) recording of the same pass
-                "sabre_seconds": round(sabre_s, 6) if sabre_s else None,
+                # SABRE trajectory: min over the compile and N reruns of
+                # the pass, vs the pre-incremental-scoring recording of
+                # the same pass (PR2_SABRE_SECONDS)
+                "sabre_seconds": round(best_sabre, 6),
                 "pr2_sabre_seconds": pr2_sabre,
                 "sabre_speedup_vs_pr2": (
-                    round(pr2_sabre / sabre_s, 3) if sabre_s and pr2_sabre else None
+                    round(pr2_sabre / best_sabre, 3) if pr2_sabre else None
                 ),
                 # program-codec trajectory: min-of-N encode+decode round
                 # trip of this workload's compiled program, JSON v2 vs
@@ -353,8 +366,10 @@ def bench_router(
         "construction + route() on the pre-transpiled circuit (a fresh "
         "router per repeat — the router caches location-epoch artifacts "
         "across calls since PR 3); seed baseline measured identically at "
-        "the seed commit; sabre_seconds is the SABRE pass of one "
-        "full-pipeline compile vs the PR 2 recording; emit_seconds is the "
+        "the seed commit; sabre_seconds is the min over the SABRE pass of "
+        "one full-pipeline compile and N reruns of that pass on the same "
+        "inputs, vs the pre-incremental-scoring recording "
+        "(pr2_sabre_seconds); emit_seconds is the "
         "router's record-keeping window (ProgramStore.emit_seconds: pulse/"
         "move/gate/cooling record emission + heating/loss history + stage "
         "close, DAG bookkeeping and constraint search excluded) vs the "

@@ -39,7 +39,7 @@ class CouplingMap:
         for a, b in edges:
             self.add_edge(int(a), int(b))
         self._dist: np.ndarray | None = None
-        self._nbr_lists: tuple[np.ndarray, ...] | None = None
+        self._edge_mask: np.ndarray | None = None
 
     def add_edge(self, a: int, b: int) -> None:
         """Insert the undirected edge ``(a, b)``."""
@@ -51,7 +51,7 @@ class CouplingMap:
         self.adj[b].add(a)
         self._edges.add((min(a, b), max(a, b)))
         self._dist = None
-        self._nbr_lists = None
+        self._edge_mask = None
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -73,18 +73,21 @@ class CouplingMap:
     def degree(self, q: int) -> int:
         return len(self.adj[q])
 
-    def neighbor_lists(self) -> tuple[np.ndarray, ...]:
-        """Per-qubit sorted neighbor index arrays, cached on the instance.
+    def edge_mask(self) -> np.ndarray:
+        """Upper-triangular adjacency: ``[a, b]`` is True for each edge
+        ``a < b``.  Cached on the instance.
 
-        SABRE's candidate enumeration consumes these instead of the python
-        ``adj`` sets so swap-edge generation is a numpy concatenation.
+        SABRE reads its swap candidates off this mask, so their flat
+        indices ``a * n + b`` come out sorted without a merge.
         """
-        if self._nbr_lists is None:
-            self._nbr_lists = tuple(
-                np.fromiter(sorted(s), dtype=np.int64, count=len(s))
-                for s in self.adj
-            )
-        return self._nbr_lists
+        if self._edge_mask is None:
+            n = self.num_qubits
+            mask = np.zeros((n, n), dtype=bool)
+            if self._edges:
+                edges = np.array(list(self._edges), dtype=np.int64)
+                mask[edges[:, 0], edges[:, 1]] = True
+            self._edge_mask = mask
+        return self._edge_mask
 
     # -- distances ------------------------------------------------------------
 

@@ -87,7 +87,7 @@ class FAAArchitecture:
 
     def coupling_map(self) -> CouplingMap:
         """The device coupling graph (built once per instance, so its
-        distance matrix and neighbor lists are computed once too)."""
+        distance matrix and edge mask are computed once too)."""
         cached = getattr(self, "_coupling", None)
         if cached is not None:
             return cached

@@ -169,7 +169,7 @@ class RAAArchitecture:
         of qubits in *different* arrays (Sec. III: "two-qubit gates can only
         be performed between two different arrays").
 
-        The map (with its cached distance matrix and neighbor lists) is
+        The map (with its cached distance matrix and edge mask) is
         memoized per assignment so repeated compiles of the same circuit —
         e.g. a router-toggle sweep sharing one array mapping — reuse one
         instance instead of re-running the all-pairs BFS.

@@ -80,7 +80,7 @@ class SuperconductingArchitecture:
 
     def coupling_map(self) -> CouplingMap:
         """The heavy-hex coupling graph (built once per instance, so its
-        distance matrix and neighbor lists are computed once too)."""
+        distance matrix and edge mask are computed once too)."""
         cached = getattr(self, "_coupling", None)
         if cached is None:
             cached = heavy_hex_coupling(self.rows, self.row_length)

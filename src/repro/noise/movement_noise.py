@@ -79,13 +79,34 @@ def atom_loss_probability(n_vib: float, params: HardwareParams) -> float:
     return 1.0 - 0.5 * (1.0 + float(erf(z)))
 
 
+#: Loss samples scored per numpy call in :func:`movement_loss_fidelity`;
+#: bounds its temporaries however long the loss log grows.
+LOSS_CHUNK = 4096
+
+
 def movement_loss_fidelity(
     move_n_vibs: Sequence[float], params: HardwareParams
 ) -> float:
-    """Probability no atom is lost across all (atom, move) events."""
+    """Probability no atom is lost across all (atom, move) events.
+
+    Bit-identical to the product of ``1 - atom_loss_probability(n)`` over
+    *move_n_vibs* in order: the loss terms are the same IEEE operations on
+    arrays (``sqrt`` is correctly rounded, ``erf`` is the same ufunc), and
+    ``multiply.accumulate`` carries the running product sequentially,
+    ``r[i] = r[i - 1] * a[i]``, seeded with the previous chunks' product.
+    """
     f = 1.0
-    for nv in move_n_vibs:
-        f *= 1.0 - atom_loss_probability(nv, params)
+    buf = np.empty(LOSS_CHUNK + 1)
+    for start in range(0, len(move_n_vibs), LOSS_CHUNK):
+        n = np.asarray(move_n_vibs[start : start + LOSS_CHUNK], dtype=np.float64)
+        cold = n <= 0.0  # never heated: no loss (and no sqrt of n <= 0)
+        safe = np.where(cold, 1.0, n)
+        z = (params.n_vib_max - safe) / np.sqrt(2.0 * safe)
+        loss = np.where(cold, 0.0, 1.0 - 0.5 * (1.0 + erf(z)))
+        run = buf[: len(n) + 1]
+        run[0] = f
+        run[1:] = 1.0 - loss
+        f = float(np.multiply.accumulate(run, out=run)[-1])
     return f
 
 

@@ -17,13 +17,13 @@ The implementation follows the published algorithm:
   (the "reverse traversal" trick from the paper).
 
 Scoring is *incremental* (:class:`_IncrementalScorer`): front and extended
-pair costs are running integer sums, each candidate edge carries the exact
-integer cost *delta* its swap would cause, and a committed swap only
-refreshes the deltas of candidates touching the swapped qubits (or the
-partners of pairs they host).  All bookkeeping is integer-exact, so the
+pair costs are running integer sums, and each candidate edge carries the
+exact integer cost *delta* its swap would cause, read from per-qubit
+distance rows with a few gathers, so a decision costs O(candidates) however
+large the extended set is.  All bookkeeping is integer-exact, so the
 floating-point scores — and therefore the chosen swap sequence — are
 bit-identical to the naive rescoring loop (pinned by the golden corpus in
-``tests/transpile/golden_sabre.json`` and a per-decision differential test).
+``tests/transpile/golden_sabre.json`` and per-decision differential tests).
 """
 
 from __future__ import annotations
@@ -92,99 +92,100 @@ class _IncrementalScorer:
 
     One instance lives for the duration of a :func:`sabre_route` call and
     owns the logical<->physical position arrays.  The candidate set is the
-    coupling edges touching a physical qubit of the front layer; each
-    candidate stores the *integer* change its swap would make to the summed
-    front / extended-set distances.  Because front-layer gates are pairwise
-    qubit-disjoint, every active physical qubit has exactly one front
-    partner, which makes the front delta a handful of vectorized distance
-    gathers; extended-set pairs may share qubits, so their delta is
-    accumulated per ext pair over the candidates that touch one.
+    coupling edges touching a physical qubit of the front layer, read off
+    the coupling map's upper-triangular edge mask so they come out sorted
+    by ``(p1, p2)``; each candidate stores the *integer* change its swap
+    would make to the summed front / extended-set distances.
+
+    Both deltas come from *host rows*.  A pair ``(h, w)`` hosted at
+    physical qubit ``h`` contributes the row ``dist[w]`` — its distance if
+    ``h`` moved to each position while ``w`` stayed — so swapping
+    ``(s1, s2)`` changes the cost by
+
+        ``H[s1, s2] - H[s1, s1] + H[s2, s1] - H[s2, s2]``
+
+    summed over the pairs hosted at ``s1`` and ``s2``, except for a pair
+    whose endpoints are exactly ``{s1, s2}``: its distance is unchanged but
+    the four gathers subtracted it twice.  Front-layer gates are pairwise
+    qubit-disjoint, so each front row is the single ``dist`` row of the
+    qubit's partner and that case is a masked correction.  Extended-set
+    pairs may share qubits and repeat, so their rows are summed per host
+    qubit (at most ``2 * EXTENDED_SET_SIZE`` rows) and each pair also adds
+    ``dist[h, w]`` at column ``w``, which folds the correction into the
+    rows.  Rescoring every candidate is a handful of gathers over the
+    candidate arrays, independent of the extended-set size.
 
     An *epoch* spans the decisions between two front-layer changes:
     :meth:`begin_epoch` rebuilds the pair structures and scores every
-    candidate, :meth:`commit` applies a chosen swap and refreshes only the
-    candidates whose cost that swap could have moved.
+    candidate; :meth:`commit` applies a chosen swap, rebuilds the candidate
+    set only when front membership moved and refills the extended-set rows
+    only when an extended-set endpoint moved, then rescores.
     """
 
     def __init__(self, coupling: CouplingMap, l2p: np.ndarray) -> None:
-        self._dist = coupling.distance_matrix()
-        self._nbrs = coupling.neighbor_lists()
         n = coupling.num_qubits
         self._n = n
+        # int64 distances padded with a zero row and column, which index -1
+        # (no partner) reaches, so absent partners gather zeros.
+        dist = np.zeros((n + 1, n + 1), dtype=np.int64)
+        dist[:n, :n] = coupling.distance_matrix()
+        self._dist = dist
+        self._dflat = dist.ravel()
+        self._fdist = dist.astype(np.float64)
+        self._upper = coupling.edge_mask()
         self.l2p = l2p
-        self._p2l = np.full(n, -1, dtype=np.int64)
+        self.p2l = np.full(n, -1, dtype=np.int64)
         present = l2p >= 0
-        self._p2l[l2p[present]] = np.flatnonzero(present)
+        self.p2l[l2p[present]] = np.flatnonzero(present)
         #: physical -> its single front partner's physical position (or -1)
         self._partner = np.full(n, -1, dtype=np.int64)
         #: physical hosts a front-layer qubit
         self._active = np.zeros(n, dtype=bool)
-        #: physical hosts an extended-set pair endpoint
-        self._hostext = np.zeros(n, dtype=bool)
-        #: scratch flags for the affected-candidate mask
-        self._aff = np.zeros(n, dtype=bool)
-        #: per-physical-qubit candidate edge codes (min*n + max), lazy
-        self._edge_codes: list[np.ndarray | None] = [None] * n
+        #: physical -> its row in ``_ext_rows``; 0 (an all-zero row) when it
+        #: hosts no extended-set endpoint
+        self._ext_row = np.zeros(n, dtype=np.int64)
         self._E = 0
         self._F = 0
 
     # -- helpers ---------------------------------------------------------------
 
-    def _codes_for(self, p: int) -> np.ndarray:
-        codes = self._edge_codes[p]
-        if codes is None:
-            nb = self._nbrs[p]
-            codes = np.where(nb < p, nb * self._n + p, p * self._n + nb)
-            codes.sort()
-            self._edge_codes[p] = codes
-        return codes
+    def _set_candidates(self) -> None:
+        """Candidate edges from the front membership mask, sorted."""
+        act = self._active
+        codes = np.flatnonzero(self._upper & (act[:, None] | act[None, :]))
+        self._cp1, self._cp2 = np.divmod(codes, self._n)
 
-    def _front_delta(self, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-        """Exact integer front-cost change of swapping each ``(s1, s2)``."""
-        dist = self._dist
-        part1 = self._partner[s1]
-        part2 = self._partner[s2]
-        d = np.zeros(len(s1), dtype=np.int64)
-        m = part1 >= 0
-        if m.any():
-            d[m] = dist[s2[m], part1[m]].astype(np.int64) - dist[s1[m], part1[m]]
-        m = part2 >= 0
-        if m.any():
-            d[m] += dist[s1[m], part2[m]].astype(np.int64) - dist[s2[m], part2[m]]
-        # A candidate swapping the two endpoints of one front pair leaves its
-        # distance unchanged; the two one-sided terms double-subtracted it.
-        m = part1 == s2
-        if m.any():
-            d[m] += 2 * dist[s1[m], s2[m]].astype(np.int64)
-        return d
+    def _fill_ext_rows(self) -> None:
+        """Refill the extended-set host rows from the current positions."""
+        host = self.l2p[self._slot_host]
+        partner = self.l2p[self._slot_partner]
+        x = self._fdist[partner]
+        x[self._slots, partner] = self._fdist[host, partner]
+        # Summing slots into host rows through a 0/1 matrix product is exact:
+        # every partial sum is an integer far below 2**53.
+        self._ext_rows.reshape(-1, self._n + 1)[1:] = self._slot_sum @ x
 
-    def _ext_delta(self, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-        """Exact integer extended-set cost change per candidate swap."""
-        d = np.zeros(len(s1), dtype=np.int64)
-        if not self._E:
-            return d
-        sub = np.flatnonzero(self._hostext[s1] | self._hostext[s2])
-        if not len(sub):
-            return d
-        dist = self._dist
-        ss1, ss2 = s1[sub], s2[sub]
-        acc = np.zeros(len(sub), dtype=np.int64)
-        for k in range(self._E):
-            u = int(self._pea[k])
-            v = int(self._peb[k])
-            t1u = ss1 == u
-            t2u = ss2 == u
-            t1v = ss1 == v
-            t2v = ss2 == v
-            touched = t1u | t2u | t1v | t2v
-            if not touched.any():
-                continue
-            idx = np.flatnonzero(touched)
-            a = np.where(t1u[idx], ss2[idx], np.where(t2u[idx], ss1[idx], u))
-            b = np.where(t1v[idx], ss2[idx], np.where(t2v[idx], ss1[idx], v))
-            acc[idx] += dist[a, b].astype(np.int64) - int(dist[u, v])
-        d[sub] = acc
-        return d
+    def _swap_delta(
+        self, rows: np.ndarray, r1: np.ndarray, r2: np.ndarray
+    ) -> np.ndarray:
+        """``H[s1, s2] - H[s1, s1] + H[s2, s1] - H[s2, s2]`` per candidate,
+        given the flat offsets *r1*, *r2* of each endpoint's row."""
+        s1, s2 = self._cp1, self._cp2
+        return rows[r1 + s2] - rows[r1 + s1] + rows[r2 + s1] - rows[r2 + s2]
+
+    def _rescore(self) -> None:
+        stride = self._n + 1
+        s1, s2 = self._cp1, self._cp2
+        w1 = self._partner[s1]
+        self._dfront = self._swap_delta(
+            self._dflat, w1 * stride, self._partner[s2] * stride
+        )
+        pair = np.flatnonzero(w1 == s2)
+        self._dfront[pair] += 2 * self._dflat[s1[pair] * stride + s2[pair]]
+        row = self._ext_row
+        self._dext = self._swap_delta(
+            self._ext_rows, row[s1] * stride, row[s2] * stride
+        )
 
     # -- epoch lifecycle -------------------------------------------------------
 
@@ -194,46 +195,41 @@ class _IncrementalScorer:
         ext_pairs: list[tuple[int, ...]],
     ) -> None:
         """Rebuild pair structures and score every candidate from scratch."""
-        n = self._n
         l2p = self.l2p
-        fa = np.fromiter((p[0] for p in front_pairs), np.int64, len(front_pairs))
-        fb = np.fromiter((p[1] for p in front_pairs), np.int64, len(front_pairs))
-        self._pfa = l2p[fa]
-        self._pfb = l2p[fb]
-        self._F = len(front_pairs)
-        self._E = len(ext_pairs)
-        if ext_pairs:
-            ea = np.fromiter((p[0] for p in ext_pairs), np.int64, len(ext_pairs))
-            eb = np.fromiter((p[1] for p in ext_pairs), np.int64, len(ext_pairs))
-            self._pea = l2p[ea]
-            self._peb = l2p[eb]
-        else:
-            self._pea = self._peb = np.empty(0, dtype=np.int64)
-
-        self._partner.fill(-1)
-        self._partner[self._pfa] = self._pfb
-        self._partner[self._pfb] = self._pfa
-        self._active.fill(False)
-        self._active[self._pfa] = True
-        self._active[self._pfb] = True
-        self._hostext.fill(False)
-        if self._E:
-            self._hostext[self._pea] = True
-            self._hostext[self._peb] = True
-
         dist = self._dist
-        self._base_front = int(dist[self._pfa, self._pfb].astype(np.int64).sum())
-        self._base_ext = (
-            int(dist[self._pea, self._peb].astype(np.int64).sum()) if self._E else 0
-        )
+        front = l2p[np.array(front_pairs, dtype=np.int64).reshape(-1, 2)]
+        pfa, pfb = front[:, 0], front[:, 1]
+        self._F = len(front_pairs)
+        self._base_front = int(dist[pfa, pfb].sum())
+        self._partner.fill(-1)
+        self._partner[pfa] = pfb
+        self._partner[pfb] = pfa
+        self._active.fill(False)
+        self._active[pfa] = True
+        self._active[pfb] = True
 
-        act = np.unique(np.concatenate([self._pfa, self._pfb]))
-        codes = np.unique(np.concatenate([self._codes_for(int(p)) for p in act]))
-        self._codes = codes
-        self._cp1 = codes // n
-        self._cp2 = codes % n
-        self._dfront = self._front_delta(self._cp1, self._cp2)
-        self._dext = self._ext_delta(self._cp1, self._cp2)
+        self._E = len(ext_pairs)
+        self._base_ext = 0
+        self._ext_row.fill(0)
+        self._ext_rows = np.zeros(self._n + 1, dtype=np.int64)
+        if ext_pairs:
+            ext = np.array(ext_pairs, dtype=np.int64)
+            pe = l2p[ext]
+            self._base_ext = int(dist[pe[:, 0], pe[:, 1]].sum())
+            # One slot per (host, partner) orientation of each pair, summed
+            # per logical host: rows follow their logical host when a swap
+            # moves it, so the grouping holds for the whole epoch.
+            self._slot_host = ext.T.ravel()
+            self._slot_partner = ext[:, ::-1].T.ravel()
+            self._slots = np.arange(2 * self._E)
+            hosts, slot_row = np.unique(self._slot_host, return_inverse=True)
+            self._slot_sum = np.zeros((len(hosts), 2 * self._E))
+            self._slot_sum[slot_row, self._slots] = 1.0
+            self._ext_row[l2p[hosts]] = np.arange(1, len(hosts) + 1)
+            self._ext_rows = np.zeros((len(hosts) + 1) * (self._n + 1), np.int64)
+            self._fill_ext_rows()
+        self._set_candidates()
+        self._rescore()
 
     def scores(self, decay: np.ndarray) -> np.ndarray:
         """Float scores of every candidate, identical to the naive formula."""
@@ -262,51 +258,26 @@ class _IncrementalScorer:
         return int(self._cp1[idx]), int(self._cp2[idx])
 
     def commit(self, idx: int) -> None:
-        """Apply candidate *idx*'s swap and delta-refresh touched candidates."""
+        """Apply candidate *idx*'s swap and rescore the candidates."""
         p1 = int(self._cp1[idx])
         p2 = int(self._cp2[idx])
         self._base_front += int(self._dfront[idx])
         self._base_ext += int(self._dext[idx])
 
-        # Affected vertices: the swapped qubits plus the partners of every
-        # pair they host — only candidates touching one can change delta.
-        w1 = int(self._partner[p1])
-        w2 = int(self._partner[p2])
-        affected = [p1, p2]
-        if w1 >= 0:
-            affected.append(w1)
-        if w2 >= 0:
-            affected.append(w2)
-        if self._E:
-            pea, peb = self._pea, self._peb
-            m = (pea == p1) | (pea == p2)
-            if m.any():
-                affected.extend(int(x) for x in peb[m])
-            m = (peb == p1) | (peb == p2)
-            if m.any():
-                affected.extend(int(x) for x in pea[m])
-
         # Swap the physical contents.
-        l1 = int(self._p2l[p1])
-        l2 = int(self._p2l[p2])
+        l1 = int(self.p2l[p1])
+        l2 = int(self.p2l[p2])
         if l1 >= 0:
             self.l2p[l1] = p2
         if l2 >= 0:
             self.l2p[l2] = p1
-        self._p2l[p1] = l2
-        self._p2l[p2] = l1
-
-        # Re-point the physical pair-position arrays.
-        for arr in (self._pfa, self._pfb, self._pea, self._peb):
-            if not len(arr):
-                continue
-            m1 = arr == p1
-            m2 = arr == p2
-            arr[m1] = p2
-            arr[m2] = p1
+        self.p2l[p1] = l2
+        self.p2l[p2] = l1
 
         # Front partners move with their qubits (no-op for a swap between
         # the two endpoints of one pair).
+        w1 = int(self._partner[p1])
+        w2 = int(self._partner[p2])
         if w1 != p2:
             self._partner[p1] = w2
             self._partner[p2] = w1
@@ -314,10 +285,11 @@ class _IncrementalScorer:
                 self._partner[w1] = p2
             if w2 >= 0:
                 self._partner[w2] = p1
-        self._hostext[p1], self._hostext[p2] = (
-            bool(self._hostext[p2]),
-            bool(self._hostext[p1]),
-        )
+
+        row = self._ext_row
+        if row[p1] or row[p2]:
+            row[p1], row[p2] = row[p2], row[p1]
+            self._fill_ext_rows()
 
         # Candidate set: active membership only changes when exactly one of
         # the swapped positions hosted a front qubit.
@@ -326,35 +298,8 @@ class _IncrementalScorer:
         if a1 != a2:
             self._active[p1] = a2
             self._active[p2] = a1
-            newly = p1 if a2 else p2
-            keep = self._active[self._cp1] | self._active[self._cp2]
-            old_codes = self._codes[keep]
-            merged = np.union1d(old_codes, self._codes_for(newly))
-            dfront = np.empty(len(merged), dtype=np.int64)
-            dext = np.empty(len(merged), dtype=np.int64)
-            pos = np.searchsorted(merged, old_codes)
-            dfront[pos] = self._dfront[keep]
-            dext[pos] = self._dext[keep]
-            # Fresh entries all touch `newly` ∈ affected, so the refresh
-            # below computes them; stale slots never survive it.
-            self._codes = merged
-            self._cp1 = merged // self._n
-            self._cp2 = merged % self._n
-            self._dfront = dfront
-            self._dext = dext
-
-        aff = self._aff
-        for a in affected:
-            aff[a] = True
-        mask = aff[self._cp1] | aff[self._cp2]
-        for a in affected:
-            aff[a] = False
-        touched = np.flatnonzero(mask)
-        if len(touched):
-            s1 = self._cp1[touched]
-            s2 = self._cp2[touched]
-            self._dfront[touched] = self._front_delta(s1, s2)
-            self._dext[touched] = self._ext_delta(s1, s2)
+            self._set_candidates()
+        self._rescore()
 
 
 def sabre_route(
@@ -407,13 +352,19 @@ def sabre_route(
     two_qubit = dag.two_qubit
     adj = coupling.adj
 
-    def flush_executable() -> bool:
-        """Execute every currently-runnable front gate; True if any ran."""
+    def flush_executable(work: list[int]) -> bool:
+        """Execute the runnable gates of *work* (sorted front indices), then
+        sweep what they unlocked, until a sweep unlocks nothing; True if any
+        gate ran.
+
+        The layout is fixed during a flush, so a 2Q gate found blocked stays
+        blocked: each sweep only needs the gates the previous one unlocked,
+        in index order, which is the order a rescan of the front visits them.
+        """
         progressed = False
-        changed = True
-        while changed:
-            changed = False
-            for idx in dag.front_indices():
+        while work:
+            unlocked: list[int] = []
+            for idx in work:
                 g = gates[idx]
                 if two_qubit[idx]:
                     qa, qb = g.qubits
@@ -426,21 +377,20 @@ def sabre_route(
                     out.append(
                         Gate(g.name, tuple(int(l2p[q]) for q in g.qubits), g.params)
                     )
-                dag.execute(idx)
-                changed = True
+                unlocked.extend(dag.execute(idx))
                 progressed = True
+            unlocked.sort()
+            work = unlocked
         return progressed
 
-    flush_executable()
+    # After a flush every front gate is a blocked 2Q gate (1Q gates always
+    # run), and a swap can only unblock the front gates on its two qubits.
+    flush_executable(dag.front_indices())
     front_dirty = True
     while not dag.done:
-        front_2q = [i for i in dag.front_layer if two_qubit[i]]
-        if not front_2q:
-            # Only 1Q gates remain blocked (cannot happen: 1Q always runs).
-            flush_executable()
-            front_dirty = True
-            continue
         if front_dirty:
+            front_2q = [i for i in dag.front_layer if two_qubit[i]]
+            front_of = {q: i for i in front_2q for q in gates[i].qubits}
             ext = _extended_set(dag, dag.front_layer, EXTENDED_SET_SIZE)
             front_pairs = [gates[i].qubits for i in front_2q]
             ext_pairs = [gates[i].qubits for i in ext]
@@ -462,7 +412,8 @@ def sabre_route(
         if steps_since_progress >= DECAY_RESET_INTERVAL:
             decay[:] = 1.0
             steps_since_progress = 0
-        if flush_executable():
+        moved = (int(scorer.p2l[p1]), int(scorer.p2l[p2]))
+        if flush_executable(sorted({front_of[q] for q in moved if q in front_of})):
             decay[:] = 1.0
             steps_since_progress = 0
             front_dirty = True

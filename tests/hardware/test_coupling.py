@@ -1,5 +1,6 @@
 """Tests for the coupling-map substrate."""
 
+import numpy as np
 import pytest
 
 from repro.hardware import (
@@ -67,8 +68,6 @@ class TestCachedArtifacts:
     def test_dense_bfs_matches_reference(self):
         """Vectorized all-sources BFS == per-source python BFS, incl. the
         disconnected sentinel."""
-        import numpy as np
-
         maps = [
             grid_coupling(4, 5),
             grid_coupling(3, 3, triangular=True),
@@ -87,18 +86,18 @@ class TestCachedArtifacts:
     def test_add_edge_invalidates_caches(self):
         cm = CouplingMap(3, [(0, 1)])
         assert cm.distance(0, 2) > 3
-        nbrs_before = cm.neighbor_lists()
-        assert list(nbrs_before[2]) == []
+        assert not cm.edge_mask()[1, 2]
         cm.add_edge(1, 2)
         assert cm.distance(0, 2) == 2
-        assert list(cm.neighbor_lists()[2]) == [1]
+        assert cm.edge_mask()[1, 2]
 
-    def test_neighbor_lists_match_adj(self):
+    def test_edge_mask_matches_adj(self):
         cm = grid_coupling(3, 4, triangular=True)
-        nbrs = cm.neighbor_lists()
-        assert cm.neighbor_lists() is nbrs  # cached
+        mask = cm.edge_mask()
+        assert cm.edge_mask() is mask  # cached
+        assert not np.tril(mask).any()
         for q in range(cm.num_qubits):
-            assert sorted(cm.adj[q]) == list(nbrs[q])
+            assert sorted(cm.adj[q]) == np.flatnonzero(mask[q] | mask[:, q]).tolist()
 
     def test_architecture_coupling_maps_cached(self):
         from repro.hardware.faa import FAAArchitecture

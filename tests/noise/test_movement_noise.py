@@ -1,8 +1,14 @@
 """Tests pinning the movement-noise models to the paper's quoted values."""
 
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.parameters import neutral_atom_params
+from repro.noise import movement_noise
 from repro.noise import (
     atom_loss_probability,
     cooling_fidelity,
@@ -89,3 +95,51 @@ class TestCoolingAndDecoherence:
 
     def test_no_moves_no_decoherence(self, params):
         assert movement_decoherence_fidelity(0, 100, params) == 1.0
+
+
+def scalar_loss_fidelity(n_vibs, params):
+    """The reference: a sequential product of the scalar loss model."""
+    f = 1.0
+    for nv in n_vibs:
+        f *= 1.0 - atom_loss_probability(nv, params)
+    return f
+
+
+#: n_vib samples as the router logs them, weighted toward zero (atoms that
+#: never heated) and the neighbourhood of n_vib_max, where erf turns over.
+N_VIBS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=80.0),
+    st.floats(min_value=32.0, max_value=34.0),
+    st.integers(min_value=0, max_value=60),
+)
+
+
+class TestLossFidelityVectorized:
+    """The chunked array path equals the scalar product exactly (==)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(N_VIBS, max_size=40), st.integers(min_value=1, max_value=9))
+    def test_matches_scalar_product(self, n_vibs, chunk):
+        params = neutral_atom_params()
+        # Small chunks make the cross-chunk running product carry often.
+        with mock.patch.object(movement_noise, "LOSS_CHUNK", chunk):
+            got = movement_loss_fidelity(n_vibs, params)
+        assert got == scalar_loss_fidelity(n_vibs, params)
+
+    def test_empty_log(self, params):
+        assert movement_loss_fidelity([], params) == 1.0
+
+    def test_all_zero_log(self, params):
+        assert movement_loss_fidelity([0.0] * 10, params) == 1.0
+
+    def test_longer_than_one_chunk(self, params):
+        rng = np.random.default_rng(5)
+        n = 2 * movement_noise.LOSS_CHUNK + 123
+        # mostly mild heating, so the product stays far from underflow
+        n_vibs = rng.uniform(0.0, 16.0, n).tolist()
+        n_vibs[::7] = [0.0] * len(n_vibs[::7])
+        n_vibs[3::1999] = [params.n_vib_max] * len(n_vibs[3::1999])
+        want = scalar_loss_fidelity(n_vibs, params)
+        assert 1e-3 < want < 0.5
+        assert movement_loss_fidelity(n_vibs, params) == want

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit, random_circuit
-from repro.circuits.decompose import lower_to_two_qubit
+from repro.circuits.decompose import lower_to_basis, lower_to_two_qubit
 from repro.generators import qaoa_random
 from repro.hardware import RAAArchitecture, grid_coupling
 from repro.transpile import Layout, route_with_sabre, sabre_layout, sabre_route
 from repro.transpile.sabre import (
+    EXTENDED_SET_SIZE,
     EXTENDED_SET_WEIGHT,
     sabre_route as _sabre_route,
 )
@@ -137,6 +138,84 @@ class TestDifferentialScores:
         cm = CouplingMap(4, [(0, 1), (1, 2), (2, 3)])
         res = self._run_with_audit(circ, cm, seed=0)
         assert res.num_swaps >= 2
+
+
+def per_pair_deltas(dist, cand, pairs):
+    """Integer cost change of every candidate swap, summed pair by pair.
+
+    For each pair, every candidate ``(s1, s2)`` is applied to both of its
+    endpoints and the new distance compared with the old one: the
+    O(candidates x pairs) accumulation that the scorer's host rows avoid.
+    """
+    s1, s2 = cand[:, 0], cand[:, 1]
+    d = np.zeros(len(cand), dtype=np.int64)
+    for u, v in pairs:
+        nu = np.where(s1 == u, s2, np.where(s2 == u, s1, u))
+        nv = np.where(s1 == v, s2, np.where(s2 == v, s1, v))
+        d += dist[nu, nv].astype(np.int64) - int(dist[u, v])
+    return d
+
+
+def _multipartite_60():
+    arch = RAAArchitecture.default(side=5, num_aods=2)
+    return arch.multipartite_coupling([i % 3 for i in range(60)])
+
+
+#: name -> (device, circuit), both with at least 60 qubits.  QAOA lowered
+#: to CZ turns each ZZ term into two CZs on one pair, so the extended set
+#: fills to its size limit with pairs that share qubits and repeat.  On the
+#: multipartite graph almost every swap unblocks a gate at once (distances
+#: are at most 2); the grid makes many swaps per front layer, which puts
+#: the in-epoch path (commit, not begin_epoch) under the check.
+DELTA_CASES = {
+    "multipartite60-dense-qaoa-p2": (
+        _multipartite_60,
+        lambda: qaoa_random(60, edge_prob=0.5, p_layers=2, seed=3),
+    ),
+    "grid64-qaoa-p2": (
+        lambda: grid_coupling(8, 8),
+        lambda: qaoa_random(64, edge_prob=0.05, p_layers=2, seed=3),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DELTA_CASES))
+def test_delta_arrays_match_per_pair_reference(name):
+    """The scorer's front and extended-set int64 delta arrays equal a
+    per-pair reference at every decision of a 60+ qubit route."""
+    device, program = DELTA_CASES[name]
+    cm = device()
+    circ = lower_to_basis(program().without_directives())
+    dist = cm.distance_matrix()
+    seen = {"decisions": 0, "in_epoch": 0, "full": 0, "repeated": 0, "both": 0}
+    last = {"front": None}
+
+    def audit(scorer, front_pairs, ext_pairs, l2p, decay):
+        cand = np.stack([scorer._cp1, scorer._cp2], axis=1)
+        front = [(int(l2p[a]), int(l2p[b])) for a, b in front_pairs]
+        ext = [(int(l2p[a]), int(l2p[b])) for a, b in ext_pairs]
+        assert scorer._dfront.dtype == np.int64
+        assert scorer._dext.dtype == np.int64
+        assert np.array_equal(scorer._dfront, per_pair_deltas(dist, cand, front))
+        assert np.array_equal(scorer._dext, per_pair_deltas(dist, cand, ext))
+
+        seen["decisions"] += 1
+        seen["in_epoch"] += front_pairs is last["front"]
+        last["front"] = front_pairs
+        seen["full"] += len(ext) == EXTENDED_SET_SIZE
+        keys = [frozenset(pair) for pair in ext]
+        repeated = {k for k in keys if keys.count(k) > 1}
+        seen["repeated"] += bool(repeated)
+        # a candidate that swaps both endpoints of a repeated ext pair
+        seen["both"] += bool({frozenset(c) for c in cand.tolist()} & repeated)
+
+    res = _sabre_route(
+        circ, cm, Layout.trivial(circ.num_qubits), seed=7, _audit=audit
+    )
+    assert seen["decisions"] == res.num_swaps > 50
+    assert seen["full"] and seen["repeated"] and seen["both"], seen
+    if name.startswith("grid"):
+        assert seen["in_epoch"] > 50, seen
 
 
 def test_prebuilt_dag_reuse_matches_fresh():

@@ -192,14 +192,15 @@ def cmd_submit(args: argparse.Namespace) -> int:
         for job_id in job_ids:
             metrics, store = client.result_stream(job_id, on_event=show)
             rows.append(metrics.row())
-            if program is None and store is not None:
+            if program is None:
                 program = store
         print(format_table(rows))
         if args.fetch_program:
             from .core.serialize import dumps
 
-            if program is None:  # pre-streaming daemon: classic fetch
-                program = client.program(job_ids[0])
+            if program is None:  # the job's program capture was lost
+                print("the daemon streamed no program", file=sys.stderr)
+                return 1
             Path(args.fetch_program).write_text(dumps(program, indent=2))
             print(f"stage program written to {args.fetch_program}")
         return 0

@@ -11,9 +11,8 @@ the same logical v2 document as typed little-endian blobs):
   :class:`~repro.core.program.ProgramStore`: flat arrays of numbers per
   field plus the CSR stage-offset table.  For large programs this removes
   the per-gate dict overhead (no repeated keys) and encodes/decodes in
-  bulk; it is the format the service wire's program codec uses
-  (:func:`repro.service.wire.encode_program`).  Decodes to a
-  :class:`ProgramStore`.
+  bulk; it is the readable export, and the REST gateway's program
+  document.  Decodes to a :class:`ProgramStore`.
 
 ``json`` emits floats with ``repr``-exact shortest round-trip text, so both
 formats preserve every field the fidelity model reads bit-for-bit.
@@ -25,7 +24,7 @@ on ``format_version``.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterator
+from typing import Any
 
 from ..hardware.raa import AtomLocation
 from .instructions import (
@@ -42,8 +41,7 @@ FORMAT_VERSION = 1
 COLUMNAR_FORMAT_VERSION = 2
 
 #: ``columns`` table layout of the v2 document: family key -> column keys.
-#: Shared by the whole-document codec below and the stage-range chunk
-#: slicing used for streamed program transfers.
+#: Shared by the whole-document codec below and the v3 binary codec.
 DOC_FAMILIES: dict[str, tuple[str, ...]] = {
     "raman": ("qubit", "name", "params"),
     "moves": ("aod", "axis", "index", "start", "end"),
@@ -271,65 +269,12 @@ def program_from_dict(doc: dict[str, Any]) -> Program:
     raise ValueError(f"unsupported program format version {version!r}")
 
 
-def program_doc_header(doc: dict[str, Any]) -> dict[str, Any]:
-    """The v2 document minus its column payload (streamed first, alone).
-
-    Carries everything :func:`store_from_program_header` needs to seed an
-    empty :class:`ProgramStore` that the stage-range chunks then extend.
-    """
-    if doc.get("format_version") != COLUMNAR_FORMAT_VERSION:
-        raise ValueError(
-            "streaming requires a v2 columnar document, got format_version "
-            f"{doc.get('format_version')!r}"
-        )
-    return {
-        k: v for k, v in doc.items() if k not in ("columns", "stage_offsets")
-    }
-
-
-def program_doc_stages(doc: dict[str, Any]) -> int:
-    """Number of closed stages in a v2 columnar document."""
-    return len(doc["stage_offsets"]["gates"]) - 1
-
-
-def iter_program_doc_chunks(
-    doc: dict[str, Any], stages_per_chunk: int
-) -> "Iterator[dict[str, Any]]":
-    """Slice a v2 columnar document into self-contained stage-range chunks.
-
-    Operates on the raw document (no :class:`ProgramStore` is built), so a
-    server can stream a spooled program without decoding it.  Each chunk
-    has the :meth:`ProgramStore.chunk_doc` shape: ``stages``, ``columns``,
-    and ``stage_offsets`` rebased to 0.
-    """
-    if doc.get("format_version") != COLUMNAR_FORMAT_VERSION:
-        raise ValueError(
-            "streaming requires a v2 columnar document, got format_version "
-            f"{doc.get('format_version')!r}"
-        )
-    step = max(1, int(stages_per_chunk))
-    total = program_doc_stages(doc)
-    all_offs = doc["stage_offsets"]
-    all_cols = doc["columns"]
-    for lo in range(0, total, step):
-        hi = min(lo + step, total)
-        offsets: dict[str, list[int]] = {}
-        columns: dict[str, dict[str, list]] = {}
-        for fam, keys in DOC_FAMILIES.items():
-            off = all_offs[fam]
-            base, top = off[lo], off[hi]
-            offsets[fam] = [o - base for o in off[lo : hi + 1]]
-            columns[fam] = {k: all_cols[fam][k][base:top] for k in keys}
-        yield {"stages": hi - lo, "columns": columns, "stage_offsets": offsets}
-
-
 def store_header_doc(store: ProgramStore) -> dict[str, Any]:
-    """The v2 header document for a store, without building the columns.
+    """The v2 document minus its column payload, without building the
+    columns (same keys, same order as :func:`program_to_dict`'s header).
 
-    Byte-identical (same keys, same order) to
-    ``program_doc_header(program_to_dict(store))`` — the streaming server
-    uses it to open a stream from a binary-spooled program without ever
-    materializing the v2 column tables.
+    The streaming server sends it first, alone, to open a program stream;
+    :func:`store_from_program_header` seeds the receiving store from it.
     """
     return {
         "format_version": COLUMNAR_FORMAT_VERSION,
@@ -339,7 +284,7 @@ def store_header_doc(store: ProgramStore) -> dict[str, Any]:
 
 
 def store_from_program_header(header: dict[str, Any]) -> ProgramStore:
-    """An empty :class:`ProgramStore` seeded from :func:`program_doc_header`.
+    """An empty :class:`ProgramStore` seeded from :func:`store_header_doc`.
 
     Feed the streamed chunks to :meth:`ProgramStore.extend_from_chunk`; the
     assembled store is bit-identical to decoding the whole v2 document.

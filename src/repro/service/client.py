@@ -1,10 +1,11 @@
 """Synchronous client for the compile-service daemon.
 
-Speaks the JSON-lines protocol of :class:`~repro.service.server.ServiceServer`
-over a Unix or TCP socket, one connection per request (the daemon is
-connection-stateless).  Results come back as real
-:class:`~repro.analysis.metrics.CompiledMetrics` objects, decoded from the
-wire form, so callers can treat a service compile exactly like a local one.
+Speaks the binary-frame protocol (:mod:`repro.service.wire`) of
+:class:`~repro.service.server.ServiceServer` over a Unix or TCP socket, one
+connection per request (the daemon is connection-stateless).  Results
+come back as real :class:`~repro.analysis.metrics.CompiledMetrics` objects,
+decoded from the wire form, so callers can treat a service compile exactly
+like a local one.
 
     client = ServiceClient(socket_path="/tmp/repro.sock")
     job_id = client.submit(CompileJob("Atomique", circuit))
@@ -27,28 +28,21 @@ import random
 import socket
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from ..analysis.metrics import CompiledMetrics
 from ..core.serialize import store_from_program_header
 from ..experiments.batch import CompileJob
 from .wire import (
     FRAME_HEADER_LEN,
-    FRAME_MAGIC,
-    WIRE_COMPRESS_THRESHOLD,
-    WIRE_GZIP_ENCODING,
     BinaryDoc,
     JobControl,
     WireError,
-    compress_line,
     decode_frame_payload,
-    decode_line,
     decode_metrics,
-    decode_program,
     encode_frame,
     encode_job,
     encode_job_control,
-    encode_line,
     parse_frame_header,
 )
 
@@ -105,19 +99,8 @@ class ServiceClient:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self._jitter = random.Random(backoff_seed)
-        #: whether the daemon unwraps gzip+b64 requests (None = unknown;
-        #: probed via ping before the first large request)
-        self._server_gzip: bool | None = None
-        #: whether the daemon speaks length-prefixed binary frames (None =
-        #: unknown; set by any ping's capability advert — requests upgrade
-        #: to frames only once a ping has confirmed the daemon is new)
-        self._server_frame: bool | None = None
-        #: whether the daemon ships binary columnar program documents
-        #: (same advert discipline as the frame flag; only asked for on
-        #: the program-bearing ops, and only over frames)
-        self._server_bindoc: bool | None = None
         #: chunk-transfer accounting of the last :meth:`result_stream`
-        #: call — ``{"binary_chunks": n, "json_chunks": m}``
+        #: call — ``{"binary_chunks": n}``
         self.last_stream_stats: dict[str, int] | None = None
 
     # -- transport -----------------------------------------------------------
@@ -179,76 +162,59 @@ class ServiceClient:
                 time.sleep(delay * (0.5 + self._jitter.random()))
 
     def _read_message(self, stream) -> dict[str, Any] | None:
-        """One response message off *stream*: binary frame or JSON line.
+        """One response frame off *stream*.
 
-        Dispatches on the first byte (the frame magic can never begin a
-        JSON line), so the client accepts either framing regardless of
-        what it sent.  Returns ``None`` on a cleanly closed stream; raises
+        Returns ``None`` on a cleanly closed stream; raises
         :class:`~repro.service.wire.WireError` on truncated or corrupt
         frames — a bad length prefix fails here instead of hanging."""
-        first = stream.read(1)
-        if not first:
+        header = stream.read(FRAME_HEADER_LEN)
+        if not header:
             return None
-        if first == FRAME_MAGIC[:1]:
-            rest = stream.read(FRAME_HEADER_LEN - 1)
-            if len(rest) != FRAME_HEADER_LEN - 1:
-                raise WireError("frame truncated: incomplete header")
-            flags, length = parse_frame_header(first + rest)
-            body = stream.read(length)
-            if len(body) != length:
-                raise WireError(
-                    f"frame truncated: header says {length} bytes, "
-                    f"got {len(body)}"
-                )
-            return decode_frame_payload(flags, body)
-        line = first + stream.readline()
-        payload, _compressed = decode_line(line)
-        return payload
+        if len(header) != FRAME_HEADER_LEN:
+            raise WireError("frame truncated: incomplete header")
+        flags, length = parse_frame_header(header)
+        body = stream.read(length)
+        if len(body) != length:
+            raise WireError(
+                f"frame truncated: header says {length} bytes, got {len(body)}"
+            )
+        return decode_frame_payload(flags, body)
 
-    def _encode_request(self, payload: dict[str, Any]) -> bytes:
-        """Wire bytes for *payload* in the best negotiated format.
+    def _exchange(
+        self, payload: dict[str, Any], timeout: float
+    ) -> Iterator[dict[str, Any]]:
+        """Send *payload* as one frame on a fresh connection and yield the
+        ``ok`` response messages until the caller stops reading.
 
-        Binary frames once a ping confirmed the daemon speaks them;
-        otherwise a JSON line, gzip-wrapped past the threshold when the
-        daemon advertised the encoding (probing via ping first if needed).
-        An un-pinged daemon gets plain JSON — byte-identical to the
-        pre-frame client, so old daemons never see an unknown format."""
-        line_out = encode_line(payload)
-        if len(line_out) - 1 > WIRE_COMPRESS_THRESHOLD:
-            if self._server_gzip is None and payload.get("op") != "ping":
-                self.ping()  # sets capability flags from the advert
-        if self._server_frame:
-            return encode_frame(payload)
-        if len(line_out) - 1 > WIRE_COMPRESS_THRESHOLD and self._server_gzip:
-            return compress_line(line_out)
-        return line_out
-
-    def _request_once(
-        self, payload: dict[str, Any], timeout: float | None = None
-    ) -> dict[str, Any]:
-        """One wire round-trip (the retry loop lives in :meth:`request`).
-
-        Every request declares ``"enc": "gzip+b64"`` (an unknown field to
-        old daemons, which ignore it), so a new daemon may compress its
-        large responses back.  Requests over 64 KiB are themselves
-        gzip-compressed, but only after a one-time ping confirms the
-        daemon advertises the encoding — an old daemon cannot unwrap the
-        envelope, so large submissions to it stay plain JSON.  Once any
-        ping shows the daemon speaks binary frames, requests (and so
-        responses) switch to frames wholesale."""
-        if "enc" not in payload:
-            payload = {**payload, "enc": WIRE_GZIP_ENCODING}
-        data_out = self._encode_request(payload)
-        sock = self._connect(timeout if timeout is not None else self.timeout)
+        An ``ok: false`` message raises :class:`RemoteError`; a connection
+        that closes before the caller is done raises
+        :class:`ServiceUnavailable` with ``request_sent`` set, since the
+        daemon may or may not have processed the request."""
+        data_out = encode_frame(payload)
+        sock = self._connect(timeout)
         sent = False
         try:
             with sock.makefile("rwb") as stream:
                 stream.write(data_out)
                 stream.flush()
                 sent = True
-                response = self._read_message(stream)
+                while True:
+                    message = self._read_message(stream)
+                    if message is None:
+                        failure = ServiceUnavailable(
+                            "connection closed before a response"
+                        )
+                        failure.request_sent = True
+                        raise failure
+                    if not message.get("ok"):
+                        raise RemoteError(
+                            message.get("error", "unknown service error")
+                        )
+                    yield message
         except WireError as exc:
             raise RemoteError(f"undecodable service response: {exc}") from exc
+        except ServiceUnavailable:
+            raise
         except OSError as exc:  # read timeout / reset mid-request
             failure = ServiceUnavailable(
                 f"no response from compile service: {exc}"
@@ -257,19 +223,18 @@ class ServiceClient:
             raise failure from exc
         finally:
             sock.close()
-        if response is None:
-            # The daemon closed without answering — it may or may not have
-            # processed the request (this is exactly a dropped socket).
-            failure = ServiceUnavailable("connection closed before a response")
-            failure.request_sent = True
-            raise failure
-        if response.get("op") == "ping" and response.get("ok"):
-            self._server_gzip = response.get("enc") == WIRE_GZIP_ENCODING
-            self._server_frame = bool(response.get("frame"))
-            self._server_bindoc = bool(response.get("bindoc"))
-        if not response.get("ok"):
-            raise RemoteError(response.get("error", "unknown service error"))
-        return response
+
+    def _request_once(
+        self, payload: dict[str, Any], timeout: float | None = None
+    ) -> dict[str, Any]:
+        """One wire round-trip (the retry loop lives in :meth:`request`)."""
+        messages = self._exchange(
+            payload, timeout if timeout is not None else self.timeout
+        )
+        try:
+            return next(messages)
+        finally:
+            messages.close()
 
     # -- ops -----------------------------------------------------------------
 
@@ -382,121 +347,58 @@ class ServiceClient:
         — if given — is called with each raw ``progress`` message as it
         arrives (keys ``pass``, ``index``, ``total``, ``seconds``,
         ``attempt``); *chunk_stages* overrides the server's chunk size.
-
-        Against a pre-streaming daemon the ``"stream"`` flag is ignored
-        and a single classic response comes back; it is recognised by its
-        missing ``"event"`` key and treated as the terminal message, so
-        callers degrade to plain :meth:`result` behaviour (no program)."""
+        Every chunk arrives as a v3 binary record."""
         server_timeout = timeout if timeout is not None else self.timeout
-        if self._server_frame is None:
-            try:
-                self.ping()
-            except (ServiceUnavailable, RemoteError):
-                pass  # the request below surfaces a real outage itself
         payload: dict[str, Any] = {
             "op": "result",
             "id": job_id,
             "wait": True,
             "stream": True,
             "timeout": server_timeout,
-            "enc": WIRE_GZIP_ENCODING,
         }
-        if self._server_frame and self._server_bindoc:
-            payload["bindoc"] = 1
         if chunk_stages is not None:
             payload["chunk_stages"] = int(chunk_stages)
-        data_out = self._encode_request(payload)
-        # Server enforces the deadline; give the socket slack (see result).
-        sock = self._connect(server_timeout + 30.0)
         metrics_payload: dict[str, Any] | None = None
         store = None
-        stats = {"binary_chunks": 0, "json_chunks": 0}
+        stats = {"binary_chunks": 0}
+        # Server enforces the deadline; give the socket slack (see result).
+        messages = self._exchange(payload, server_timeout + 30.0)
         try:
-            with sock.makefile("rwb") as stream:
-                stream.write(data_out)
-                stream.flush()
-                while True:
-                    message = self._read_message(stream)
-                    if message is None:
-                        failure = ServiceUnavailable(
-                            "connection closed mid-stream"
-                        )
-                        failure.request_sent = True
-                        raise failure
-                    if not message.get("ok"):
+            for message in messages:
+                event = message.get("event")
+                if event == "progress":
+                    if on_event is not None:
+                        on_event(dict(message))
+                elif event == "program_header":
+                    store = store_from_program_header(message["header"])
+                elif event == "program_chunk":
+                    chunk = message.get("chunk")
+                    if store is None or not isinstance(chunk, BinaryDoc):
                         raise RemoteError(
-                            message.get("error", "unknown service error")
+                            "program_chunk without a header or binary record"
                         )
-                    event = message.get("event")
-                    if event is None:
-                        # Old daemon: classic single result response.
-                        metrics_payload = message["metrics"]
-                        break
-                    if event == "progress":
-                        if on_event is not None:
-                            on_event(dict(message))
-                    elif event == "program_header":
-                        store = store_from_program_header(message["header"])
-                    elif event == "program_chunk":
-                        if store is None:
-                            raise RemoteError(
-                                "program_chunk before program_header"
-                            )
-                        chunk = message["chunk"]
-                        if isinstance(chunk, BinaryDoc):
-                            stats["binary_chunks"] += 1
-                            chunk = chunk.to_chunk()
-                        else:
-                            stats["json_chunks"] += 1
-                        store.extend_from_chunk(chunk)
-                    elif event == "done":
-                        metrics_payload = message["metrics"]
-                        break
-                    # Unknown events from a newer daemon are skipped.
+                    store.extend_from_chunk(chunk.to_chunk())
+                    stats["binary_chunks"] += 1
+                elif event == "done":
+                    metrics_payload = message["metrics"]
+                    break
+                # Unknown events from a newer daemon are skipped.
         except WireError as exc:
             raise RemoteError(f"undecodable service response: {exc}") from exc
-        except OSError as exc:
-            failure = ServiceUnavailable(
-                f"no response from compile service: {exc}"
-            )
-            failure.request_sent = True
-            raise failure from exc
         finally:
-            sock.close()
+            messages.close()
         self.last_stream_stats = stats
         return decode_metrics(metrics_payload), store
-
-    def _wants_bindoc(self) -> bool:
-        """Whether to ask for binary program documents on this request.
-
-        Needs both a ping-confirmed ``bindoc`` advert and frame support —
-        the binary attachment rides inside a frame, so a line-speaking
-        peer can never carry one.  Pings once if the advert is unknown;
-        an unreachable daemon just leaves the request on the JSON path
-        (the request itself will surface the outage)."""
-        if self._server_bindoc is None:
-            try:
-                self.ping()
-            except (ServiceUnavailable, RemoteError):
-                pass
-        return bool(self._server_frame and self._server_bindoc)
 
     def program(self, job_id: str):
         """The compiled program of a DONE job submitted with
         ``keep_program=True``, decoded to a
-        :class:`~repro.core.program.ProgramStore`.
-
-        Fetched as a v3 binary columnar record when the daemon advertises
-        the codec; the v2 JSON document otherwise — the decoded store is
-        bit-identical either way."""
-        request: dict[str, Any] = {"op": "program", "id": job_id}
-        if self._wants_bindoc():
-            request["bindoc"] = 1
-        response = self.request(request)
-        doc = response["program"]
-        if isinstance(doc, BinaryDoc):
-            return doc.to_store()
-        return decode_program(doc)
+        :class:`~repro.core.program.ProgramStore` from the v3 binary
+        record the daemon attaches to its response."""
+        doc = self.request({"op": "program", "id": job_id}).get("program")
+        if not isinstance(doc, BinaryDoc):
+            raise RemoteError("program response without a binary record")
+        return doc.to_store()
 
     def cancel(self, job_id: str) -> bool:
         return bool(self.request({"op": "cancel", "id": job_id})["cancelled"])

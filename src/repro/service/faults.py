@@ -26,7 +26,7 @@ site                    effect when a rule fires
 ``job.slow``            the job sleeps ``seconds`` before compiling
                         (drives the per-job timeout path)
 ``socket.drop``         the server closes the connection after processing
-                        a request, before the response line is written
+                        a request, before the response frame is written
 ``frame.corrupt``       the last byte of an outbound binary frame is
                         flipped before the write — the client must raise
                         :class:`~repro.service.wire.WireError`, not hang

@@ -1,10 +1,10 @@
 """HTTP/REST gateway in front of the compile-service socket protocol.
 
-Web clients cannot speak the JSON-lines socket protocol, so the gateway
-translates a small REST surface onto :class:`~repro.service.client.
-ServiceClient` requests.  Stdlib only (:mod:`http.server`); one gateway
-fronts one daemon (or one farm member — any member can serve every job
-on the shared spool).
+Web clients cannot speak the daemon's binary-frame protocol, so the
+gateway translates a small REST surface onto :class:`~repro.service.client.
+ServiceClient` requests; it is the service's only JSON-text edge.  Stdlib
+only (:mod:`http.server`); one gateway fronts one daemon (or one farm
+member — any member can serve every job on the shared spool).
 
 Routes (all responses are JSON)::
 
@@ -29,10 +29,12 @@ table the gateway is open (trusted-network mode), with an optional
 anonymous quota.
 
 Fidelity matters more than convenience: the gateway relays the daemon's
-**raw wire payloads** (metrics, programs, summaries) without decoding
-and re-encoding them, so a REST ``result`` is byte-for-byte the JSON the
+**raw wire payloads** (metrics, summaries) without decoding and
+re-encoding them, so a REST ``result`` is byte-for-byte the JSON the
 socket client would decode — the equivalence the farm acceptance test
-asserts.
+asserts.  Programs are the one translation: the daemon attaches a v3
+binary record, and the gateway answers with the v2 columnar JSON document
+(:func:`~repro.core.serialize.program_to_dict`) decoded from it.
 """
 
 from __future__ import annotations
@@ -49,12 +51,12 @@ from pathlib import Path
 from typing import Any
 from urllib.parse import parse_qs, urlparse
 
+from ..core.serialize import program_to_dict
 from .client import RemoteError, ServiceClient, ServiceUnavailable
 
 log = logging.getLogger("repro.service")
 
-#: request body cap — a wire job (gzip negotiation happens daemon-side,
-#: bodies arrive as plain JSON here) comfortably fits
+#: request body cap — a wire job comfortably fits
 MAX_BODY_BYTES = 32 * 2**20
 
 
@@ -268,8 +270,9 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self._dispatch("DELETE")
 
     # -- operations ----------------------------------------------------------
-    # Each returns (status, payload).  Daemon payloads (metrics, programs,
-    # summaries) are relayed verbatim — no decode/re-encode on this hop.
+    # Each returns (status, payload).  Daemon payloads (metrics, summaries)
+    # are relayed verbatim — no decode/re-encode on this hop; programs
+    # arrive as v3 records and leave as v2 JSON documents.
 
     def _op_healthz(
         self, gateway: "HttpGateway", path: dict, query: dict
@@ -349,10 +352,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self, gateway: "HttpGateway", path: dict, query: dict
     ) -> tuple[int, dict[str, Any]]:
         self._authenticated(gateway)
-        response = gateway.client().request(
-            {"op": "program", "id": path["id"]}
-        )
-        return 200, {"program": response["program"]}
+        store = gateway.client().program(path["id"])
+        return 200, {"program": program_to_dict(store, columnar=True)}
 
     def _op_cancel(
         self, gateway: "HttpGateway", path: dict, query: dict

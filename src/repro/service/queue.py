@@ -27,8 +27,6 @@ Layout of a spool directory::
                               pre-existing plain-JSON spools still load)
       programs/<job_id>.bin   v3 binary columnar programs of DONE jobs
                               submitted with ``keep_program``
-                              (``.json`` v2 documents from older daemons
-                              are still read)
       progress/<job_id>.jsonl per-pass progress events appended by the
                               worker mid-compile (one JSON object per
                               line), surfaced by ``status`` and the
@@ -199,7 +197,7 @@ class JobQueue:
     ) -> None:
         self._records: dict[str, JobRecord] = {}
         self._memory_results: dict[str, dict[str, Any]] = {}
-        self._memory_programs: dict[str, dict[str, Any] | bytes] = {}
+        self._memory_programs: dict[str, bytes] = {}
         self._memory_progress: dict[str, list[dict[str, Any]]] = {}
         self._by_key: dict[str, str] = {}
         self._seq = 0
@@ -496,67 +494,29 @@ class JobQueue:
             encoded = SPOOL_DEFLATE_MAGIC + zlib.compress(encoded)
         _atomic_write_bytes(path, encoded, site="spool.result")
 
-    def store_program(
-        self, job_id: str, payload: dict[str, Any] | bytes
-    ) -> None:
-        """Persist the compiled program of a ``keep_program`` job.
-
-        ``bytes`` is a v3 binary columnar record (``programs/<id>.bin``);
-        a dict is the legacy v2 JSON document (``programs/<id>.json``).
-        """
+    def store_program(self, job_id: str, record: bytes) -> None:
+        """Persist the v3 binary columnar program of a ``keep_program``
+        job (``programs/<id>.bin``)."""
         if self.spool_dir is None:
-            self._memory_programs[job_id] = payload
+            self._memory_programs[job_id] = record
             return
         programs = self.spool_dir / "programs"
         programs.mkdir(parents=True, exist_ok=True)
-        if isinstance(payload, bytes):
-            path = programs / f"{job_id}.bin"
-            _atomic_write_bytes(path, payload, site="spool.result")
-        else:
-            path = programs / f"{job_id}.json"
-            _atomic_write_text(path, json.dumps(payload), site="spool.result")
+        _atomic_write_bytes(
+            programs / f"{job_id}.bin", record, site="spool.result"
+        )
 
     def load_program_bytes(self, job_id: str) -> bytes | None:
-        """The v3 binary record of a DONE ``keep_program`` job, or None.
-
-        Only returns the binary form — a job spooled as legacy v2 JSON
-        (or by an unupgraded daemon) yields None here and loads through
-        :meth:`load_program` instead.
-        """
+        """The v3 binary record of a DONE ``keep_program`` job, or None."""
         record = self.get(job_id)
         if record.state is not JobState.DONE:
             return None
         if self.spool_dir is None:
-            payload = self._memory_programs.get(job_id)
-            return payload if isinstance(payload, bytes) else None
+            return self._memory_programs.get(job_id)
         path = self.spool_dir / "programs" / f"{job_id}.bin"
         try:
             return path.read_bytes()
         except OSError:
-            return None
-
-    def load_program(self, job_id: str) -> dict[str, Any] | None:
-        """The wire-encoded (v2 dict) program of a DONE ``keep_program``
-        job, decoding a binary spool record when that is what is stored."""
-        raw = self.load_program_bytes(job_id)
-        if raw is not None:
-            from ..core import binformat, serialize
-
-            try:
-                store = binformat.decode_program(raw)
-                return serialize.program_to_dict(store, columnar=True)
-            except (ValueError, KeyError, TypeError):
-                return None
-        record = self.get(job_id)
-        if record.state is not JobState.DONE:
-            return None
-        if self.spool_dir is None:
-            payload = self._memory_programs.get(job_id)
-            return payload if isinstance(payload, dict) else None
-        path = self.spool_dir / "programs" / f"{job_id}.json"
-        try:
-            return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
             return None
 
     # -- per-pass progress ----------------------------------------------------

@@ -50,9 +50,10 @@ modulo); peers' record writes are ingested by the queue's fingerprint
 ``sync`` on the same tick, and cross-daemon cancellation travels as
 marker files under ``spool/control/`` applied by the owning daemon.
 
-:class:`ServiceServer` exposes the service over a JSON-lines socket
-protocol (one request object per line, one response per line), Unix or
-TCP.  ``python -m repro serve`` boots the pair; see
+:class:`ServiceServer` exposes the service over a binary-frame socket
+protocol (:mod:`repro.service.wire`: one request frame in, one response
+frame — or a frame sequence for streaming results — out), Unix or TCP.
+``python -m repro serve`` boots the pair; see
 :mod:`repro.service.client` for the matching client and
 :mod:`repro.service.http` for the REST gateway in front of it.
 """
@@ -68,6 +69,7 @@ import multiprocessing
 import os
 import time
 import traceback
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -84,12 +86,7 @@ from ..core.pipeline import (
     set_pass_progress_sink,
 )
 from ..core import binformat
-from ..core.serialize import (
-    iter_program_doc_chunks,
-    program_doc_header,
-    program_doc_stages,
-    store_header_doc,
-)
+from ..core.serialize import store_header_doc
 from ..experiments import batch
 from ..experiments.batch import CompileJob, ResultCache
 from ..hardware.raa import RAAArchitecture
@@ -99,17 +96,13 @@ from .shards import DEFAULT_SHARD_LEASE_SECONDS, JobClaims, ShardBoard
 from .wire import (
     FRAME_HEADER_LEN,
     FRAME_MAGIC,
-    FRAME_VERSION,
-    WIRE_GZIP_ENCODING,
     WireError,
     decode_frame_payload,
     decode_job,
     decode_job_control,
-    decode_line,
     decode_metrics,
     encode_bindoc_frame,
     encode_frame,
-    encode_line,
     encode_metrics,
     parse_frame_header,
 )
@@ -231,6 +224,11 @@ def _execute_wire_job(
             set_pass_progress_sink(previous)
 
 
+def _pool_ready() -> bool:
+    """No-op worker task: its round trip proves a spawned worker is up."""
+    return True
+
+
 class CompileService:
     """Job submission/status/result orchestration over sharded workers."""
 
@@ -312,6 +310,10 @@ class CompileService:
             ResultCache(result_cache_dir) if result_cache_dir is not None else None
         )
         self._pools: list[ProcessPoolExecutor] = []
+        #: pools whose worker has answered a round trip since spawning
+        self._warm_pools: "weakref.WeakSet[ProcessPoolExecutor]" = (
+            weakref.WeakSet()
+        )
         #: inline mode: one long-lived prefix cache per worker slot,
         #: mirroring what the pool initializer builds inside each worker
         self.shard_caches: list[PipelineCache] = []
@@ -651,7 +653,8 @@ class CompileService:
         tmp.write_text(json.dumps({"job_id": job_id, "by": self.node}))
         os.replace(tmp, path)
 
-    def _check_program_available(self, job_id: str) -> None:
+    def program_bytes(self, job_id: str) -> bytes:
+        """The v3 binary record of a DONE ``keep_program`` job."""
         record = self._lookup(job_id)
         if not record.keep_program:
             raise ServiceError(
@@ -662,21 +665,10 @@ class CompileService:
             raise ServiceError(
                 f"job {job_id} is not finished (state={record.state.value})"
             )
-
-    def program(self, job_id: str) -> dict[str, Any]:
-        """The wire-encoded (v2 dict) program of a DONE ``keep_program``
-        job — a binary spool record is decoded transparently."""
-        self._check_program_available(job_id)
-        payload = self.queue.load_program(job_id)
-        if payload is None:
+        raw = self.queue.load_program_bytes(job_id)
+        if raw is None:
             raise ServiceError(f"program of {job_id} is missing from spool")
-        return payload
-
-    def program_bytes(self, job_id: str) -> bytes | None:
-        """The v3 binary record of a DONE ``keep_program`` job, or None
-        when the spool only holds the legacy v2 JSON document."""
-        self._check_program_available(job_id)
-        return self.queue.load_program_bytes(job_id)
+        return raw
 
     def jobs(self) -> list[dict[str, Any]]:
         return [r.summary() for r in self.queue.jobs()]
@@ -1095,16 +1087,24 @@ class CompileService:
             finally:
                 set_pass_progress_sink(previous)
         loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(
-            self._pools[slot],
-            _execute_wire_job,
-            record.payload,
-            record.attempts,
-            record.keep_program,
-            str(progress_path) if progress_path is not None else None,
-        )
-        self._inflight[record.job_id] = future
         try:
+            # A cold (fresh or rebuilt) pool spawns its worker on first use,
+            # which can take a second on a loaded host: pay that before the
+            # deadline starts so a timeout covers only the job.  Re-checked
+            # after the await: a job sharing the slot may rebuild it.
+            while self._pools[slot] not in self._warm_pools:
+                pool = self._pools[slot]
+                await loop.run_in_executor(pool, _pool_ready)
+                self._warm_pools.add(pool)
+            future = loop.run_in_executor(
+                self._pools[slot],
+                _execute_wire_job,
+                record.payload,
+                record.attempts,
+                record.keep_program,
+                str(progress_path) if progress_path is not None else None,
+            )
+            self._inflight[record.job_id] = future
             if record.timeout is not None:
                 return await asyncio.wait_for(future, record.timeout)
             return await future
@@ -1273,32 +1273,24 @@ class CompileService:
 
 
 class ServiceServer:
-    """Dual-format socket server exposing a :class:`CompileService`.
+    """Binary-frame socket server exposing a :class:`CompileService`.
 
-    Each message is either a JSON line or a length-prefixed binary frame
-    (first-byte dispatch — see :mod:`repro.service.wire`); the server
-    answers every request in the framing it arrived in, so JSON-only and
-    frame-capable clients coexist on one daemon.  Supported ops: ``ping``,
-    ``backends``, ``submit`` (optional ``timeout``/``max_retries``/
-    ``key``/``priority``/``deadline``/``keep_program``), ``status``,
-    ``result`` (optional ``wait``/``timeout``; with ``stream`` the
-    response is a message sequence — per-pass ``progress`` events, then
-    ``program_header``/``program_chunk`` messages for ``keep_program``
-    jobs, then a terminal ``done`` with the metrics), ``program``,
-    ``cancel``, ``jobs``, ``stats``, ``drain``.
+    Every request and response is one length-prefixed frame (see
+    :mod:`repro.service.wire`).  Supported ops: ``ping``, ``backends``,
+    ``submit`` (optional ``timeout``/``max_retries``/``key``/``priority``/
+    ``deadline``/``keep_program``), ``status``, ``result`` (optional
+    ``wait``/``timeout``; with ``stream`` the response is a frame sequence
+    — per-pass ``progress`` events, then ``program_header``/
+    ``program_chunk`` frames for ``keep_program`` jobs, then a terminal
+    ``done`` with the metrics), ``program``, ``cancel``, ``jobs``,
+    ``stats``, ``drain``.  Programs and chunks ship as v3 binary-doc
+    attachments.
 
-    Requests may arrive gzip-wrapped (``{"enc": "gzip+b64", "data": ...}``)
-    — large submissions cross the socket compressed.  Responses are
-    compressed only for peers that negotiated it (a wrapped request, or an
-    ``"enc": "gzip+b64"`` request field) and only past the 64 KiB
-    threshold, so old clients are unaffected.  The stream line limit is
-    raised past asyncio's 64 KiB default so large plain-JSON lines (an old
-    client submitting a big circuit) still frame correctly.
+    A frame that decodes badly gets an ``ok: false`` answer and the
+    connection stays usable; a bad *header* (wrong magic, version, flags,
+    or length) leaves no way to find the next frame boundary, so it is
+    answered with one error frame and the connection is closed.
     """
-
-    #: per-line stream buffer cap (asyncio defaults to 64 KiB, which a
-    #: large uncompressed submission legitimately exceeds)
-    MAX_LINE_BYTES = 32 * 2**20
 
     def __init__(
         self,
@@ -1327,14 +1319,11 @@ class ServiceServer:
             if stale.is_socket():  # leftover of a killed daemon
                 stale.unlink()
             self._server = await asyncio.start_unix_server(
-                self._handle, path=self.socket_path, limit=self.MAX_LINE_BYTES
+                self._handle, path=self.socket_path
             )
         else:
             self._server = await asyncio.start_server(
-                self._handle,
-                host=self.host,
-                port=self.port,
-                limit=self.MAX_LINE_BYTES,
+                self._handle, host=self.host, port=self.port
             )
             self.port = self._server.sockets[0].getsockname()[1]
 
@@ -1359,70 +1348,45 @@ class ServiceServer:
     ) -> None:
         try:
             while True:
-                # First-byte dispatch between the two wire formats: the
-                # frame magic can never begin a JSON line, so each message
-                # independently declares its framing and the response goes
-                # back the same way.
                 first = await reader.read(1)
                 if not first:
                     break
-                framed = first == FRAME_MAGIC[:1]
-                request: dict[str, Any] | None = None
-                wrapped = False
-                error: str | None = None
-                if framed:
-                    try:
+                try:
+                    # Non-frame bytes fail on the first byte: no waiting
+                    # for a header a foreign peer will never send.
+                    rest = b""
+                    if first == FRAME_MAGIC[:1]:
                         rest = await reader.readexactly(FRAME_HEADER_LEN - 1)
-                        flags, length = parse_frame_header(first + rest)
-                        body = await reader.readexactly(length)
-                    except asyncio.IncompleteReadError:
-                        break  # peer vanished mid-frame: nothing to answer
-                    try:
-                        request = decode_frame_payload(flags, body)
-                    except WireError as exc:
-                        error = str(exc)
-                elif first == b"\n":
-                    error = "bad request: empty line"
+                    flags, length = parse_frame_header(first + rest)
+                    body = await reader.readexactly(length)
+                except asyncio.IncompleteReadError:
+                    break  # peer vanished mid-frame: nothing to answer
+                except WireError as exc:
+                    # No way to find the next frame boundary: answer once
+                    # and hang up.
+                    error = {"ok": False, "error": f"bad request: {exc}"}
+                    writer.write(encode_frame(error))
+                    await writer.drain()
+                    break
+                request: dict[str, Any] | None = None
+                try:
+                    request = decode_frame_payload(flags, body)
+                except WireError as exc:
+                    response = {"ok": False, "error": str(exc)}
                 else:
-                    line = first + await reader.readline()
-                    try:
-                        request, wrapped = decode_line(line)
-                    except WireError as exc:
-                        error = str(exc)
-                accepts_gzip = wrapped or (
-                    request is not None
-                    and request.get("enc") == WIRE_GZIP_ENCODING
-                )
-                if (
-                    error is None
-                    and request is not None
-                    and request.get("op") == "result"
-                    and request.get("stream")
-                ):
-                    await self._stream_result(
-                        request, writer, framed, accepts_gzip
-                    )
-                    continue
-                if error is not None:
-                    response = {"ok": False, "error": error}
-                else:
-                    assert request is not None
-                    # Binary program documents need framing (the raw
-                    # record rides after the JSON part), so the ask only
-                    # counts on a framed request.
-                    response = await self._respond(
-                        request,
-                        accepts_bindoc=framed and bool(request.get("bindoc")),
-                    )
+                    if request.get("op") == "result" and request.get("stream"):
+                        await self._stream_result(request, writer)
+                        continue
+                    response = await self._respond(request)
                 # Chaos hook: drop the connection after the request was
-                # processed but before the response line leaves — the
+                # processed but before the response frame leaves — the
                 # window where a client cannot know whether its submit
                 # landed, which is what idempotency keys are for.
                 if faults.fires(
                     "socket.drop", str((request or {}).get("op", ""))
                 ):
                     break
-                self._write_message(writer, response, framed, accepts_gzip)
+                self._write_message(writer, response)
                 await writer.drain()
                 if response.get("op") == "drain" and response.get("ok"):
                     self._drained.set()
@@ -1437,55 +1401,40 @@ class ServiceServer:
                 pass
 
     def _write_message(
-        self,
-        writer: asyncio.StreamWriter,
-        message: dict[str, Any],
-        framed: bool,
-        accepts_gzip: bool,
+        self, writer: asyncio.StreamWriter, message: dict[str, Any]
     ) -> None:
-        """Queue one response message in the framing the request used.
+        """Queue one response frame.
 
-        A ``"_bindoc": (field, bytes)`` attachment (set only for framed
-        peers that asked for binary docs) ships as a binary-doc frame
-        instead of JSON text.
+        A ``"_bindoc": (field, bytes)`` attachment ships as a binary-doc
+        frame instead of JSON text.
         """
-        if framed:
-            bindoc = message.pop("_bindoc", None)
-            if bindoc is not None:
-                field, doc = bindoc
-                data = encode_bindoc_frame(message, field, doc)
-            else:
-                data = encode_frame(message)
-            # Chaos hook: flip the last payload byte of an outbound frame
-            # so clients must fail fast with WireError, never hang.
-            if faults.fires("frame.corrupt", str(message.get("op", ""))):
-                data = data[:-1] + bytes((data[-1] ^ 0xFF,))
-            writer.write(data)
+        bindoc = message.pop("_bindoc", None)
+        if bindoc is not None:
+            field, doc = bindoc
+            data = encode_bindoc_frame(message, field, doc)
         else:
-            writer.write(encode_line(message, compress=accepts_gzip))
+            data = encode_frame(message)
+        # Chaos hook: flip the last payload byte of an outbound frame so
+        # clients must fail fast with WireError, never hang.
+        if faults.fires("frame.corrupt", str(message.get("op", ""))):
+            data = data[:-1] + bytes((data[-1] ^ 0xFF,))
+        writer.write(data)
 
     async def _stream_result(
-        self,
-        request: dict[str, Any],
-        writer: asyncio.StreamWriter,
-        framed: bool,
-        accepts_gzip: bool,
+        self, request: dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
         """The streaming ``result`` path: progress events while the job
         runs, then the program as stage-range chunks (``keep_program``
         jobs), then a terminal ``done`` message carrying the metrics.
 
-        Every message is a standalone wire message in the request's
-        framing, with an ``event`` discriminator — so an upgraded client
-        reads until ``done`` (or ``ok: false``), while old daemons that
-        ignore ``stream`` simply answer with the single classic response
-        (no ``event`` key), which streaming clients accept as terminal.
+        Every message is a standalone frame with an ``event``
+        discriminator; the client reads until ``done`` (or ``ok: false``).
         """
         service = self.service
         op = "result"
 
         async def send(message: dict[str, Any]) -> None:
-            self._write_message(writer, message, framed, accepts_gzip)
+            self._write_message(writer, message)
             await writer.drain()
 
         try:
@@ -1529,78 +1478,46 @@ class ServiceServer:
                     pass
             metrics = await service.result(job_id)
             record = service._lookup(job_id)
-            if record.keep_program:
-                chunk_stages = int(
-                    request.get("chunk_stages") or DEFAULT_STREAM_CHUNK_STAGES
+            raw = (
+                service.queue.load_program_bytes(job_id)
+                if record.keep_program
+                else None
+            )
+            if raw is not None:
+                # Decode the spooled record once, then slice it into
+                # stage-range chunks, each re-encoded as its own v3 record.
+                store = binformat.decode_program(raw)
+                total = store.num_stages
+                await send(
+                    {
+                        "ok": True,
+                        "op": op,
+                        "event": "program_header",
+                        "header": store_header_doc(store),
+                        "stages": total,
+                    }
                 )
-                accepts_bindoc = framed and bool(request.get("bindoc"))
-                raw = service.queue.load_program_bytes(job_id)
-                if raw is not None:
-                    # Binary spool record: decode once, then slice.  An
-                    # upgraded peer gets each chunk as a binary-doc frame;
-                    # a JSON-only peer gets chunk dicts byte-identical to
-                    # what the v2 JSON spool used to produce.
-                    store = binformat.decode_program(raw)
-                    total = store.num_stages
+                chunk_stages = request.get("chunk_stages")
+                step = max(1, int(chunk_stages or DEFAULT_STREAM_CHUNK_STAGES))
+                for seq, lo in enumerate(range(0, total, step)):
+                    chunk = store.chunk_doc(lo, min(lo + step, total))
+                    record_bytes = binformat.encode_chunk(chunk)
                     await send(
                         {
                             "ok": True,
                             "op": op,
-                            "event": "program_header",
-                            "header": store_header_doc(store),
-                            "stages": total,
-                        }
-                    )
-                    step = max(1, chunk_stages)
-                    for seq, lo in enumerate(range(0, total, step)):
-                        chunk = store.chunk_doc(lo, min(lo + step, total))
-                        message: dict[str, Any] = {
-                            "ok": True,
-                            "op": op,
                             "event": "program_chunk",
                             "seq": seq,
+                            "_bindoc": ("chunk", record_bytes),
                         }
-                        if accepts_bindoc:
-                            message["_bindoc"] = (
-                                "chunk",
-                                binformat.encode_chunk(chunk),
-                            )
-                        else:
-                            message["chunk"] = chunk
-                        await send(message)
-                else:
-                    doc = service.queue.load_program(job_id)
-                    if doc is not None:
-                        await send(
-                            {
-                                "ok": True,
-                                "op": op,
-                                "event": "program_header",
-                                "header": program_doc_header(doc),
-                                "stages": program_doc_stages(doc),
-                            }
-                        )
-                        for seq, chunk in enumerate(
-                            iter_program_doc_chunks(doc, chunk_stages)
-                        ):
-                            await send(
-                                {
-                                    "ok": True,
-                                    "op": op,
-                                    "event": "program_chunk",
-                                    "seq": seq,
-                                    "chunk": chunk,
-                                }
-                            )
+                    )
             await send({"ok": True, "op": op, "event": "done", "metrics": metrics})
         except (ServiceError, WireError, ValueError) as exc:
             await send({"ok": False, "op": op, "error": str(exc)})
         except KeyError as exc:
             await send({"ok": False, "op": op, "error": f"missing field {exc}"})
 
-    async def _respond(
-        self, request: dict[str, Any], accepts_bindoc: bool = False
-    ) -> dict[str, Any]:
+    async def _respond(self, request: dict[str, Any]) -> dict[str, Any]:
         try:
             op = request["op"]
         except (KeyError, TypeError) as exc:
@@ -1608,18 +1525,7 @@ class ServiceServer:
         service = self.service
         try:
             if op == "ping":
-                # the "enc"/"frame"/"bindoc" fields double as capability
-                # adverts: clients only gzip-compress requests, switch to
-                # binary frames, or ask for binary program documents after
-                # a ping shows the daemon supports it (an old daemon's
-                # ping lacks the fields)
-                return {
-                    "ok": True,
-                    "op": op,
-                    "enc": WIRE_GZIP_ENCODING,
-                    "frame": FRAME_VERSION,
-                    "bindoc": binformat.BINARY_FORMAT_VERSION,
-                }
+                return {"ok": True, "op": op}
             if op == "backends":
                 return {"ok": True, "op": op, "backends": available_backends()}
             if op == "submit":
@@ -1644,22 +1550,9 @@ class ServiceServer:
                 )
                 return {"ok": True, "op": op, "metrics": payload}
             if op == "program":
-                if accepts_bindoc:
-                    raw = service.program_bytes(request["id"])
-                    if raw is not None:
-                        # _write_message turns the attachment into a
-                        # FRAME_FLAG_BINARY_DOC frame; only a legacy
-                        # v2-JSON spool falls through to the dict path.
-                        return {
-                            "ok": True,
-                            "op": op,
-                            "_bindoc": ("program", raw),
-                        }
-                return {
-                    "ok": True,
-                    "op": op,
-                    "program": service.program(request["id"]),
-                }
+                # _write_message ships the attachment as a binary-doc frame
+                raw = service.program_bytes(request["id"])
+                return {"ok": True, "op": op, "_bindoc": ("program", raw)}
             if op == "cancel":
                 return {
                     "ok": True,

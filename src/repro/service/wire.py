@@ -1,4 +1,4 @@
-"""JSON wire codecs for the compile service.
+"""Wire codecs for the compile service.
 
 A submitted job crosses a process (and possibly machine) boundary, so the
 service speaks JSON rather than pickle: a :class:`CompileJob` becomes a
@@ -15,46 +15,22 @@ Every ``encode_*``/``decode_*`` pair is lossless for the types the compile
 path consumes.  ``pipeline_cache`` never travels: it is process-local
 identity state, and the service's workers install their own shard cache.
 
-:func:`encode_program`/:func:`decode_program` define the program codec for
-service surfaces — the compact columnar v2 format (arrays of numbers, no
-per-gate dicts).  No daemon op ships programs yet (only metrics travel
-today); a future ``program`` op should use exactly this pair.  Any JSON
-line larger than :data:`WIRE_COMPRESS_THRESHOLD` can be wrapped in a
-``{"enc": "gzip+b64", "data": ...}`` envelope (:func:`encode_line` /
-:func:`decode_line`).  Compression is negotiated in both directions: the
-server only compresses a response when the request arrived compressed or
-carried an ``"enc": "gzip+b64"`` field, and the client only compresses a
-large request after a ping shows the daemon advertises the encoding — so
-unupgraded peers on either side keep exchanging plain JSON.
-
-Alongside the JSON lines the wire speaks **length-prefixed binary frames**
-(:func:`encode_frame` / :func:`parse_frame_header` /
-:func:`decode_frame_payload`): a fixed 8-byte header — 2 magic bytes, a
-version, a flags byte, a big-endian u32 payload length — followed by the
-JSON body, raw-deflate compressed past the same threshold (no base64, so
-large payloads ship ~25% smaller than the line envelope and decode without
-a text pass).  The first magic byte can never begin a JSON line, so both
-formats coexist per-message on one connection: a server answers each
-request in the framing it arrived in, and a client only sends frames after
-a ping shows the daemon advertises ``"frame": 1`` — unupgraded peers on
-either side keep exchanging byte-identical JSON lines.
-
-Frames can additionally carry a **binary columnar program document**
-(:data:`FRAME_FLAG_BINARY_DOC`, :func:`encode_bindoc_frame`): the body is a
-u32 length-prefixed JSON message followed by the raw v3 record from
-:mod:`repro.core.binformat`, so million-scalar programs skip JSON text
-entirely.  The receiving side surfaces the attachment as a
-:class:`BinaryDoc` in the decoded payload.  Like compression, the bit is
-negotiated: a client only asks for binary docs (``"bindoc": 1`` in the
-request) after a ping shows the daemon advertises it, and the server only
-answers with one when the request asked — JSON-only peers keep exchanging
-byte-identical v2 documents.
+Every message between :class:`~repro.service.client.ServiceClient` and the
+daemon is one **length-prefixed binary frame** (:func:`encode_frame` /
+:func:`parse_frame_header` / :func:`decode_frame_payload`): a fixed 8-byte
+header — 2 magic bytes, a version, a flags byte, a big-endian u32 payload
+length — followed by the JSON body, raw-deflate compressed past
+:data:`WIRE_COMPRESS_THRESHOLD`.  Compiled programs and streamed program
+chunks ride as **binary-doc attachments** (:data:`FRAME_FLAG_BINARY_DOC`,
+:func:`encode_bindoc_frame`): the body is a u32 length-prefixed JSON
+message followed by the raw v3 record from :mod:`repro.core.binformat`,
+which the receiver surfaces as a :class:`BinaryDoc`.  There is no
+negotiation: both ends always speak this one format.  The REST gateway
+(:mod:`repro.service.http`) is the only JSON-text edge.
 """
 
 from __future__ import annotations
 
-import base64
-import gzip
 import json
 import zlib
 from dataclasses import asdict, dataclass
@@ -66,9 +42,8 @@ from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import Gate
 from ..core.compiler import AtomiqueConfig
 from ..core.constraints import ConstraintToggles
-from ..core.program import Program, ProgramStore
+from ..core.program import ProgramStore
 from ..core.router import RouterConfig
-from ..core.serialize import program_from_dict, program_to_dict
 from ..experiments.batch import CompileJob
 from ..hardware.parameters import HardwareParams
 from ..hardware.raa import ArrayShape, RAAArchitecture
@@ -79,81 +54,14 @@ class WireError(ValueError):
     """A payload could not be decoded into a compile job."""
 
 
-# -- line framing ------------------------------------------------------------
-
-#: Lines longer than this (encoded bytes) are gzip-compressed when the peer
-#: negotiated the ``gzip+b64`` encoding.
+#: Frame bodies longer than this (encoded bytes) are raw-deflate compressed.
 WIRE_COMPRESS_THRESHOLD = 64 * 1024
-
-#: The only transfer encoding the protocol knows.
-WIRE_GZIP_ENCODING = "gzip+b64"
-
-
-def compress_line(line: bytes) -> bytes:
-    """Gzip-wrap an already-encoded JSON line (trailing newline optional).
-
-    Returns the ``{"enc": "gzip+b64", "data": ...}`` envelope as a
-    newline-terminated line — still one JSON line, so framing is unchanged
-    for every reader.
-    """
-    packed = base64.b64encode(gzip.compress(line.rstrip(b"\n"))).decode("ascii")
-    return json.dumps({"enc": WIRE_GZIP_ENCODING, "data": packed}).encode() + b"\n"
-
-
-def encode_line(
-    payload: dict[str, Any],
-    *,
-    compress: bool = False,
-    threshold: int = WIRE_COMPRESS_THRESHOLD,
-) -> bytes:
-    """One protocol line (newline-terminated) for *payload*.
-
-    With ``compress=True`` (the peer negotiated it) and an encoded size
-    over *threshold*, the line is wrapped via :func:`compress_line`.
-    """
-    line = json.dumps(payload).encode()
-    if compress and len(line) > threshold:
-        return compress_line(line)
-    return line + b"\n"
-
-
-def decode_line(line: bytes | str) -> tuple[dict[str, Any], bool]:
-    """Decode one protocol line; returns ``(payload, was_compressed)``.
-
-    Transparently unwraps the gzip envelope — recognized by its exact
-    two-key shape ``{"enc", "data"}`` (payloads merely *carrying* an
-    ``enc`` or ``data`` field alongside other keys are not envelopes).
-    Raises :class:`WireError` on malformed JSON, a bad envelope, or an
-    unknown encoding.
-    """
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise WireError(f"bad request: {exc}") from exc
-    if isinstance(payload, dict) and payload.keys() == {"enc", "data"}:
-        enc = payload.get("enc")
-        if enc != WIRE_GZIP_ENCODING:
-            raise WireError(f"unknown transfer encoding {enc!r}")
-        try:
-            raw = gzip.decompress(base64.b64decode(payload["data"]))
-            inner = json.loads(raw)
-        except (ValueError, OSError, TypeError) as exc:
-            raise WireError(f"bad {WIRE_GZIP_ENCODING} envelope: {exc}") from exc
-        if not isinstance(inner, dict):
-            raise WireError("envelope payload must be an object")
-        return inner, True
-    if not isinstance(payload, dict):
-        raise WireError(
-            f"request must be an object, got {type(payload).__name__}"
-        )
-    return payload, False
 
 
 # -- binary frames -----------------------------------------------------------
 
-#: Frame preamble.  ``0xAB`` can never begin a JSON line (it is not valid
-#: UTF-8 text and not ``{``), so a reader can dispatch between the two wire
-#: formats on the first byte of every message.
+#: Frame preamble.  ``0xAB`` is not printable text, so a peer speaking
+#: anything else (a JSON line, an HTTP request) fails on its first byte.
 FRAME_MAGIC = b"\xabR"
 
 #: Protocol version carried in every frame header.
@@ -181,19 +89,8 @@ FRAME_HEADER_LEN = 8
 MAX_FRAME_BYTES = 256 * 2**20
 
 
-def encode_frame(
-    payload: dict[str, Any],
-    *,
-    threshold: int = WIRE_COMPRESS_THRESHOLD,
-) -> bytes:
-    """One length-prefixed binary frame for *payload*.
-
-    The JSON body is raw-deflate compressed past *threshold* bytes —
-    unlike the line envelope there is no base64 step, so large payloads
-    ship at the compressed size instead of 4/3 of it.
-    """
-    body = json.dumps(payload).encode()
-    flags = 0
+def _seal(body: bytes, flags: int, threshold: int) -> bytes:
+    """Header + *body*, raw-deflating the body past *threshold* bytes."""
     if len(body) > threshold:
         packer = zlib.compressobj(wbits=-zlib.MAX_WBITS)
         body = packer.compress(body) + packer.flush()
@@ -208,6 +105,19 @@ def encode_frame(
         + len(body).to_bytes(4, "big")
     )
     return header + body
+
+
+def encode_frame(
+    payload: dict[str, Any],
+    *,
+    threshold: int = WIRE_COMPRESS_THRESHOLD,
+) -> bytes:
+    """One length-prefixed binary frame for *payload*.
+
+    The JSON body is raw-deflate compressed past *threshold* bytes (no
+    base64 step: the length prefix makes a text-safe envelope redundant).
+    """
+    return _seal(json.dumps(payload).encode(), 0, threshold)
 
 
 class BinaryDoc:
@@ -270,21 +180,7 @@ def encode_bindoc_frame(
     message["_bindoc"] = field
     head = json.dumps(message).encode()
     body = len(head).to_bytes(4, "big") + head + doc
-    flags = FRAME_FLAG_BINARY_DOC
-    if len(body) > threshold:
-        packer = zlib.compressobj(wbits=-zlib.MAX_WBITS)
-        body = packer.compress(body) + packer.flush()
-        flags |= FRAME_FLAG_DEFLATE
-    if len(body) > MAX_FRAME_BYTES:
-        raise WireError(
-            f"frame payload {len(body)} bytes exceeds {MAX_FRAME_BYTES}"
-        )
-    header = (
-        FRAME_MAGIC
-        + bytes((FRAME_VERSION, flags))
-        + len(body).to_bytes(4, "big")
-    )
-    return header + body
+    return _seal(body, FRAME_FLAG_BINARY_DOC, threshold)
 
 
 def parse_frame_header(header: bytes) -> tuple[int, int]:
@@ -318,9 +214,16 @@ def decode_frame_payload(flags: int, body: bytes) -> dict[str, Any]:
     if flags & FRAME_FLAG_DEFLATE:
         try:
             unpacker = zlib.decompressobj(wbits=-zlib.MAX_WBITS)
-            body = unpacker.decompress(body) + unpacker.flush()
+            # bounded: a small hostile frame must not inflate without limit
+            body = unpacker.decompress(body, MAX_FRAME_BYTES + 1)
+            if len(body) > MAX_FRAME_BYTES or unpacker.unconsumed_tail:
+                raise WireError(
+                    f"inflated frame payload exceeds {MAX_FRAME_BYTES}"
+                )
+            body += unpacker.flush()
         except zlib.error as exc:
             raise WireError(f"bad deflate frame payload: {exc}") from exc
+    doc = b""
     if flags & FRAME_FLAG_BINARY_DOC:
         if len(body) < 4:
             raise WireError("bindoc frame body shorter than its length prefix")
@@ -330,28 +233,20 @@ def decode_frame_payload(flags: int, body: bytes) -> dict[str, Any]:
                 f"bindoc json length {json_len} exceeds body "
                 f"({len(body) - 4} bytes after prefix)"
             )
-        head, doc = body[4 : 4 + json_len], body[4 + json_len :]
-        try:
-            payload = json.loads(head)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise WireError(f"bad bindoc frame message: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise WireError(
-                f"frame payload must be an object, got {type(payload).__name__}"
-            )
-        field = payload.pop("_bindoc", None)
-        if not isinstance(field, str) or not field:
-            raise WireError("bindoc frame missing its _bindoc field marker")
-        payload[field] = BinaryDoc(bytes(doc))
-        return payload
+        body, doc = body[4 : 4 + json_len], body[4 + json_len :]
     try:
         payload = json.loads(body)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise WireError(f"bad frame payload: {exc}") from exc
     if not isinstance(payload, dict):
         raise WireError(
             f"frame payload must be an object, got {type(payload).__name__}"
         )
+    if flags & FRAME_FLAG_BINARY_DOC:
+        field = payload.pop("_bindoc", None)
+        if not isinstance(field, str) or not field:
+            raise WireError("bindoc frame missing its _bindoc field marker")
+        payload[field] = BinaryDoc(bytes(doc))
     return payload
 
 
@@ -579,8 +474,7 @@ class JobControl:
 
 
 def encode_job_control(control: JobControl) -> dict[str, Any]:
-    """The submit-request fields for *control* (absent knobs omitted, so
-    requests to old daemons carry nothing unknown unless used)."""
+    """The submit-request fields for *control* (absent knobs omitted)."""
     fields: dict[str, Any] = {}
     if control.timeout is not None:
         fields["timeout"] = control.timeout
@@ -634,30 +528,6 @@ def decode_job_control(request: dict[str, Any]) -> JobControl:
         deadline=deadline,
         keep_program=keep_program,
     )
-
-
-# -- programs ----------------------------------------------------------------
-
-
-def encode_program(program: Program) -> dict[str, Any]:
-    """Columnar wire form of a compiled program.
-
-    Always the v2 structure-of-arrays document: flat arrays of numbers
-    with ``repr``-exact floats, no per-gate dict overhead — the form the
-    service's ``program`` op ships (submit with ``keep_program`` and
-    fetch via :meth:`~repro.service.client.ServiceClient.program`).
-    """
-    return program_to_dict(program, columnar=True)
-
-
-def decode_program(payload: dict[str, Any]) -> ProgramStore:
-    try:
-        program = program_from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"bad program payload: {exc}") from exc
-    if not isinstance(program, ProgramStore):
-        program = ProgramStore.from_program(program)
-    return program
 
 
 # -- results ----------------------------------------------------------------

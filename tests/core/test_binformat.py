@@ -20,13 +20,14 @@ from repro.core.program import (
     SpillingProgramStore,
 )
 from repro.core.serialize import (
-    program_doc_header,
     program_from_dict,
     program_to_dict,
     store_from_program_header,
+    store_header_doc,
 )
 from repro.hardware import RAAArchitecture
 from repro.hardware.raa import AtomLocation
+from tests.program_doc_oracle import program_doc_header
 
 #: wall-clock fields: naturally different between two separate compiles
 TIMING_FIELDS = {"compile_seconds", "emit_seconds", "probe_seconds"}
@@ -196,6 +197,12 @@ class TestCompiledProgram:
         decoded = binformat.decode_program(binformat.encode_program(dense))
         assert canon(decoded) == canon(dense)
         assert decoded.emit_seconds == dense.emit_seconds
+
+    def test_store_header_doc_matches_the_v2_header(self, dense):
+        # the streaming server builds the header from the store; it must
+        # equal the v2 document's header key for key, in order
+        header = program_doc_header(program_to_dict(dense, columnar=True))
+        assert json.dumps(store_header_doc(dense)) == json.dumps(header)
 
     def test_chunk_records_reassemble_the_program(self, dense):
         doc = program_to_dict(dense, columnar=True)

@@ -18,14 +18,13 @@ from repro.core.program import (
     SpillingProgramStore,
     emission_store,
 )
-from repro.core.serialize import (
+from repro.core.serialize import program_to_dict, store_from_program_header
+from repro.hardware import RAAArchitecture
+from tests.program_doc_oracle import (
     iter_program_doc_chunks,
     program_doc_header,
     program_doc_stages,
-    program_to_dict,
-    store_from_program_header,
 )
-from repro.hardware import RAAArchitecture
 
 #: wall-clock fields: naturally different between two separate compiles
 TIMING_FIELDS = {"compile_seconds", "emit_seconds", "probe_seconds"}

@@ -13,12 +13,14 @@ from dataclasses import asdict
 import pytest
 
 from repro.baselines.registry import CompileOptions, atomique_result
+from repro.core import binformat
+from repro.core.serialize import program_to_dict
 from repro.experiments import compile_many, raa_for
 from repro.experiments.batch import CompileJob
 from repro.generators import qaoa_regular, qsim_random
 from repro.service import CompileService, JobQueue, ServiceError
 from repro.service.queue import JobState
-from repro.service.wire import decode_metrics, encode_job, encode_program
+from repro.service.wire import decode_metrics, encode_job
 
 
 def stable(m):
@@ -325,15 +327,15 @@ class TestProgramCapture:
             metrics = decode_metrics(
                 await service.result(job_id, wait=True, timeout=60.0)
             )
-            program = service.program(job_id)
+            program = binformat.decode_program(service.program_bytes(job_id))
             await service.aclose()
             return metrics, program
 
         metrics, program = asyncio.run(scenario())
         direct = atomique_result(circuit, options)
-        assert scrub_program(program) == scrub_program(
-            encode_program(direct.program)
-        )
+        assert scrub_program(
+            program_to_dict(program, columnar=True)
+        ) == scrub_program(program_to_dict(direct.program, columnar=True))
         assert stable(metrics) == stable(
             compile_many([job], workers=1)[0]
         )
@@ -355,7 +357,7 @@ class TestProgramCapture:
             job_id = await service.submit(encode_job(job))
             await service.result(job_id, wait=True, timeout=60.0)
             with pytest.raises(ServiceError, match="keep_program"):
-                service.program(job_id)
+                service.program_bytes(job_id)
             await service.aclose()
 
         asyncio.run(scenario())

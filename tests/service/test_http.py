@@ -28,6 +28,7 @@ from repro.service import (
     ServiceServer,
     TokenPolicy,
 )
+from repro.core.serialize import program_to_dict
 from repro.service.wire import decode_metrics, encode_job
 
 
@@ -232,10 +233,13 @@ class TestRestRoundTrip:
             "GET", f"{url}/v1/jobs/{job_id}/program", token=token
         )
         assert status == 200
+        # the daemon ships a v3 record; REST serves its v2 document
         socket_program = ServiceClient(
             socket_path=daemon.socket_path
-        ).request({"op": "program", "id": job_id})["program"]
-        assert body["program"] == socket_program
+        ).program(job_id)
+        assert body["program"] == json.loads(
+            json.dumps(program_to_dict(socket_program, columnar=True))
+        )
 
         # A finished job can no longer be cancelled.
         status, body = http(

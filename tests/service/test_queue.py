@@ -201,20 +201,9 @@ class TestProgramSpool:
         queue.store_program(job_id, record)
         assert (tmp_path / "programs" / f"{job_id}.bin").read_bytes() == record
         assert queue.load_program_bytes(job_id) == record
-        # the JSON view decodes the binary record transparently
-        doc = queue.load_program(job_id)
-        assert doc["num_qubits"] == 2 and doc["format_version"] == 2
+        assert binformat.decode_program(record).num_qubits == 2
 
-    def test_legacy_json_programs_still_load(self, tmp_path):
-        queue = JobQueue(tmp_path)
-        job_id = self._done_job(queue)
-        queue.store_program(job_id, {"num_qubits": 3, "stages": []})
-        assert (tmp_path / "programs" / f"{job_id}.json").exists()
-        assert queue.load_program(job_id) == {"num_qubits": 3, "stages": []}
-        # no binary record exists, so the bytes view reports none
-        assert queue.load_program_bytes(job_id) is None
-
-    def test_memory_fallback_handles_both_shapes(self):
+    def test_memory_fallback_keeps_binary_records(self):
         from repro.core import binformat
         from repro.core.program import ProgramStore
 
@@ -222,14 +211,11 @@ class TestProgramSpool:
         store.end_stage()
         record = binformat.encode_program(store)
         queue = JobQueue()  # no spool directory: in-memory only
-        binary_id = self._done_job(queue)
-        queue.store_program(binary_id, record)
-        assert queue.load_program_bytes(binary_id) == record
-        assert queue.load_program(binary_id)["num_qubits"] == 1
-        legacy_id = self._done_job(queue)
-        queue.store_program(legacy_id, {"num_qubits": 9})
-        assert queue.load_program_bytes(legacy_id) is None
-        assert queue.load_program(legacy_id) == {"num_qubits": 9}
+        job_id = self._done_job(queue)
+        queue.store_program(job_id, record)
+        assert queue.load_program_bytes(job_id) == record
+        # a job that captured nothing has no record
+        assert queue.load_program_bytes(self._done_job(queue)) is None
 
 
 class TestLeases:

@@ -1,28 +1,45 @@
-"""JSON-lines socket protocol of :class:`ServiceServer`, exercised
+"""Binary-frame socket protocol of :class:`ServiceServer`, exercised
 in-process over a Unix socket (the subprocess daemon is covered by the
 ``service_smoke`` end-to-end test)."""
 
 import asyncio
-import json
+import logging
+
+import pytest
 
 from repro.baselines.registry import CompileOptions
 from repro.experiments import compile_on, raa_for
 from repro.experiments.batch import CompileJob
 from repro.generators import qaoa_regular
 from repro.service import CompileService, ServiceServer
-from repro.service.wire import decode_metrics, encode_job
+from repro.service.wire import (
+    FRAME_HEADER_LEN,
+    FRAME_MAGIC,
+    FRAME_VERSION,
+    decode_frame_payload,
+    decode_metrics,
+    encode_frame,
+    encode_job,
+    parse_frame_header,
+)
+
+
+async def read_frame(reader):
+    """One response frame off *reader*, decoded."""
+    header = await reader.readexactly(FRAME_HEADER_LEN)
+    flags, length = parse_frame_header(header)
+    return decode_frame_payload(flags, await reader.readexactly(length))
 
 
 async def roundtrip(path, requests):
-    """Open one connection, send each request line, collect responses."""
+    """Open one connection, send each request frame, collect responses."""
     reader, writer = await asyncio.open_unix_connection(path)
     responses = []
     try:
         for request in requests:
-            writer.write(json.dumps(request).encode() + b"\n")
+            writer.write(encode_frame(request))
             await writer.drain()
-            line = await reader.readline()
-            responses.append(json.loads(line))
+            responses.append(await read_frame(reader))
     finally:
         writer.close()
     return responses
@@ -103,12 +120,35 @@ class TestProtocol:
             reader, writer = await asyncio.open_unix_connection(path)
             writer.write(b"this is not json\n")
             await writer.drain()
-            line = await reader.readline()
+            response = await read_frame(reader)
             writer.close()
-            return json.loads(line)
+            return response
 
         response = serve_scenario(tmp_path, body)
         assert response["ok"] is False and "bad request" in response["error"]
+
+    def test_undecodable_frame_body_keeps_the_connection(self, tmp_path):
+        # The header was sound, so the next frame boundary is known: the
+        # error is answered and the same connection serves the next op.
+        body_bytes = b"[not json"
+        bad = (
+            FRAME_MAGIC
+            + bytes((FRAME_VERSION, 0))
+            + len(body_bytes).to_bytes(4, "big")
+            + body_bytes
+        )
+
+        async def body(path):
+            reader, writer = await asyncio.open_unix_connection(path)
+            writer.write(bad + encode_frame({"op": "ping"}))
+            await writer.drain()
+            responses = [await read_frame(reader), await read_frame(reader)]
+            writer.close()
+            return responses
+
+        error, ping = serve_scenario(tmp_path, body)
+        assert error["ok"] is False and "bad frame payload" in error["error"]
+        assert ping["ok"] is True
 
     def test_drain_op_stops_the_server(self, tmp_path):
         async def scenario():
@@ -125,3 +165,58 @@ class TestProtocol:
 
         response = asyncio.run(scenario())
         assert response["ok"] is True and response["op"] == "drain"
+
+
+def _header(version=FRAME_VERSION, flags=0, length=2):
+    return FRAME_MAGIC + bytes((version, flags)) + length.to_bytes(4, "big")
+
+
+MALFORMED_HEADERS = {
+    "json-line": b'{"op": "ping"}\n',
+    "non-utf8": b"\xff\xfe\x00garbage\n",
+    "bad-magic": b"\xabX" + _header()[2:] + b"{}",
+    "unknown-version": _header(version=99) + b"{}",
+    "unknown-flags": _header(flags=0x80) + b"{}",
+    "oversized-length": _header(length=2**31),
+    "truncated-header": FRAME_MAGIC + bytes((FRAME_VERSION,)),
+}
+
+
+class TestMalformedHeaders:
+    """A bad frame header is answered with one error frame and a hang-up
+    (a truncated one with a clean close) — never a crashed handler — and
+    the daemon keeps serving new connections."""
+
+    @pytest.mark.parametrize(
+        "data", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys()
+    )
+    def test_error_frame_then_close(self, tmp_path, caplog, data):
+        truncated = data == MALFORMED_HEADERS["truncated-header"]
+
+        async def body(path):
+            reader, writer = await asyncio.open_unix_connection(path)
+            writer.write(data)
+            await writer.drain()
+            if truncated:
+                writer.write_eof()  # the rest of the header never comes
+            raw = await asyncio.wait_for(reader.read(), timeout=10.0)
+            writer.close()
+            (ping,) = await roundtrip(path, [{"op": "ping"}])
+            return raw, ping
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            raw, ping = serve_scenario(tmp_path, body)
+        if truncated:
+            assert raw == b""
+        else:
+            flags, length = parse_frame_header(raw[:FRAME_HEADER_LEN])
+            assert len(raw) == FRAME_HEADER_LEN + length  # one frame, EOF
+            response = decode_frame_payload(flags, raw[FRAME_HEADER_LEN:])
+            assert response["ok"] is False
+            assert "bad request" in response["error"]
+        assert ping["ok"] is True
+        crashes = [
+            r for r in caplog.records
+            if "client_connected_cb" in r.getMessage()
+        ]
+        assert not crashes, "the connection handler raised"

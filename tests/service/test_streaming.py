@@ -1,9 +1,8 @@
 """Streaming result path: per-pass progress events, chunked program
-transfer, graceful fallbacks, and the frame.corrupt chaos site —
-exercised in-process against an inline daemon on a Unix socket."""
+transfer, and the frame.corrupt chaos site — exercised in-process
+against an inline daemon on a Unix socket."""
 
 import asyncio
-import json
 import threading
 
 import pytest
@@ -117,7 +116,7 @@ class TestStreamingResult:
                 socket_path=srv.socket_path, timeout=30.0, retries=0
             )
             client.wait_ready(timeout=10.0)
-            assert client.ping() and client._server_frame
+            assert client.ping()
             faults.install(
                 {"rules": [{"site": "frame.corrupt", "at": [1]}]}
             )
@@ -128,56 +127,3 @@ class TestStreamingResult:
                 faults.reset()
             # The next (uncorrupted) frame works on a fresh connection.
             assert "Atomique" in client.backends()
-
-
-class TestOldDaemonFallback:
-    def test_stream_against_a_pre_streaming_daemon(self, tmp_path):
-        """An old daemon ignores the ``stream`` flag and sends one classic
-        response; ``result_stream`` must degrade to plain result()."""
-        from repro.experiments import compile_on
-        from repro.generators import qaoa_regular
-        from repro.service.wire import encode_metrics
-
-        direct = compile_on("Atomique", qaoa_regular(8, 3, seed=1))
-        metrics_payload = encode_metrics(direct)
-        seen = []
-
-        async def run():
-            async def handle(reader, writer):
-                while True:
-                    line = await reader.readline()
-                    if not line:
-                        break
-                    request = json.loads(line)
-                    seen.append(request)
-                    op = request["op"]
-                    response = {"ok": True, "op": op}
-                    if op == "result":
-                        response["metrics"] = metrics_payload
-                    writer.write(json.dumps(response).encode() + b"\n")
-                    await writer.drain()
-                writer.close()
-
-            server = await asyncio.start_unix_server(
-                handle, path=str(tmp_path / "old.sock")
-            )
-            client = ServiceClient(
-                socket_path=tmp_path / "old.sock", retries=0
-            )
-            loop = asyncio.get_running_loop()
-            try:
-                return await loop.run_in_executor(
-                    None,
-                    lambda: client.result_stream("job-000001-abcdef"),
-                )
-            finally:
-                server.close()
-                await server.wait_closed()
-
-        metrics, store = asyncio.run(run())
-        # The client accepted the classic single response as terminal —
-        # no hang waiting for a "done" event — and got real metrics, but
-        # no program (old daemons cannot stream one).
-        assert any(r.get("op") == "result" for r in seen)
-        assert metrics == direct
-        assert store is None

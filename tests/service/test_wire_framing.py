@@ -1,10 +1,11 @@
-"""Gzip line framing and the columnar program codec on the service wire."""
+"""Binary frames and the binary program codec on the service wire."""
 
 import json
+import math
 
 import pytest
 
-from repro.core import AtomiqueCompiler, AtomiqueConfig
+from repro.core import AtomiqueCompiler, AtomiqueConfig, binformat
 from repro.core.program import ProgramStore
 from repro.generators import qaoa_random, qsim_random
 from repro.hardware import RAAArchitecture
@@ -15,68 +16,13 @@ from repro.service.wire import (
     FRAME_MAGIC,
     FRAME_VERSION,
     WIRE_COMPRESS_THRESHOLD,
-    WIRE_GZIP_ENCODING,
     BinaryDoc,
     WireError,
     decode_frame,
-    decode_line,
-    decode_program,
     encode_bindoc_frame,
     encode_frame,
-    encode_line,
-    encode_program,
+    parse_frame_header,
 )
-
-
-class TestLineFraming:
-    def test_small_lines_stay_plain_json(self):
-        line = encode_line({"op": "ping"}, compress=True)
-        assert line.endswith(b"\n")
-        assert json.loads(line) == {"op": "ping"}
-
-    def test_large_lines_compress_when_negotiated(self):
-        payload = {"op": "submit", "blob": "x" * (WIRE_COMPRESS_THRESHOLD + 1)}
-        line = encode_line(payload, compress=True)
-        envelope = json.loads(line)
-        assert envelope["enc"] == WIRE_GZIP_ENCODING
-        assert len(line) < WIRE_COMPRESS_THRESHOLD  # "x"*N compresses well
-        decoded, was_compressed = decode_line(line)
-        assert was_compressed
-        assert decoded == payload
-
-    def test_large_lines_stay_plain_without_negotiation(self):
-        payload = {"op": "submit", "blob": "x" * (WIRE_COMPRESS_THRESHOLD + 1)}
-        line = encode_line(payload, compress=False)
-        decoded, was_compressed = decode_line(line)
-        assert not was_compressed
-        assert decoded == payload
-
-    def test_roundtrip_is_lossless_for_floats(self):
-        payload = {"op": "x", "vals": [0.1, 1e-300, 2.0 / 3.0]}
-        big = {**payload, "pad": "y" * (WIRE_COMPRESS_THRESHOLD + 1)}
-        decoded, _ = decode_line(encode_line(big, compress=True))
-        assert decoded["vals"] == payload["vals"]
-
-    def test_unknown_encoding_rejected(self):
-        line = json.dumps({"enc": "zstd", "data": "xx"}).encode() + b"\n"
-        with pytest.raises(WireError, match="unknown transfer encoding"):
-            decode_line(line)
-
-    def test_corrupt_envelope_rejected(self):
-        line = (
-            json.dumps({"enc": WIRE_GZIP_ENCODING, "data": "!!!notb64"}).encode()
-            + b"\n"
-        )
-        with pytest.raises(WireError, match="envelope"):
-            decode_line(line)
-
-    def test_bad_json_rejected(self):
-        with pytest.raises(WireError, match="bad request"):
-            decode_line(b"{nope\n")
-
-    def test_non_object_rejected(self):
-        with pytest.raises(WireError, match="must be an object"):
-            decode_line(b"[1, 2]\n")
 
 
 class TestProgramCodec:
@@ -89,9 +35,13 @@ class TestProgramCodec:
         ).program
 
     def test_program_roundtrip_bit_exact(self, store):
-        payload = encode_program(store)
-        # through real JSON text, as the socket would carry it
-        restored = decode_program(json.loads(json.dumps(payload)))
+        # through a real frame, as the socket would carry it
+        data = encode_bindoc_frame(
+            {"ok": True, "op": "program"},
+            "program",
+            binformat.encode_program(store),
+        )
+        restored = decode_frame(data)["program"].to_store()
         assert isinstance(restored, ProgramStore)
         assert restored.gate_n_vib == store.gate_n_vib
         assert restored.atom_loss_log == store.atom_loss_log
@@ -102,35 +52,13 @@ class TestProgramCodec:
     def test_columnar_wire_form_is_smaller(self, store):
         from repro.core.serialize import program_to_dict
 
-        columnar = len(json.dumps(encode_program(store)))
-        object_form = len(json.dumps(program_to_dict(store, columnar=False)))
-        assert columnar < object_form
+        binary = len(binformat.encode_program(store))
+        columnar = len(json.dumps(program_to_dict(store, columnar=True)))
+        assert binary < columnar
 
     def test_bad_program_payload_rejected(self):
-        with pytest.raises(WireError, match="bad program payload"):
-            decode_program({"format_version": 99})
-
-
-class TestLineFramingEdges:
-    def test_line_at_exactly_the_threshold_stays_plain(self):
-        # The compression rule is strictly greater-than: a line whose
-        # body is exactly WIRE_COMPRESS_THRESHOLD bytes stays plain JSON.
-        base = len(encode_line({"op": "x", "pad": ""}, compress=True)) - 1
-        pad = "a" * (WIRE_COMPRESS_THRESHOLD - base)
-        line = encode_line({"op": "x", "pad": pad}, compress=True)
-        assert len(line) - 1 == WIRE_COMPRESS_THRESHOLD
-        assert json.loads(line)["op"] == "x"  # no envelope
-        line2 = encode_line({"op": "x", "pad": pad + "a"}, compress=True)
-        assert json.loads(line2).keys() == {"enc", "data"}  # one byte over
-
-    def test_nested_enc_data_keys_are_not_an_envelope(self):
-        # Only the *top-level* two-key {"enc", "data"} shape is an
-        # envelope; the same shape nested one level down must survive
-        # the round trip untouched.
-        payload = {"op": "x", "inner": {"enc": WIRE_GZIP_ENCODING, "data": "zz"}}
-        decoded, was_compressed = decode_line(encode_line(payload))
-        assert not was_compressed
-        assert decoded == payload
+        with pytest.raises(WireError, match="bad binary program"):
+            BinaryDoc(b"{\"format_version\": 99}").to_store()
 
 
 class TestBinaryFrames:
@@ -149,8 +77,8 @@ class TestBinaryFrames:
         assert decode_frame(data) == payload
 
     def test_frame_magic_cannot_begin_a_json_line(self):
-        # First-byte dispatch relies on this: 0xAB is not valid UTF-8
-        # ASCII and can never start a JSON document.
+        # The server rejects foreign peers on their first byte: 0xAB is
+        # not ASCII and can never start a JSON document or HTTP request.
         assert FRAME_MAGIC[0] > 0x7F
 
     def test_truncated_header_rejected(self):
@@ -276,61 +204,9 @@ class TestBindocFrames:
             BinaryDoc(b"\x00garbage").to_store()
 
 
-class TestOldServerCompat:
-    """A pre-gzip daemon (plain ``json.loads``, no envelope unwrapping,
-    no ping capability advert) must keep working with the new client,
-    including for requests past the compression threshold."""
-
-    def test_large_request_to_old_server_stays_plain(self, tmp_path):
-        import asyncio
-        import json as _json
-
-        from repro.service.client import ServiceClient
-
-        seen_lines = []
-
-        async def run():
-            async def handle(reader, writer):
-                while True:
-                    line = await reader.readline()
-                    if not line:
-                        break
-                    seen_lines.append(line)
-                    request = _json.loads(line)  # old server: plain JSON only
-                    op = request["op"]
-                    response = {"ok": True, "op": op}
-                    if op == "echo":
-                        response["size"] = len(request["blob"])
-                    writer.write(_json.dumps(response).encode() + b"\n")
-                    await writer.drain()
-                writer.close()
-
-            server = await asyncio.start_unix_server(
-                handle, path=str(tmp_path / "old.sock"), limit=2**20
-            )
-            client = ServiceClient(socket_path=tmp_path / "old.sock")
-            loop = asyncio.get_running_loop()
-            blob = "x" * (WIRE_COMPRESS_THRESHOLD + 1)
-            response = await loop.run_in_executor(
-                None, client.request, {"op": "echo", "blob": blob}
-            )
-            server.close()
-            await server.wait_closed()
-            return client, response
-
-        client, response = asyncio.run(run())
-        # the probe saw no advert, so the big request went out plain —
-        # and with no frame capability either, the client never sends a
-        # binary frame an old daemon could not parse
-        assert client._server_gzip is False
-        assert client._server_frame is False
-        assert response["size"] == WIRE_COMPRESS_THRESHOLD + 1
-        assert all(b'"enc": "gzip+b64", "data"' not in ln for ln in seen_lines)
-        assert all(not ln.startswith(FRAME_MAGIC[:1]) for ln in seen_lines)
-
-
 class TestFrameNegotiation:
-    """Cross-version matrix: frames flow only when both ends are new."""
+    """Frames are the only wire: there is nothing left to negotiate, and a
+    peer speaking anything else gets a clean error."""
 
     def _serve(self, tmp_path, body):
         import asyncio
@@ -352,35 +228,19 @@ class TestFrameNegotiation:
         return asyncio.run(run())
 
     def test_new_client_upgrades_to_frames_after_ping(self, tmp_path):
+        # The daemon parses nothing but frames, so both the ping and the
+        # request after it must have crossed as frames to be answered.
         def body(client):
-            assert client._server_frame is None  # unknown before any ping
-            client.ping()
-            assert client._server_frame is True
-            # subsequent requests are encoded as binary frames...
-            data = client._encode_request({"op": "backends"})
-            assert data.startswith(FRAME_MAGIC)
-            # ...and the framed round trip works against the live server
-            return client.backends()
-
-        backends = self._serve(tmp_path, body)
-        assert "Atomique" in backends
-
-    def test_unpinged_client_speaks_plain_json_lines(self, tmp_path):
-        def body(client):
-            # No ping yet: the first (small) request must be a plain JSON
-            # line, byte-compatible with an old client.
-            data = client._encode_request({"op": "backends", "enc": "x"})
-            assert data.endswith(b"\n") and not data.startswith(FRAME_MAGIC)
+            assert client.ping()
             return client.backends()
 
         backends = self._serve(tmp_path, body)
         assert "Atomique" in backends
 
     def test_old_json_client_against_new_server(self, tmp_path):
-        # A legacy client that only ever writes JSON lines must get JSON
-        # lines back, even though the server also speaks frames.
+        # A JSON-lines client gets one error frame, then the daemon hangs
+        # up (it cannot find a frame boundary in line-framed bytes).
         import asyncio
-        import json as _json
 
         from repro.service.server import CompileService, ServiceServer
 
@@ -393,15 +253,14 @@ class TestFrameNegotiation:
             )
             writer.write(b'{"op": "ping"}\n')
             await writer.drain()
-            raw = await reader.readline()
+            raw = await asyncio.wait_for(reader.read(), timeout=10.0)
             writer.close()
             await server.aclose()
             return raw
 
         raw = asyncio.run(run())
-        assert raw.endswith(b"\n") and not raw.startswith(FRAME_MAGIC)
-        response = _json.loads(raw)
-        assert response["ok"] is True and response["frame"] == 1
+        response = decode_frame(raw)  # exactly one frame, then EOF
+        assert response["ok"] is False and "frame header" in response["error"]
 
     def test_truncated_frame_from_server_raises_not_hangs(self, tmp_path):
         # A server that dies mid-frame must produce a clean error: the
@@ -412,8 +271,9 @@ class TestFrameNegotiation:
 
         async def run():
             async def handle(reader, writer):
-                await reader.readline()
-                data = encode_frame({"ok": True, "op": "ping", "frame": 1})
+                header = await reader.readexactly(FRAME_HEADER_LEN)
+                await reader.readexactly(parse_frame_header(header)[1])
+                data = encode_frame({"ok": True, "op": "ping"})
                 writer.write(data[:-3])  # drop the tail, then hang up
                 await writer.drain()
                 writer.close()
@@ -439,9 +299,7 @@ class TestFrameNegotiation:
 
 
 class TestBindocNegotiation:
-    """Cross-version matrix for the binary-doc bit: packed v3 records flow
-    only when both ends advertise them; unupgraded peers keep exchanging
-    the same JSON documents byte for byte."""
+    """Programs and streamed chunks always cross as packed v3 records."""
 
     def _serve(self, tmp_path, body):
         import asyncio
@@ -478,14 +336,6 @@ class TestBindocNegotiation:
             "Atomique", circuit, CompileOptions(raa=raa_for(circuit))
         )
 
-    def test_ping_advertises_bindoc(self, tmp_path):
-        def body(client):
-            assert client._server_bindoc is None  # unknown before any ping
-            client.ping()
-            return client._server_bindoc
-
-        assert self._serve(tmp_path, body) is True
-
     def test_new_pair_ships_binary_docs_bit_identically(self, tmp_path):
         from repro.core.serialize import dumps
 
@@ -495,41 +345,17 @@ class TestBindocNegotiation:
             metrics, streamed = client.result_stream(
                 job_id, chunk_stages=8
             )
-            stats = client.last_stream_stats
-            # every chunk arrived packed, none as JSON fallback
-            assert stats["binary_chunks"] > 0 and stats["json_chunks"] == 0
+            # every chunk arrived as a packed v3 record
+            chunks = math.ceil(streamed.num_stages / 8)
+            assert client.last_stream_stats == {"binary_chunks": chunks}
             return dumps(whole), dumps(streamed)
 
         whole, streamed = self._serve(tmp_path, body)
         assert whole == streamed
 
-    def test_old_client_against_new_server_keeps_json(self, tmp_path):
-        from repro.core.serialize import dumps
-
-        def body(client):
-            job_id = client.submit(self._job(), keep_program=True)
-            upgraded = dumps(client.program(job_id))
-            # an unupgraded peer: no frames, no bindoc, no gzip — the
-            # server must serve the classic JSON documents
-            client._server_frame = False
-            client._server_bindoc = False
-            client._server_gzip = False
-            legacy = dumps(client.program(job_id))
-            metrics, streamed = client.result_stream(
-                job_id, chunk_stages=8
-            )
-            stats = client.last_stream_stats
-            assert stats["binary_chunks"] == 0 and stats["json_chunks"] > 0
-            return upgraded, legacy, dumps(streamed)
-
-        upgraded, legacy, streamed = self._serve(tmp_path, body)
-        # both wire shapes reassemble to the identical serialized program
-        assert upgraded == legacy == streamed
-
-
 class TestClientServerCompression(object):
-    """End-to-end: a large circuit submission crosses the socket compressed
-    and compiles to the same result as a plain submission."""
+    """End-to-end: a large circuit submission crosses the socket as a
+    deflated frame and compiles to the same result as a plain one."""
 
     def test_inline_service_accepts_compressed_submission(self, tmp_path):
         import asyncio
@@ -537,12 +363,15 @@ class TestClientServerCompression(object):
         from repro.experiments.batch import CompileJob
         from repro.service.server import CompileService, ServiceServer
         from repro.service.client import ServiceClient
+        from repro.service.wire import encode_job
 
         # a small circuit keeps the runtime down; pad the name so the
         # encoded job crosses the 64 KiB threshold and actually compresses.
         circuit = qaoa_random(12, seed=5)
         circuit.name = "q" * (WIRE_COMPRESS_THRESHOLD + 1)
         job = CompileJob("Superconducting", circuit)
+        request = encode_frame({"op": "submit", "job": encode_job(job)})
+        assert request[3] & FRAME_FLAG_DEFLATE
 
         async def run():
             service = CompileService(spool_dir=tmp_path / "spool", inline=True)
@@ -551,9 +380,6 @@ class TestClientServerCompression(object):
             client = ServiceClient(socket_path=tmp_path / "sock")
             loop = asyncio.get_running_loop()
             job_id = await loop.run_in_executor(None, client.submit, job)
-            # the large submit triggered the one-time capability probe,
-            # which must have recorded the daemon's gzip advert
-            assert client._server_gzip is True
             metrics = await loop.run_in_executor(
                 None, lambda: client.result(job_id, wait=True)
             )

@@ -1,5 +1,20 @@
-"""Legacy setup shim: lets ``pip install -e .`` work without the wheel package."""
+"""Package metadata and runtime dependencies, declared in one place.
 
-from setuptools import setup
+``pip install -e .`` installs the ``repro`` package from ``src/`` together
+with its runtime dependencies; every CI job installs from here plus its
+own test tools.
+"""
 
-setup()
+from setuptools import find_packages, setup
+
+setup(
+    name="repro",
+    version="1.0.0",
+    description=(
+        "Atomique: a quantum compiler for reconfigurable neutral atom arrays"
+    ),
+    python_requires=">=3.10",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy", "networkx"],
+)

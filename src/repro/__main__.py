@@ -62,9 +62,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     for name, seconds in result.pass_seconds.items():
         print(f"  pass {name:<12s} : {seconds * 1e3:.1f} ms")
     if args.output:
-        Path(args.output).write_text(
-            dumps(result.program, indent=2, columnar=args.columnar)
-        )
+        Path(args.output).write_text(dumps(result.program, indent=2))
         print(f"stage program written to {args.output}")
     return 0
 
@@ -314,12 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("qasm", help="OpenQASM 2.0 input file")
     p_compile.add_argument("--side", type=int, default=10, help="array side")
     p_compile.add_argument("--aods", type=int, default=2, help="number of AODs")
-    p_compile.add_argument("-o", "--output", help="write stage program JSON here")
     p_compile.add_argument(
-        "--columnar",
-        action="store_true",
-        help="write the compact columnar program format (v2) instead of the "
-        "stage-list format (v1)",
+        "-o", "--output", help="write the stage program (v2 JSON) here"
     )
     p_compile.set_defaults(func=cmd_compile)
 

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 from ..noise.fidelity import FidelityReport
 
 if TYPE_CHECKING:
-    from ..core.program import Program
+    from ..core.program import ProgramStore
     from ..hardware.parameters import HardwareParams
 
 
@@ -56,19 +56,16 @@ class CompiledMetrics:
 
 
 def program_aggregates(
-    program: "Program", params: "HardwareParams"
+    program: "ProgramStore", params: "HardwareParams"
 ) -> dict[str, float]:
     """The program-level numbers every scoring adapter reads, in one place.
 
-    For a columnar :class:`~repro.core.program.ProgramStore` each entry is
-    a column reduction over the store's cached numpy column views
-    (occupancy counts via vectorized offset-table compares, distance and
-    duration sums computed elementwise then accumulated in stage order, so
-    the floats stay bit-identical to the scalar walk) — no stage objects
-    are materialized, and a spilling store seek-reads just the columns it
-    needs from its binary segments.  The legacy object representation
-    computes the same values through its property walk, so adapters need
-    not care which they were handed.
+    Each entry is a fold over the store's column segments (occupancy
+    counts via vectorized offset-table compares, distance and duration
+    sums computed elementwise then accumulated in stage order, so the
+    floats stay bit-identical to a scalar stage walk) — no stage views are
+    built, and a spilling store seek-reads just the columns it needs from
+    its binary segments.
     """
     return {
         "num_2q_gates": program.num_2q_gates,

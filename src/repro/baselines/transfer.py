@@ -133,6 +133,7 @@ def compile_with_transfers(
         router = HighParallelismRouter(arch, locs, RouterConfig(seed=seed))
         routed = router.route(segment)
         program.extend(routed)
+        routed.discard()
         program.n_vib_final.update(routed.n_vib_final)
         program.atom_loss_log.extend(routed.atom_loss_log)
         program.overlap_rejections += routed.overlap_rejections

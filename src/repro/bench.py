@@ -132,7 +132,7 @@ def codec_timings(program, repeats: int = 3) -> dict:
     best_v2 = best_v3 = float("inf")
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        text = json.dumps(program_to_dict(program, columnar=True))
+        text = json.dumps(program_to_dict(program))
         program_from_dict(json.loads(text))
         best_v2 = min(best_v2, time.perf_counter() - t0)
         t0 = time.perf_counter()

@@ -10,16 +10,9 @@ from .atom_mapper import diagonal_stripe_order, map_qubits_to_atoms
 from .compiler import AtomiqueCompiler, AtomiqueConfig, CompileResult
 from .constraints import ConstraintToggles, StagePlan, parking_offset
 from .kinematics import ConstantJerkProfile, hop_profile
-from .instructions import (
-    CoolingEvent,
-    Move,
-    RAAProgram,
-    RamanPulse,
-    RydbergGate,
-    Stage,
-)
+from .instructions import CoolingEvent, Move, RamanPulse, RydbergGate
 from .movement import MovementTracker
-from .program import Program, ProgramStore, StageList, StageView
+from .program import ProgramStore, StageList, StageView
 from .pipeline import (
     PIPELINE_CACHE_VERSION,
     ArrayMapperPass,
@@ -62,15 +55,12 @@ __all__ = [
     "PassPipeline",
     "PipelineCache",
     "PipelineError",
-    "Program",
     "ProgramStore",
-    "RAAProgram",
     "RamanPulse",
     "RouterConfig",
     "RoutingError",
     "RydbergGate",
     "SabreSwapPass",
-    "Stage",
     "StageList",
     "StagePlan",
     "StageRouterPass",

@@ -3,7 +3,7 @@
 The v2 columnar JSON document (:mod:`repro.core.serialize`) renders every
 scalar through ``repr`` and parses it back one token at a time — the last
 order-of-magnitude hotspot on the large-program result path.  This module
-keeps the exact same *logical* document (the ``DOC_FAMILIES`` columns plus
+keeps the exact same *logical* document (the ``_COLUMN_SPEC`` columns plus
 the CSR stage-offset tables) but packs each column as a typed blob:
 
 * all-``int`` columns -> the narrowest signed width that holds the
@@ -42,13 +42,8 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from ..hardware.raa import AtomLocation
-from .program import (
-    _COLUMN_SPEC,
-    _OFFSET_SPEC,
-    ProgramStore,
-    SpillingProgramStore,
-)
-from .serialize import DOC_FAMILIES, _common_header
+from .program import _COLUMN_SPEC, _OFFSET_SPEC, _SECTION, ProgramStore
+from .serialize import _common_header
 
 #: the ``format_version`` this codec implements ("v3" next to the JSON v2)
 BINARY_FORMAT_VERSION = 3
@@ -292,42 +287,40 @@ def _read(data: bytes, smap: dict, name: str, *, as_array: bool = False):
 # -- whole-document codec ------------------------------------------------------
 
 
-def encode_program(program) -> bytes:
-    """A full program -> one v3 ``"program"`` record.
-
-    Accepts any program representation the JSON serializer accepts: a
-    spilling store is densified first, a legacy ``RAAProgram`` converted —
-    mirroring :func:`repro.core.serialize.program_to_dict` with
-    ``columnar=True`` so both codecs describe the identical store.
-    """
-    if isinstance(program, SpillingProgramStore):
-        store = program.collect()
-    elif isinstance(program, ProgramStore):
-        store = program
-    else:
-        store = ProgramStore.from_program(program)
+def _pack_sections(named_columns) -> tuple[list[dict], list[bytes]]:
+    """``(section name, values, array getter)`` triples -> sections + blobs;
+    ``params`` columns pack ragged."""
     sections: list[dict] = []
     blobs: list[bytes] = []
-    for fam, key, attr, _enc, _dec in _COLUMN_SPEC:
-        name = f"{fam}.{key}"
-        col = getattr(store, attr)
-        if key == "params":
-            metas, parts = _pack_ragged(name, col)
+    for name, values, get_array in named_columns:
+        if name.endswith(".params"):
+            metas, parts = _pack_ragged(name, values)
             sections.extend(metas)
             blobs.extend(parts)
         else:
-            meta, blob = _pack_scalars(
-                name, col, _array_getter(store, attr)
-            )
+            meta, blob = _pack_scalars(name, values, get_array)
             sections.append(meta)
             blobs.append(blob)
-    for fam, off_attr in _OFFSET_SPEC:
-        meta, blob = _pack_scalars(
-            f"off.{fam}", getattr(store, off_attr),
-            _array_getter(store, off_attr),
-        )
-        sections.append(meta)
-        blobs.append(blob)
+    return sections, blobs
+
+
+def _read_column(data: bytes, smap: dict, name: str, container: type) -> list:
+    """One column back from its section(s), ragged rows as *container*."""
+    if name.endswith(".params"):
+        values = _read(data, smap, name + "#values")
+        offsets = _read(data, smap, name + "#offsets")
+        return _unpack_ragged(values, offsets, container)
+    return _read(data, smap, name)
+
+
+def encode_program(program: ProgramStore) -> bytes:
+    """A full program -> one v3 ``"program"`` record (every segment of a
+    spilling store included)."""
+    store = program.collect()
+    sections, blobs = _pack_sections(
+        (name, getattr(store, attr), _array_getter(store, attr))
+        for attr, name in _SECTION.items()
+    )
     loss_meta, loss_blob = _pack_scalars("atom_loss_log", store.atom_loss_log)
     sections.append(loss_meta)
     blobs.append(loss_blob)
@@ -357,17 +350,10 @@ def decode_program(data: bytes) -> ProgramStore:
         )
     smap = section_index(meta, payload_off)
     header = meta["header"]
-    kwargs: dict[str, Any] = {}
-    for fam, key, attr, _enc, _dec in _COLUMN_SPEC:
-        name = f"{fam}.{key}"
-        if key == "params":
-            values = _read(data, smap, name + "#values")
-            offsets = _read(data, smap, name + "#offsets")
-            kwargs[attr] = _unpack_ragged(values, offsets, tuple)
-        else:
-            kwargs[attr] = _read(data, smap, name)
-    for fam, off_attr in _OFFSET_SPEC:
-        kwargs[off_attr] = _read(data, smap, f"off.{fam}")
+    kwargs: dict[str, Any] = {
+        attr: _read_column(data, smap, name, tuple)
+        for attr, name in _SECTION.items()
+    }
     try:
         return ProgramStore(
             num_qubits=header["num_qubits"],
@@ -394,26 +380,12 @@ def decode_program(data: bytes) -> ProgramStore:
 
 def encode_chunk(chunk: dict) -> bytes:
     """A :meth:`ProgramStore.chunk_doc` dict -> one v3 ``"chunk"`` record."""
-    sections: list[dict] = []
-    blobs: list[bytes] = []
     cols = chunk["columns"]
-    for fam, keys in DOC_FAMILIES.items():
-        famcols = cols[fam]
-        for key in keys:
-            name = f"{fam}.{key}"
-            if key == "params":
-                metas, parts = _pack_ragged(name, famcols[key])
-                sections.extend(metas)
-                blobs.extend(parts)
-            else:
-                meta, blob = _pack_scalars(name, famcols[key])
-                sections.append(meta)
-                blobs.append(blob)
     offsets = chunk["stage_offsets"]
-    for fam in DOC_FAMILIES:
-        meta, blob = _pack_scalars(f"off.{fam}", offsets[fam])
-        sections.append(meta)
-        blobs.append(blob)
+    sections, blobs = _pack_sections(
+        [(f"{fam}.{key}", cols[fam][key], None) for fam, key, *_ in _COLUMN_SPEC]
+        + [(f"off.{fam}", offsets[fam], None) for fam, _ in _OFFSET_SPEC]
+    )
     return _assemble("chunk", {"stages": chunk["stages"]}, sections, blobs)
 
 
@@ -425,20 +397,11 @@ def decode_chunk(data: bytes) -> dict:
             f"expected a chunk record, got kind {meta.get('kind')!r}"
         )
     smap = section_index(meta, payload_off)
-    columns: dict[str, dict[str, list]] = {}
-    for fam, keys in DOC_FAMILIES.items():
-        famcols: dict[str, list] = {}
-        for key in keys:
-            name = f"{fam}.{key}"
-            if key == "params":
-                values = _read(data, smap, name + "#values")
-                offsets = _read(data, smap, name + "#offsets")
-                famcols[key] = _unpack_ragged(values, offsets, list)
-            else:
-                famcols[key] = _read(data, smap, name)
-        columns[fam] = famcols
+    columns: dict[str, dict[str, list]] = {fam: {} for fam, _ in _OFFSET_SPEC}
+    for fam, key, *_ in _COLUMN_SPEC:
+        columns[fam][key] = _read_column(data, smap, f"{fam}.{key}", list)
     stage_offsets = {
-        fam: _read(data, smap, f"off.{fam}") for fam in DOC_FAMILIES
+        fam: _read(data, smap, f"off.{fam}") for fam, _ in _OFFSET_SPEC
     }
     try:
         stages = meta["header"]["stages"]

@@ -15,7 +15,8 @@
 
 Each step is a :class:`~repro.core.pipeline.Pass`; the facade just builds
 the default :class:`~repro.core.pipeline.PassPipeline` and runs it.  The
-result bundles the executable :class:`RAAProgram` with every statistic the
+result bundles the executable
+:class:`~repro.core.program.ProgramStore` with every statistic the
 evaluation reads, including per-pass wall-time.
 """
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from ..circuits.circuit import QuantumCircuit
 from ..hardware.raa import AtomLocation, RAAArchitecture
 from .pipeline import PassPipeline, PipelineCache
-from .program import Program
+from .program import ProgramStore
 from .router import RouterConfig
 
 
@@ -67,7 +68,7 @@ class CompileResult:
     in execution order (the Fig. 21 compile-time breakdown reads this).
     """
 
-    program: Program
+    program: ProgramStore
     transpiled: QuantumCircuit
     array_of_qubit: list[int]
     locations: dict[int, AtomLocation]

@@ -1,4 +1,4 @@
-"""RAA instruction set and the compiled program container.
+"""RAA instruction records: the per-stage view of a compiled program.
 
 The router lowers a circuit into *stages*.  Each stage is one iteration of
 the high-parallelism router (Fig. 8): an optional Raman step executing 1Q
@@ -6,23 +6,14 @@ gates, a set of AOD row/column moves, and one global Rydberg pulse executing
 the stage's parallel two-qubit gates.  Cooling events (Sec. IV) are recorded
 on the stage where they fire.
 
-The :class:`RAAProgram` aggregates the statistics every experiment needs:
-gate counts, 2Q depth (= number of Rydberg stages), wall-clock execution
-time, per-atom movement/heating history, transfers, and cooling events.
-
-``RAAProgram`` is the *object-graph* representation.  The router now emits
-the columnar :class:`~repro.core.program.ProgramStore`, which exposes the
-same API (these dataclasses materialize on demand as its lazy stage
-views); ``RAAProgram`` remains the materialized form — v1 serialization,
-conversion targets, and hand-built programs in tests.
+A compiled program lives as columns in
+:class:`~repro.core.program.ProgramStore`; these frozen records are what its
+lazy :class:`~repro.core.program.StageView` builds for one stage on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..hardware.parameters import HardwareParams
-from ..hardware.raa import AtomLocation
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,126 +74,3 @@ class CoolingEvent:
     @property
     def num_cz(self) -> int:
         return 2 * self.num_atoms
-
-
-@dataclass(slots=True)
-class Stage:
-    """One router iteration: 1Q flush + moves + global Rydberg pulse."""
-
-    one_qubit_gates: list[RamanPulse] = field(default_factory=list)
-    moves: list[Move] = field(default_factory=list)
-    gates: list[RydbergGate] = field(default_factory=list)
-    cooling: list[CoolingEvent] = field(default_factory=list)
-    #: per-atom Euclidean move distance in metres, keyed by qubit slot
-    atom_move_distance: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def has_movement(self) -> bool:
-        return bool(self.moves)
-
-    @property
-    def max_move_distance_sites(self) -> float:
-        return max((m.distance_sites for m in self.moves), default=0.0)
-
-    def duration(self, params: HardwareParams) -> float:
-        """Wall-clock stage time: Raman + move + Rydberg (+ cooling swap)."""
-        t = 0.0
-        if self.one_qubit_gates:
-            t += params.t_1q
-        if self.moves:
-            t += params.t_per_move
-        if self.gates:
-            t += params.t_2q
-        if self.cooling:
-            # Cooling performs 2 sequential CZ transfers plus array exchange,
-            # modelled as one extra move plus the two CZ times.
-            t += params.t_per_move + 2 * params.t_2q
-        return t
-
-
-@dataclass
-class RAAProgram:
-    """A compiled RAA program plus compile-time bookkeeping.
-
-    Attributes
-    ----------
-    stages:
-        The executable stage list.
-    num_qubits:
-        Logical circuit width.
-    qubit_locations:
-        Final slot -> :class:`AtomLocation` placement (home positions).
-    n_vib_final:
-        Per-qubit vibrational quantum number after the last stage.
-    atom_loss_log:
-        ``(n_vib_before_move,)`` samples for every (atom, move) event —
-        consumed by the movement-loss fidelity term.
-    num_transfers:
-        SLM<->AOD atom transfers performed (0 in standard Atomique flow;
-        nonzero for baselines that shuttle atoms).
-    overlap_rejections:
-        Times a gate could not join a stage due to constraint 3 (Fig. 24).
-    """
-
-    stages: list[Stage]
-    num_qubits: int
-    qubit_locations: dict[int, AtomLocation]
-    n_vib_final: dict[int, float] = field(default_factory=dict)
-    atom_loss_log: list[float] = field(default_factory=list)
-    num_transfers: int = 0
-    overlap_rejections: int = 0
-    compile_seconds: float = 0.0
-
-    # -- headline metrics ------------------------------------------------------
-
-    @property
-    def num_2q_gates(self) -> int:
-        """Two-qubit gates executed by Rydberg pulses (cooling CZs excluded)."""
-        return sum(len(s.gates) for s in self.stages)
-
-    @property
-    def num_cooling_cz(self) -> int:
-        """CZ gates spent on cooling swaps."""
-        return sum(ev.num_cz for s in self.stages for ev in s.cooling)
-
-    @property
-    def num_1q_gates(self) -> int:
-        return sum(len(s.one_qubit_gates) for s in self.stages)
-
-    @property
-    def two_qubit_depth(self) -> int:
-        """Number of stages whose Rydberg pulse executes at least one gate."""
-        return sum(1 for s in self.stages if s.gates)
-
-    @property
-    def num_moves(self) -> int:
-        return sum(len(s.moves) for s in self.stages)
-
-    def total_move_distance(self, params: HardwareParams) -> float:
-        """Total AOD line travel in metres."""
-        return sum(
-            m.distance_sites * params.atom_distance
-            for s in self.stages
-            for m in s.moves
-        )
-
-    def avg_move_distance(self, params: HardwareParams) -> float:
-        """Mean per-stage line travel (metres); Fig. 20's 'Avg. Moving Distance'."""
-        moving = [s for s in self.stages if s.moves]
-        if not moving:
-            return 0.0
-        return self.total_move_distance(params) / len(moving)
-
-    def execution_time(self, params: HardwareParams) -> float:
-        """Wall-clock execution time in seconds."""
-        return sum(s.duration(params) for s in self.stages)
-
-    @property
-    def num_cooling_events(self) -> int:
-        return sum(len(s.cooling) for s in self.stages)
-
-    def gate_pairs(self) -> list[tuple[int, int]]:
-        """All executed 2Q pairs in order (for equivalence checks)."""
-        return [
-            (g.qubit_a, g.qubit_b) for s in self.stages for g in s.gates
-        ]

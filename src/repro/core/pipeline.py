@@ -38,7 +38,7 @@ from ..transpile.layout import Layout
 from ..transpile.sabre import sabre_route
 from .array_mapper import map_qubits_to_arrays
 from .atom_mapper import map_qubits_to_atoms
-from .program import Program
+from .program import ProgramStore
 from .router import HighParallelismRouter
 
 if TYPE_CHECKING:  # avoid a module-level cycle with .compiler
@@ -362,7 +362,7 @@ class CompilationContext:
     num_swaps: int | None = None
     final_layout: dict[int, int] | None = None
     locations: dict[int, AtomLocation] | None = None
-    program: Program | None = None
+    program: ProgramStore | None = None
 
     pass_seconds: dict[str, float] = field(default_factory=dict)
     artifacts: dict[str, Any] = field(default_factory=dict)

@@ -1,63 +1,55 @@
-"""Columnar program store: structure-of-arrays stage emission.
+"""Columnar program store: the one in-memory form of a compiled program.
 
-The object-graph :class:`~repro.core.instructions.RAAProgram` models a
-compiled program as ``list[Stage]`` with per-stage ``Move`` / ``RamanPulse``
-/ ``RydbergGate`` / ``CoolingEvent`` dataclasses.  That layout is what made
-stage emission the dominant router cost on deep, narrow circuits (BV, QSim):
-per-stage maps are tiny (2-8 entries), so the cost is pure python object
-bookkeeping — one ``Stage`` plus a handful of frozen dataclasses and dicts
-per router iteration.
+A compiled RAA program is a sequence of router stages (Fig. 8), each an
+optional Raman step, a set of AOD line moves, one global Rydberg pulse and
+any cooling swaps.  :class:`ProgramStore` keeps those stages as flat
+*columns* (plain python lists of scalars, one list per field) plus a
+CSR-style stage-offset table: ``stage k``'s moves are rows
+``off_move[k]:off_move[k+1]`` of the move columns, and likewise for Raman
+pulses, Rydberg gates, cooling events, and the per-atom move-distance log.
+The router appends scalars during emission and closes a stage with
+:meth:`ProgramStore.end_stage` — no per-stage objects exist on the hot path.
 
-:class:`ProgramStore` keeps the same program as flat *columns* (plain python
-lists of scalars, one list per field) plus a CSR-style stage-offset table:
-``stage k``'s moves are rows ``off_move[k]:off_move[k+1]`` of the move
-columns, and likewise for Raman pulses, Rydberg gates, cooling events, and
-the per-atom move-distance log.  The router appends scalars during emission
-and closes a stage with :meth:`end_stage` — no per-stage objects exist on
-the hot path.
+Per-stage access goes through **lazy views**: ``program.stages[i]`` returns
+a :class:`StageView` that builds the :mod:`repro.core.instructions` records
+(``RamanPulse``, ``Move``, ``RydbergGate``, ``CoolingEvent``) from the
+column slices on demand.  ``atom_move_distance`` preserves the pinned
+insertion order the noisy simulator consumes positionally.
 
-Consumers keep working unchanged through **lazy views**:
-``program.stages[i]`` returns a :class:`StageView` that materializes the
-legacy dataclasses on demand and is attribute-compatible with ``Stage``
-(including iteration order — ``atom_move_distance`` preserves the pinned
-insertion order the noisy simulator consumes positionally).  Aggregate
-consumers (fidelity, metrics, serialization, the noisy sim) read the columns
-directly and never materialize a view.
-
-Every headline metric matches the object representation bit-for-bit: the
-reductions walk the columns in exactly the order the legacy properties
-walked the object lists, with the same accumulation order.
+Every aggregate is one fold over the store's *column segments*: a dense
+store is one segment (its in-memory columns); a
+:class:`SpillingProgramStore` is its flushed segment records followed by
+its in-memory tail.  Count aggregates add per-segment counts (taken at
+flush time for flushed segments); float reductions compute per-element
+terms vectorized per segment and accumulate left to right in stage order,
+so a spilled store answers bit-identically to the dense one.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from ..hardware.parameters import HardwareParams
 from ..hardware.raa import AtomLocation
-from .instructions import (
-    CoolingEvent,
-    Move,
-    RAAProgram,
-    RamanPulse,
-    RydbergGate,
-    Stage,
-)
+from .instructions import CoolingEvent, Move, RamanPulse, RydbergGate
 
 #: ``Move.axis`` values in column encoding order (the columnar JSON codec
 #: stores axes as indices into this tuple).
 AXES = ("row", "col")
 
-#: Chunk-document column layout: ``(family key, column key, store attribute,
-#: encode, decode)``.  ``encode`` lowers a column slice to JSON primitives
-#: (``None`` when the scalars already are); ``decode`` is its exact inverse.
-#: Family and column keys match the ``columns`` table of the v2 columnar
-#: document (:mod:`repro.core.serialize`), so a chunk is a stage-range slice
+#: The column layout, stated once: ``(family key, column key, store
+#: attribute, encode, decode)``.  ``encode`` lowers a column slice to JSON
+#: primitives (``None`` when the scalars already are); ``decode`` is its
+#: exact inverse.  Family and column keys are the ``columns`` table of the
+#: v2 document (:mod:`repro.core.serialize`) and name the sections of the
+#: v3 record (:mod:`repro.core.binformat`); a chunk is a stage-range slice
 #: of that document with offsets rebased to 0.
 _COLUMN_SPEC: tuple = (
     ("raman", "qubit", "raman_qubit", None, None),
@@ -108,13 +100,37 @@ _OFFSET_SPEC: tuple = (
     ("amd", "off_amd"),
 )
 
+#: store attribute -> v3 section name (what a segment seek-read asks for)
+_SECTION: dict[str, str] = {
+    **{attr: f"{fam}.{key}" for fam, key, attr, _e, _d in _COLUMN_SPEC},
+    **{off_attr: f"off.{fam}" for fam, off_attr in _OFFSET_SPEC},
+}
+
+#: count aggregate -> its value over one in-memory column segment.  A
+#: spilling store takes every count at flush time, so count folds never
+#: touch its segment file.
+_SEGMENT_COUNTS: dict[str, Callable[["ProgramStore"], int]] = {
+    "num_stages": lambda s: len(s.off_gate) - 1,
+    "num_1q_gates": lambda s: len(s.raman_qubit),
+    "num_2q_gates": lambda s: len(s.gate_a),
+    "num_moves": lambda s: len(s.move_aod),
+    "num_cooling_events": lambda s: len(s.cool_aod),
+    # integer sum: any order is exact, so the vectorized form is safe
+    "num_cooling_cz": lambda s: (
+        2 * int(s.column_array("cool_atoms", np.int64).sum())
+    ),
+    "num_1q_stages": lambda s: s._active_stage_count("off_raman"),
+    "num_moving_stages": lambda s: s._active_stage_count("off_move"),
+    "two_qubit_depth": lambda s: s._active_stage_count("off_gate"),
+}
+
 
 def _duration_lut(params: HardwareParams) -> list[float]:
     """Stage duration for every (raman, move, gate, cool) activity combo.
 
-    Term order matches ``Stage.duration`` exactly (t_1q, then t_per_move,
-    then t_2q, then the cooling term), so ``lut[combo]`` is bit-identical
-    to the scalar if-chain for that stage.
+    Term order matches :meth:`StageView.duration` exactly (t_1q, then
+    t_per_move, then t_2q, then the cooling term), so ``lut[combo]`` is
+    bit-identical to the scalar if-chain for that stage.
     """
     t_1q = params.t_1q
     t_move = params.t_per_move
@@ -158,13 +174,11 @@ def _stage_times(
 
 
 class StageView:
-    """Lazy, ``Stage``-compatible view over one stage of a :class:`ProgramStore`.
+    """Lazy view over one stage of a :class:`ProgramStore`.
 
-    Attribute access materializes the legacy frozen dataclasses from the
-    column slices on first use and caches them, so a view that is only
-    asked for ``duration()`` or ``has_movement`` never builds an object
-    list.  Field order and values are bit-identical to the ``Stage`` the
-    legacy emission path would have produced.
+    Attribute access builds the instruction records from the column slices
+    on first use and caches them, so a view that is only asked for
+    ``duration()`` or ``has_movement`` never builds an object list.
     """
 
     __slots__ = (
@@ -186,7 +200,7 @@ class StageView:
         self._cooling: list[CoolingEvent] | None = None
         self._atom_move_distance: dict[int, float] | None = None
 
-    # -- materialized slices ---------------------------------------------------
+    # -- record slices ---------------------------------------------------------
 
     @property
     def one_qubit_gates(self) -> list[RamanPulse]:
@@ -247,6 +261,7 @@ class StageView:
 
     @property
     def atom_move_distance(self) -> dict[int, float]:
+        """Per-atom Euclidean move distance in metres, keyed by qubit slot."""
         if self._atom_move_distance is None:
             s = self._store
             lo, hi = s.off_amd[self._index], s.off_amd[self._index + 1]
@@ -257,7 +272,7 @@ class StageView:
             }
         return self._atom_move_distance
 
-    # -- Stage-compatible derived quantities ------------------------------------
+    # -- derived quantities ----------------------------------------------------
 
     @property
     def has_movement(self) -> bool:
@@ -274,7 +289,7 @@ class StageView:
         )
 
     def duration(self, params: HardwareParams) -> float:
-        """Wall-clock stage time; same term order as ``Stage.duration``."""
+        """Wall-clock stage time: Raman + move + Rydberg (+ cooling swap)."""
         s = self._store
         i = self._index
         t = 0.0
@@ -285,18 +300,10 @@ class StageView:
         if s.off_gate[i + 1] > s.off_gate[i]:
             t += params.t_2q
         if s.off_cool[i + 1] > s.off_cool[i]:
+            # two sequential CZ transfers plus the array exchange, modelled
+            # as one extra move plus the two CZ times
             t += params.t_per_move + 2 * params.t_2q
         return t
-
-    def materialize(self) -> Stage:
-        """A real (mutable, legacy) ``Stage`` with copies of every field."""
-        return Stage(
-            one_qubit_gates=list(self.one_qubit_gates),
-            moves=list(self.moves),
-            gates=list(self.gates),
-            cooling=list(self.cooling),
-            atom_move_distance=dict(self.atom_move_distance),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -332,26 +339,111 @@ class StageList:
         return (StageView(store, i) for i in range(store.num_stages))
 
 
+class _SegmentFile:
+    """Append-only file of length-prefixed v3 chunk records.
+
+    Holds a spilling store's flushed stage ranges.  Each record keeps the
+    segment's count aggregates (taken at flush time) and its section index
+    (column name -> absolute byte range), so folds seek-read only the
+    columns they need.  An instance with no records is a dense store's
+    (empty) flushed part.
+    """
+
+    def __init__(self, spill_dir: str | None = None) -> None:
+        self.spill_dir = spill_dir
+        self.path: str | None = None
+        self.records: list[dict] = []
+
+    def append(self, doc: dict, counts: dict[str, int]) -> None:
+        from . import binformat  # deferred: binformat imports this module
+
+        record = binformat.encode_chunk(doc)
+        if self.path is None:
+            fd, self.path = tempfile.mkstemp(
+                prefix="program-", suffix=".segs", dir=self.spill_dir
+            )
+            os.close(fd)
+        with open(self.path, "ab") as fh:
+            pos = fh.tell()
+            fh.write(len(record).to_bytes(4, "little"))
+            fh.write(record)
+        meta, payload_off = binformat.parse_record(record)
+        self.records.append(
+            {
+                "counts": counts,
+                # section byte ranges rebased to absolute file offsets
+                "index": binformat.section_index(meta, pos + 4 + payload_off),
+            }
+        )
+
+    def docs(self) -> Iterator[dict]:
+        """Decode every record back to its chunk doc, in stage order."""
+        if not self.records:
+            return
+        from . import binformat
+
+        with open(self.path, "rb") as fh:
+            for _ in self.records:
+                length = int.from_bytes(fh.read(4), "little")
+                yield binformat.decode_chunk(fh.read(length))
+
+    def arrays(self, dtype, attrs: tuple[str, ...]) -> Iterator[tuple]:
+        """Seek-read the named columns of each record as *dtype* arrays."""
+        if not self.records:
+            return
+        from . import binformat
+
+        names = [_SECTION[attr] for attr in attrs]
+        with open(self.path, "rb") as fh:
+            for record in self.records:
+                row = []
+                for name in names:
+                    sec, lo, hi = record["index"][name]
+                    fh.seek(lo)
+                    blob = fh.read(hi - lo)
+                    row.append(
+                        binformat.decode_section(sec, blob, as_array=True)
+                        .astype(dtype, copy=False)
+                    )
+                yield tuple(row)
+
+    def discard(self) -> None:
+        if self.path is not None:
+            try:
+                os.unlink(self.path)
+            except OSError:
+                pass
+            self.path = None
+            self.records.clear()
+
+
 @dataclass
 class ProgramStore:
     """A compiled RAA program in structure-of-arrays layout.
 
-    Drop-in compatible with :class:`~repro.core.instructions.RAAProgram`
-    for every consumer: the same top-level attributes, the same headline
-    metric properties (computed as column reductions), and ``stages``
-    exposing lazy :class:`StageView` objects.
+    Top-level attributes carry the compile-time bookkeeping (final
+    placement, heating and loss history, transfers, overlap rejections);
+    aggregate properties are folds over the column segments; ``stages``
+    exposes lazy :class:`StageView` objects.
 
     The store doubles as its own builder: the router appends scalars to
     the columns and calls :meth:`end_stage` to close each stage.  The
     offset lists always hold ``num_stages + 1`` entries (CSR convention,
-    leading 0).
+    leading 0) for the in-memory segment.
     """
 
+    #: logical circuit width
     num_qubits: int = 0
+    #: final slot -> :class:`AtomLocation` placement (home positions)
     qubit_locations: dict[int, AtomLocation] = field(default_factory=dict)
+    #: per-qubit vibrational quantum number after the last stage
     n_vib_final: dict[int, float] = field(default_factory=dict)
+    #: ``n_vib`` sample for every (atom, move) event, in emission order —
+    #: consumed by the movement-loss fidelity term
     atom_loss_log: list[float] = field(default_factory=list)
+    #: SLM<->AOD atom transfers (0 in the standard Atomique flow)
     num_transfers: int = 0
+    #: times a gate could not join a stage due to constraint 3 (Fig. 24)
     overlap_rejections: int = 0
     compile_seconds: float = 0.0
     #: wall-clock spent in the router's emission phase (the per-stage
@@ -398,6 +490,11 @@ class ProgramStore:
     off_cool: list[int] = field(default_factory=lambda: [0])
     off_amd: list[int] = field(default_factory=lambda: [0])
 
+    #: flushed column segments, in stage order, ahead of the in-memory one.
+    #: A class attribute (not a field): dense stores share this empty file
+    #: and never append to it; a spilling store owns its own.
+    _flushed = _SegmentFile()
+
     # -- building --------------------------------------------------------------
 
     def end_stage(self) -> None:
@@ -414,21 +511,109 @@ class ProgramStore:
         """Raman pulses appended since the last :meth:`end_stage`."""
         return len(self.raman_qubit) - self.off_raman[-1]
 
-    # -- stages ----------------------------------------------------------------
+    def extend(self, other: "ProgramStore") -> None:
+        """Append every stage of *other* (all its segments) after this
+        store's stages.
 
-    @property
-    def num_stages(self) -> int:
-        return len(self.off_gate) - 1
+        Column concatenation plus an offset-table splice.  Top-level fields
+        (locations, loss log, counters) are left to the caller.
+        """
+        for doc in other._flushed.docs():
+            self.extend_from_chunk(doc)
+        for _fam, _key, attr, _enc, _dec in _COLUMN_SPEC:
+            getattr(self, attr).extend(getattr(other, attr))
+        for _fam, off_attr in _OFFSET_SPEC:
+            mine = getattr(self, off_attr)
+            base = mine[-1]
+            mine.extend(base + o for o in getattr(other, off_attr)[1:])
 
-    @property
-    def stages(self) -> StageList:
-        return StageList(self)
+    def extend_from_chunk(self, chunk: dict) -> None:
+        """Append a :meth:`chunk_doc` stage range after this store's stages.
+
+        Column concatenation plus an offset splice — the assembly primitive
+        for v2 documents, streamed program transfers and spilled segment
+        files.
+        """
+        cols = chunk["columns"]
+        for fam, key, attr, _enc, dec in _COLUMN_SPEC:
+            values = cols[fam][key]
+            getattr(self, attr).extend(dec(values) if dec is not None else values)
+        offs = chunk["stage_offsets"]
+        for fam, off_attr in _OFFSET_SPEC:
+            mine = getattr(self, off_attr)
+            base = mine[-1]
+            mine.extend(base + o for o in offs[fam][1:])
+
+    # -- segments --------------------------------------------------------------
+
+    def chunk_doc(self, lo: int, hi: int) -> dict:
+        """JSON-ready slice of the in-memory closed stages ``[lo, hi)``.
+
+        The document mirrors the v2 format's ``columns`` / ``stage_offsets``
+        tables for just that stage range, with the offsets rebased to start
+        at 0 — so chunks are self-contained and concatenate by
+        :meth:`extend_from_chunk`.  Indices address the in-memory offset
+        tables (the whole program for a dense store).
+        """
+        closed = len(self.off_gate) - 1
+        if not 0 <= lo <= hi <= closed:
+            raise ValueError(f"stage range [{lo}, {hi}) outside 0..{closed}")
+        bases: dict[str, tuple[int, int]] = {}
+        offsets: dict[str, list[int]] = {}
+        for fam, off_attr in _OFFSET_SPEC:
+            off = getattr(self, off_attr)
+            base = off[lo]
+            bases[fam] = (base, off[hi])
+            offsets[fam] = [o - base for o in off[lo : hi + 1]]
+        columns: dict[str, dict[str, list]] = {fam: {} for fam, _ in _OFFSET_SPEC}
+        for fam, key, attr, enc, _dec in _COLUMN_SPEC:
+            base, top = bases[fam]
+            sliced = getattr(self, attr)[base:top]
+            columns[fam][key] = enc(sliced) if enc is not None else sliced
+        return {"stages": hi - lo, "columns": columns, "stage_offsets": offsets}
+
+    def iter_segment_docs(self) -> Iterator[dict]:
+        """Every closed stage as chunk docs, one per segment in stage order."""
+        yield from self._flushed.docs()
+        k = len(self.off_gate) - 1
+        if k > 0:
+            yield self.chunk_doc(0, k)
+
+    def collect(self) -> "ProgramStore":
+        """A dense store holding every stage: the store itself when nothing
+        was flushed, else a copy assembled from all its segments."""
+        if not self._flushed.records:
+            return self
+        full = ProgramStore(
+            **{
+                f.name: copy.copy(getattr(self, f.name))
+                for f in dataclasses.fields(ProgramStore)
+                if f.name not in _SECTION
+            }
+        )
+        full.extend(self)
+        return full
+
+    def discard(self) -> None:
+        """Delete any spilled segment file (the store must not be read
+        afterwards); a no-op for a dense store."""
+        self._flushed.discard()
+
+    def _segment_arrays(self, dtype, *attrs: str) -> Iterator[tuple]:
+        """The named columns as *dtype* arrays, one tuple per segment."""
+        yield from self._flushed.arrays(dtype, attrs)
+        yield tuple(self.column_array(attr, dtype) for attr in attrs)
+
+    def _count(self, key: str) -> int:
+        """Fold one count aggregate over every segment."""
+        flushed = sum(record["counts"][key] for record in self._flushed.records)
+        return flushed + _SEGMENT_COUNTS[key](self)
 
     # -- cached numpy column views ---------------------------------------------
 
     def column_array(self, attr: str, dtype) -> np.ndarray:
-        """Cached numpy view of a column (shared by the binary codec's
-        ``tobytes`` packing and the vectorized reductions below).
+        """Cached numpy view of an in-memory column (shared by the binary
+        codec's ``tobytes`` packing and the vectorized reductions).
 
         Entries are keyed by ``(attr, dtype)`` and validated against the
         column length, so router appends (which always grow the list)
@@ -452,59 +637,74 @@ class ProgramStore:
         self.__dict__.pop("_np_views", None)
 
     def _active_stage_count(self, off_attr: str) -> int:
-        """Stages whose family slice is non-empty (exact: integer compare)."""
+        """In-memory stages whose family slice is non-empty."""
         off = self.column_array(off_attr, np.int64)
         if off.size <= 1:
             return 0
         return int(np.count_nonzero(off[1:] > off[:-1]))
 
-    # -- headline metrics (column reductions) ----------------------------------
+    # -- stages ----------------------------------------------------------------
+
+    @property
+    def num_stages(self) -> int:
+        return self._count("num_stages")
+
+    @property
+    def stages(self) -> StageList:
+        """Lazy stage views (a spilling store is densified first)."""
+        return StageList(self.collect())
+
+    # -- headline metrics (segment folds) --------------------------------------
 
     @property
     def num_2q_gates(self) -> int:
         """Two-qubit gates executed by Rydberg pulses (cooling CZs excluded)."""
-        return len(self.gate_a)
+        return self._count("num_2q_gates")
 
     @property
     def num_cooling_cz(self) -> int:
-        """CZ gates spent on cooling swaps."""
-        # integer sum: any order is exact, so the vectorized form is safe
-        return 2 * int(self.column_array("cool_atoms", np.int64).sum())
+        """CZ gates spent on cooling swaps (two per atom in the array)."""
+        return self._count("num_cooling_cz")
 
     @property
     def num_1q_gates(self) -> int:
-        return len(self.raman_qubit)
+        return self._count("num_1q_gates")
 
     @property
     def two_qubit_depth(self) -> int:
         """Number of stages whose Rydberg pulse executes at least one gate."""
-        return self._active_stage_count("off_gate")
+        return self._count("two_qubit_depth")
 
     @property
     def num_moves(self) -> int:
-        return len(self.move_aod)
+        return self._count("num_moves")
 
     @property
     def num_moving_stages(self) -> int:
         """Stages that move at least one AOD line."""
-        return self._active_stage_count("off_move")
+        return self._count("num_moving_stages")
 
     @property
     def num_1q_stages(self) -> int:
         """Stages that flush at least one Raman pulse."""
-        return self._active_stage_count("off_raman")
+        return self._count("num_1q_stages")
+
+    @property
+    def num_cooling_events(self) -> int:
+        return self._count("num_cooling_events")
 
     def total_move_distance(self, params: HardwareParams) -> float:
-        """Total AOD line travel in metres (same summation order as the
-        object walk: moves in stage order).
+        """Total AOD line travel in metres, summed over moves in stage order.
 
         Per-move distances are computed elementwise in float64 (bit-equal
         to the scalar ``abs(e - s) * pitch``); only the accumulation stays
-        sequential, preserving the dense sum's left-to-right order.
+        sequential, left to right across segments.
         """
-        start = self.column_array("move_start", np.float64)
-        end = self.column_array("move_end", np.float64)
-        return sum((np.abs(end - start) * params.atom_distance).tolist())
+        pitch = params.atom_distance
+        total = 0
+        for start, end in self._segment_arrays(np.float64, "move_start", "move_end"):
+            total = sum((np.abs(end - start) * pitch).tolist(), total)
+        return total
 
     def avg_move_distance(self, params: HardwareParams) -> float:
         """Mean per-stage line travel (metres); Fig. 20's 'Avg. Moving Distance'."""
@@ -514,189 +714,32 @@ class ProgramStore:
         return self.total_move_distance(params) / moving
 
     def execution_time(self, params: HardwareParams) -> float:
-        """Wall-clock execution time in seconds (term and stage order
-        identical to ``sum(Stage.duration)``).
+        """Wall-clock execution time in seconds: the stage durations summed
+        in stage order.
 
         Vectorized via the 16-entry activity-combo LUT: per-stage durations
-        come from :func:`_stage_times` (each LUT entry built with the exact
-        scalar term order), then accumulate sequentially in stage order.
+        come from :func:`_stage_times`, then accumulate sequentially.
         """
-        times = _stage_times(
-            self.column_array("off_raman", np.int64),
-            self.column_array("off_move", np.int64),
-            self.column_array("off_gate", np.int64),
-            self.column_array("off_cool", np.int64),
-            np.asarray(_duration_lut(params), dtype=np.float64),
-        )
-        return sum(times, 0.0)
-
-    @property
-    def num_cooling_events(self) -> int:
-        return len(self.cool_aod)
+        lut = np.asarray(_duration_lut(params), dtype=np.float64)
+        total = 0.0
+        for offsets in self._segment_arrays(
+            np.int64, "off_raman", "off_move", "off_gate", "off_cool"
+        ):
+            total = sum(_stage_times(*offsets, lut), total)
+        return total
 
     def gate_pairs(self) -> list[tuple[int, int]]:
         """All executed 2Q pairs in order (for equivalence checks)."""
-        return list(zip(self.gate_a, self.gate_b))
-
-    def iter_gate_n_vib(self) -> Iterator[float]:
-        """``n_vib`` per executed 2Q gate, in execution order.
-
-        Fidelity scoring consumes this instead of the raw column so a
-        :class:`SpillingProgramStore` can stream flushed segments from disk.
-        """
-        return iter(self.gate_n_vib)
+        pairs: list[tuple[int, int]] = []
+        for a, b in self._segment_arrays(np.int64, "gate_a", "gate_b"):
+            pairs.extend(zip(a.tolist(), b.tolist()))
+        return pairs
 
     def gate_n_vib_arrays(self) -> Iterator[np.ndarray]:
-        """``n_vib`` as float64 array chunks, in execution order.
-
-        The vectorized form of :meth:`iter_gate_n_vib`: one cached view for
-        a dense store, one array per flushed binary segment (plus the
-        in-memory tail) for a spilling store.
-        """
-        yield self.column_array("gate_n_vib", np.float64)
-
-    # -- stage-range chunks ----------------------------------------------------
-
-    def chunk_doc(self, lo: int, hi: int) -> dict:
-        """JSON-ready slice of the in-memory closed stages ``[lo, hi)``.
-
-        The document mirrors the v2 columnar format's ``columns`` /
-        ``stage_offsets`` tables for just that stage range, with the
-        offsets rebased to start at 0 — so chunks are self-contained and
-        concatenate by :meth:`extend_from_chunk`.  Indices address this
-        store's offset tables directly (for a plain store that is the full
-        program; a spilling store's tables only cover the in-memory tail).
-        """
-        closed = len(self.off_gate) - 1
-        if not 0 <= lo <= hi <= closed:
-            raise ValueError(f"stage range [{lo}, {hi}) outside 0..{closed}")
-        bases: dict[str, tuple[int, int]] = {}
-        offsets: dict[str, list[int]] = {}
-        for fam, off_attr in _OFFSET_SPEC:
-            off = getattr(self, off_attr)
-            base = off[lo]
-            bases[fam] = (base, off[hi])
-            offsets[fam] = [o - base for o in off[lo : hi + 1]]
-        columns: dict[str, dict[str, list]] = {fam: {} for fam, _ in _OFFSET_SPEC}
-        for fam, key, attr, enc, _dec in _COLUMN_SPEC:
-            base, top = bases[fam]
-            sliced = getattr(self, attr)[base:top]
-            columns[fam][key] = enc(sliced) if enc is not None else sliced
-        return {"stages": hi - lo, "columns": columns, "stage_offsets": offsets}
-
-    def extend_from_chunk(self, chunk: dict) -> None:
-        """Append a :meth:`chunk_doc` stage range after this store's stages.
-
-        The columnar equivalent of replaying the chunk's stages through
-        :meth:`append_stage` — column concatenation plus an offset splice —
-        and the assembly primitive for streamed program transfers and
-        spilled segment files.
-        """
-        cols = chunk["columns"]
-        for fam, key, attr, _enc, dec in _COLUMN_SPEC:
-            values = cols[fam][key]
-            getattr(self, attr).extend(dec(values) if dec is not None else values)
-        offs = chunk["stage_offsets"]
-        for fam, off_attr in _OFFSET_SPEC:
-            mine = getattr(self, off_attr)
-            base = mine[-1]
-            mine.extend(base + o for o in offs[fam][1:])
-
-    # -- conversions -----------------------------------------------------------
-
-    def append_stage(self, stage: Stage | StageView) -> None:
-        """Ingest one object-graph stage (fields copied into the columns)."""
-        for p in stage.one_qubit_gates:
-            self.raman_qubit.append(p.qubit)
-            self.raman_name.append(p.name)
-            self.raman_params.append(p.params)
-        for m in stage.moves:
-            self.move_aod.append(m.aod)
-            self.move_axis.append(m.axis)
-            self.move_index.append(m.index)
-            self.move_start.append(m.start)
-            self.move_end.append(m.end)
-        for g in stage.gates:
-            self.gate_a.append(g.qubit_a)
-            self.gate_b.append(g.qubit_b)
-            self.gate_site_r.append(g.site[0])
-            self.gate_site_c.append(g.site[1])
-            self.gate_n_vib.append(g.n_vib)
-            self.gate_name.append(g.name)
-            self.gate_params.append(g.params)
-        for c in stage.cooling:
-            self.cool_aod.append(c.aod)
-            self.cool_atoms.append(c.num_atoms)
-        for q, d in stage.atom_move_distance.items():
-            self.amd_qubit.append(q)
-            self.amd_dist.append(d)
-        self.end_stage()
-
-    def extend(self, other: "ProgramStore") -> None:
-        """Append every stage of *other* after this store's stages.
-
-        Column concatenation plus an offset-table splice — the columnar
-        equivalent of ``stages.extend(other.stages)``.  Top-level fields
-        (locations, loss log, counters) are left to the caller.
-        """
-        self.raman_qubit.extend(other.raman_qubit)
-        self.raman_name.extend(other.raman_name)
-        self.raman_params.extend(other.raman_params)
-        self.move_aod.extend(other.move_aod)
-        self.move_axis.extend(other.move_axis)
-        self.move_index.extend(other.move_index)
-        self.move_start.extend(other.move_start)
-        self.move_end.extend(other.move_end)
-        self.gate_a.extend(other.gate_a)
-        self.gate_b.extend(other.gate_b)
-        self.gate_site_r.extend(other.gate_site_r)
-        self.gate_site_c.extend(other.gate_site_c)
-        self.gate_n_vib.extend(other.gate_n_vib)
-        self.gate_name.extend(other.gate_name)
-        self.gate_params.extend(other.gate_params)
-        self.cool_aod.extend(other.cool_aod)
-        self.cool_atoms.extend(other.cool_atoms)
-        self.amd_qubit.extend(other.amd_qubit)
-        self.amd_dist.extend(other.amd_dist)
-        for mine, theirs in (
-            (self.off_raman, other.off_raman),
-            (self.off_move, other.off_move),
-            (self.off_gate, other.off_gate),
-            (self.off_cool, other.off_cool),
-            (self.off_amd, other.off_amd),
-        ):
-            base = mine[-1]
-            mine.extend(base + off for off in theirs[1:])
-
-    @classmethod
-    def from_program(cls, program: "RAAProgram | ProgramStore") -> "ProgramStore":
-        """Columnar copy of any program representation."""
-        store = cls(
-            num_qubits=program.num_qubits,
-            qubit_locations=dict(program.qubit_locations),
-            n_vib_final=dict(program.n_vib_final),
-            atom_loss_log=list(program.atom_loss_log),
-            num_transfers=program.num_transfers,
-            overlap_rejections=program.overlap_rejections,
-            compile_seconds=program.compile_seconds,
-            emit_seconds=getattr(program, "emit_seconds", 0.0),
-        )
-        for stage in program.stages:
-            store.append_stage(stage)
-        return store
-
-    def to_program(self) -> RAAProgram:
-        """Materialize the legacy object-graph representation."""
-        return RAAProgram(
-            stages=[view.materialize() for view in self.stages],
-            num_qubits=self.num_qubits,
-            qubit_locations=dict(self.qubit_locations),
-            n_vib_final=dict(self.n_vib_final),
-            atom_loss_log=list(self.atom_loss_log),
-            num_transfers=self.num_transfers,
-            overlap_rejections=self.overlap_rejections,
-            compile_seconds=self.compile_seconds,
-        )
+        """``n_vib`` per executed 2Q gate as float64 arrays, one per
+        segment, in execution order (what fidelity scoring reads)."""
+        for (n_vib,) in self._segment_arrays(np.float64, "gate_n_vib"):
+            yield n_vib
 
 
 #: environment switch: set to a directory path to make the router emit into
@@ -718,21 +761,10 @@ class SpillingProgramStore(ProgramStore):
     objects before emission starts.  Emission RSS is therefore bounded by
     the segment size, not the circuit size.
 
-    Aggregates stay bit-identical to a dense store: counting reductions
-    come from running counters accumulated at flush time in stage order,
-    and float reductions (:meth:`execution_time`,
-    :meth:`total_move_distance`, :meth:`iter_gate_n_vib`) *seek-read* just
-    the columns they need from each flushed segment (the per-segment
-    section index captured at flush time maps a column name to its byte
-    range), then walk the in-memory tail — per-element arithmetic is
-    vectorized, accumulation order matches the dense loops exactly.
-    Random access (``stages``, ``to_program``) transparently materializes
-    a dense copy via :meth:`collect`.
-
-    Only closed stages are covered by segments; rows appended after the
-    last ``end_stage`` live in the in-memory tail (same as a dense store).
-    The segment file is not reference-counted — call :meth:`discard` when
-    the program is no longer needed.
+    Aggregates need nothing here: the base folds walk the flushed segments
+    (their counts taken at flush time, their columns seek-read) before the
+    in-memory tail.  The segment file is not reference-counted — call
+    :meth:`discard` when the program is no longer needed.
     """
 
     def __init__(
@@ -743,75 +775,23 @@ class SpillingProgramStore(ProgramStore):
         segment_stages: int = DEFAULT_SEGMENT_STAGES,
     ) -> None:
         super().__init__(num_qubits=num_qubits)
-        self.spill_dir = spill_dir
         self.segment_stages = max(1, int(segment_stages))
-        self.segment_path: str | None = None
-        self._flushed_stages = 0
-        #: per-flushed-segment section indexes: name -> (descriptor, lo, hi)
-        #: byte ranges into the segment file, captured at flush time
-        self._segments: list[dict] = []
-        self._f_1q = 0
-        self._f_2q = 0
-        self._f_moves = 0
-        self._f_cool_events = 0
-        self._f_cool_cz = 0
-        self._f_2q_depth = 0
-        self._f_moving_stages = 0
-        self._f_1q_stages = 0
-        self._collected: ProgramStore | None = None
+        self._flushed = _SegmentFile(spill_dir)
 
-    # -- building --------------------------------------------------------------
+    @property
+    def segment_path(self) -> str | None:
+        return self._flushed.path
 
     def end_stage(self) -> None:
         super().end_stage()
-        self._collected = None
         if len(self.off_gate) - 1 >= self.segment_stages:
             self._flush()
 
     def _flush(self) -> None:
         """Spill every closed in-memory stage to the segment file."""
         k = len(self.off_gate) - 1
-        if k <= 0:
-            return
-        from . import binformat  # deferred: binformat imports this module
-
-        doc = self.chunk_doc(0, k)
-        off_r = self.column_array("off_raman", np.int64)
-        off_m = self.column_array("off_move", np.int64)
-        off_g = self.column_array("off_gate", np.int64)
-        off_c = self.column_array("off_cool", np.int64)
-        self._f_1q += int(off_r[k])
-        self._f_2q += int(off_g[k])
-        self._f_moves += int(off_m[k])
-        self._f_cool_events += int(off_c[k])
-        self._f_cool_cz += 2 * int(
-            self.column_array("cool_atoms", np.int64)[: int(off_c[k])].sum()
-        )
-        self._f_2q_depth += int(np.count_nonzero(off_g[1:] > off_g[:-1]))
-        self._f_moving_stages += int(np.count_nonzero(off_m[1:] > off_m[:-1]))
-        self._f_1q_stages += int(np.count_nonzero(off_r[1:] > off_r[:-1]))
-        record = binformat.encode_chunk(doc)
-        if self.segment_path is None:
-            fd, self.segment_path = tempfile.mkstemp(
-                prefix="program-", suffix=".segs", dir=self.spill_dir
-            )
-            os.close(fd)
-        with open(self.segment_path, "ab") as fh:
-            pos = fh.tell()
-            fh.write(len(record).to_bytes(4, "little"))
-            fh.write(record)
-        meta, payload_off = binformat.parse_record(record)
-        start = pos + 4
-        self._segments.append(
-            {
-                "start": start,
-                "length": len(record),
-                "stages": k,
-                # section byte ranges rebased to absolute file offsets,
-                # so reductions can seek straight to one column
-                "index": binformat.section_index(meta, start + payload_off),
-            }
-        )
+        counts = {key: count(self) for key, count in _SEGMENT_COUNTS.items()}
+        self._flushed.append(self.chunk_doc(0, k), counts)
         cuts = {fam: getattr(self, off_attr)[k] for fam, off_attr in _OFFSET_SPEC}
         for fam, _key, attr, _enc, _dec in _COLUMN_SPEC:
             del getattr(self, attr)[: cuts[fam]]
@@ -822,205 +802,6 @@ class SpillingProgramStore(ProgramStore):
         # the in-place truncation/rebase above can leave stale same-length
         # cached views behind — drop them all
         self.drop_column_arrays()
-        self._flushed_stages += k
-
-    def discard(self) -> None:
-        """Delete the segment file (the store must not be read afterwards)."""
-        if self.segment_path is not None:
-            try:
-                os.unlink(self.segment_path)
-            except OSError:
-                pass
-            self.segment_path = None
-            self._segments.clear()
-
-    # -- segment iteration -----------------------------------------------------
-
-    def _iter_flushed_docs(self) -> Iterator[dict]:
-        """Decode every flushed segment record back to its chunk doc."""
-        if self.segment_path is None:
-            return
-        from . import binformat
-
-        with open(self.segment_path, "rb") as fh:
-            while True:
-                head = fh.read(4)
-                if len(head) < 4:
-                    return
-                length = int.from_bytes(head, "little")
-                yield binformat.decode_chunk(fh.read(length))
-
-    def _iter_segment_columns(
-        self, *names: str, as_array: bool = False
-    ) -> Iterator[tuple]:
-        """Seek-read the named columns from each flushed segment.
-
-        Yields one tuple of columns per segment, touching only the
-        requested byte ranges — no whole-record decode, no JSON replay.
-        """
-        if not self._segments:
-            return
-        from . import binformat
-
-        with open(self.segment_path, "rb") as fh:
-            for segment in self._segments:
-                index = segment["index"]
-                row = []
-                for name in names:
-                    sec, lo, hi = index[name]
-                    fh.seek(lo)
-                    row.append(
-                        binformat.decode_section(
-                            sec, fh.read(hi - lo), as_array=as_array
-                        )
-                    )
-                yield tuple(row)
-
-    def iter_segment_docs(self) -> Iterator[dict]:
-        """All closed stages as chunk docs: flushed segments, then the tail."""
-        yield from self._iter_flushed_docs()
-        k = len(self.off_gate) - 1
-        if k > 0:
-            yield self.chunk_doc(0, k)
-
-    def collect(self) -> ProgramStore:
-        """Materialize a dense :class:`ProgramStore` (segments + tail)."""
-        full = ProgramStore(
-            num_qubits=self.num_qubits,
-            qubit_locations=dict(self.qubit_locations),
-            n_vib_final=dict(self.n_vib_final),
-            atom_loss_log=list(self.atom_loss_log),
-            num_transfers=self.num_transfers,
-            overlap_rejections=self.overlap_rejections,
-            compile_seconds=self.compile_seconds,
-            emit_seconds=self.emit_seconds,
-            probe_seconds=self.probe_seconds,
-        )
-        for doc in self.iter_segment_docs():
-            full.extend_from_chunk(doc)
-        # rows appended since the last end_stage ride along outside the
-        # offset tables, exactly as in the dense representation
-        cuts = {fam: getattr(self, off_attr)[-1] for fam, off_attr in _OFFSET_SPEC}
-        for fam, _key, attr, _enc, _dec in _COLUMN_SPEC:
-            getattr(full, attr).extend(getattr(self, attr)[cuts[fam] :])
-        return full
-
-    # -- stages ----------------------------------------------------------------
-
-    @property
-    def num_stages(self) -> int:
-        return self._flushed_stages + len(self.off_gate) - 1
-
-    @property
-    def stages(self) -> StageList:
-        if self._flushed_stages == 0:
-            return StageList(self)
-        if self._collected is None:
-            self._collected = self.collect()
-        return self._collected.stages
-
-    # -- headline metrics (flushed counters + in-memory tail) ------------------
-
-    @property
-    def num_2q_gates(self) -> int:
-        return self._f_2q + len(self.gate_a)
-
-    @property
-    def num_cooling_cz(self) -> int:
-        return self._f_cool_cz + sum(2 * n for n in self.cool_atoms)
-
-    @property
-    def num_1q_gates(self) -> int:
-        return self._f_1q + len(self.raman_qubit)
-
-    @property
-    def two_qubit_depth(self) -> int:
-        off = self.off_gate
-        tail = sum(1 for i in range(len(off) - 1) if off[i + 1] > off[i])
-        return self._f_2q_depth + tail
-
-    @property
-    def num_moves(self) -> int:
-        return self._f_moves + len(self.move_aod)
-
-    @property
-    def num_moving_stages(self) -> int:
-        off = self.off_move
-        tail = sum(1 for i in range(len(off) - 1) if off[i + 1] > off[i])
-        return self._f_moving_stages + tail
-
-    @property
-    def num_1q_stages(self) -> int:
-        off = self.off_raman
-        tail = sum(1 for i in range(len(off) - 1) if off[i + 1] > off[i])
-        return self._f_1q_stages + tail
-
-    @property
-    def num_cooling_events(self) -> int:
-        return self._f_cool_events + len(self.cool_aod)
-
-    def total_move_distance(self, params: HardwareParams) -> float:
-        # same left-to-right accumulation as the dense sum(): flushed rows
-        # in segment order, then the in-memory tail — only the per-move
-        # distances are vectorized (elementwise float64, bit-equal)
-        pitch = params.atom_distance
-        total = 0
-        for start, end in self._iter_segment_columns(
-            "moves.start", "moves.end", as_array=True
-        ):
-            deltas = np.abs(
-                end.astype(np.float64) - start.astype(np.float64)
-            )
-            total = sum((deltas * pitch).tolist(), total)
-        start = self.column_array("move_start", np.float64)
-        end = self.column_array("move_end", np.float64)
-        return float(sum((np.abs(end - start) * pitch).tolist(), total))
-
-    def execution_time(self, params: HardwareParams) -> float:
-        lut = np.asarray(_duration_lut(params), dtype=np.float64)
-        total = 0.0
-        for off_r, off_m, off_g, off_c in self._iter_segment_columns(
-            "off.raman", "off.moves", "off.gates", "off.cooling",
-            as_array=True,
-        ):
-            times = _stage_times(
-                off_r.astype(np.int64),
-                off_m.astype(np.int64),
-                off_g.astype(np.int64),
-                off_c.astype(np.int64),
-                lut,
-            )
-            total = sum(times, total)
-        times = _stage_times(
-            self.column_array("off_raman", np.int64),
-            self.column_array("off_move", np.int64),
-            self.column_array("off_gate", np.int64),
-            self.column_array("off_cool", np.int64),
-            lut,
-        )
-        return sum(times, total)
-
-    def gate_pairs(self) -> list[tuple[int, int]]:
-        pairs: list[tuple[int, int]] = []
-        for a, b in self._iter_segment_columns("gates.a", "gates.b"):
-            pairs.extend(zip(a, b))
-        pairs.extend(zip(self.gate_a, self.gate_b))
-        return pairs
-
-    def iter_gate_n_vib(self) -> Iterator[float]:
-        for (n_vib,) in self._iter_segment_columns("gates.n_vib"):
-            yield from n_vib
-        yield from self.gate_n_vib
-
-    def gate_n_vib_arrays(self) -> Iterator[np.ndarray]:
-        for (n_vib,) in self._iter_segment_columns(
-            "gates.n_vib", as_array=True
-        ):
-            yield n_vib.astype(np.float64)
-        yield self.column_array("gate_n_vib", np.float64)
-
-    def to_program(self) -> RAAProgram:
-        return self.collect().to_program()
 
 
 def emission_store(num_qubits: int) -> ProgramStore:
@@ -1039,7 +820,3 @@ def emission_store(num_qubits: int) -> ProgramStore:
         spill_dir=spill_dir,
         segment_stages=segment_stages,
     )
-
-
-#: Any compiled-program representation a consumer may receive.
-Program = RAAProgram | ProgramStore

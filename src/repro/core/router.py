@@ -285,8 +285,8 @@ class HighParallelismRouter:
         moves, Rydberg gates, cooling events, per-atom displacements — is
         appended as scalars to the returned :class:`ProgramStore`'s flat
         columns, and a stage closes with one offset-table append.  No
-        ``Stage``/``Move``/``RydbergGate`` objects exist on this path; the
-        store's lazy views materialize them on demand for consumers.
+        ``RamanPulse``/``Move``/``RydbergGate`` objects exist on this path;
+        the store's lazy stage views build them on demand for consumers.
 
         ``emit_seconds`` on the result accumulates the wall-clock of the
         per-stage *record-keeping* blocks — Raman-pulse emission,

@@ -3,7 +3,8 @@
 ``F = F_1Q * F_2Q * F_transfer * F_mov`` where ``F_mov`` multiplies the four
 movement terms of Sec. IV.  Two entry points:
 
-* :func:`estimate_raa_fidelity` — consumes a compiled :class:`RAAProgram`;
+* :func:`estimate_raa_fidelity` — consumes a compiled
+  :class:`~repro.core.program.ProgramStore`;
 * :func:`estimate_circuit_fidelity` — consumes a routed FAA/superconducting
   circuit (no movement terms; SWAPs already expanded into the gate counts).
 
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from ..circuits.circuit import QuantumCircuit
-from ..core.program import Program, ProgramStore
+from ..core.program import ProgramStore
 from ..hardware.parameters import HardwareParams
 from . import movement_noise as mov
 
@@ -86,33 +87,20 @@ def _two_qubit_term(
 
 
 def estimate_raa_fidelity(
-    program: Program, params: HardwareParams
+    program: ProgramStore, params: HardwareParams
 ) -> FidelityReport:
     """Fidelity of a compiled RAA program (movement terms included).
 
-    Accepts either program representation.  For a columnar
-    :class:`~repro.core.program.ProgramStore` the aggregates are column
-    reductions — stage-occupancy counts off the offset table and the
-    ``n_vib`` column read as-is (same values, same order as the object
-    walk); no stage views are materialized.
+    Every aggregate is a fold over the store's column segments —
+    stage-occupancy counts off the offset tables and the ``n_vib`` column
+    read as numpy arrays, one per segment in gate order; no stage views
+    are built.
     """
     n = program.num_qubits
-    if isinstance(program, ProgramStore):
-        num_1q_layers = program.num_1q_stages
-        num_moving = program.num_moving_stages
-        # column arrays, not per-gate python floats: a dense store hands
-        # over one cached numpy view, a SpillingProgramStore one array
-        # per flushed binary segment (seek-read, no JSONL replay) plus
-        # the in-memory tail — same values, same gate order either way
-        f_heating = mov.movement_heating_fidelity_arrays(
-            program.gate_n_vib_arrays(), params
-        )
-    else:
-        num_1q_layers = sum(1 for s in program.stages if s.one_qubit_gates)
-        num_moving = sum(1 for s in program.stages if s.moves)
-        f_heating = mov.movement_heating_fidelity(
-            [g.n_vib for s in program.stages for g in s.gates], params
-        )
+    num_moving = program.num_moving_stages
+    f_heating = mov.movement_heating_fidelity_arrays(
+        program.gate_n_vib_arrays(), params
+    )
 
     f_transfer = (1.0 - params.p_transfer_loss) ** program.num_transfers
     if program.num_transfers:
@@ -121,7 +109,9 @@ def estimate_raa_fidelity(
         )
 
     return FidelityReport(
-        f_1q=_one_qubit_term(program.num_1q_gates, num_1q_layers, n, params),
+        f_1q=_one_qubit_term(
+            program.num_1q_gates, program.num_1q_stages, n, params
+        ),
         f_2q=_two_qubit_term(
             program.num_2q_gates, program.two_qubit_depth, n, params
         ),

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from ..analysis.metrics import CompiledMetrics
-from ..core.serialize import store_from_program_header
+from ..core.serialize import store_from_header
 from ..experiments.batch import CompileJob
 from .wire import (
     FRAME_HEADER_LEN,
@@ -370,7 +370,7 @@ class ServiceClient:
                     if on_event is not None:
                         on_event(dict(message))
                 elif event == "program_header":
-                    store = store_from_program_header(message["header"])
+                    store = store_from_header(message["header"])
                 elif event == "program_chunk":
                     chunk = message.get("chunk")
                     if store is None or not isinstance(chunk, BinaryDoc):

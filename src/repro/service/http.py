@@ -227,7 +227,10 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             return {}
         try:
             body = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad JSON, undecodable text and over-long
+            # integer literals; RecursionError, nesting past the parser's
+            # depth limit — all the client's fault, none worth a 500
             raise GatewayError(400, f"request body is not JSON: {exc}")
         if not isinstance(body, dict):
             raise GatewayError(400, "request body must be a JSON object")
@@ -353,7 +356,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     ) -> tuple[int, dict[str, Any]]:
         self._authenticated(gateway)
         store = gateway.client().program(path["id"])
-        return 200, {"program": program_to_dict(store, columnar=True)}
+        return 200, {"program": program_to_dict(store)}
 
     def _op_cancel(
         self, gateway: "HttpGateway", path: dict, query: dict

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.program import Program, ProgramStore
+from ..core.program import ProgramStore
 from ..hardware.parameters import HardwareParams
 from ..noise.movement_noise import atom_loss_probability, heating_gate_factor
 
@@ -60,80 +60,52 @@ class MonteCarloResult:
         return hist
 
 
-def _stage_events(program: Program, params: HardwareParams):
+def _stage_events(program: ProgramStore, params: HardwareParams):
     """Precompute per-stage Bernoulli failure probabilities.
 
     Returns a list of ``(stage_index, kind, probability, atom)`` events in
     execution order.  Loss events are matched to the analytic model by
     consuming ``program.atom_loss_log`` in order (one sample per moved atom
-    per stage, recorded post-move).
-
-    A columnar :class:`~repro.core.program.ProgramStore` is consumed by
-    slicing its columns per stage — same events, same order, no object
-    views; the legacy object walk is kept for materialized programs and
-    the differential tests pin the two paths against each other.
+    per stage, recorded post-move).  The store's columns are sliced per
+    stage; no stage views are built.
     """
     events = []
     loss_iter = iter(program.atom_loss_log)
     n = program.num_qubits
-    if isinstance(program, ProgramStore):
-        s = program
-        p_1q = 1.0 - params.f_1q
-        p_deco_1q = 1.0 - math.exp(-params.t_1q / params.t1 * n)
-        p_deco_move = 1.0 - math.exp(-params.t_per_move / params.t1 * n)
-        p_deco_2q = 1.0 - math.exp(-params.t_2q / params.t1 * n)
-        p_cool = 1.0 - params.f_2q
-        for si in range(s.num_stages):
-            if s.off_raman[si + 1] > s.off_raman[si]:
-                for _ in range(s.off_raman[si + 1] - s.off_raman[si]):
-                    events.append((si, "1q", p_1q, None))
-                # layered 1Q decoherence
-                events.append((si, "deco", p_deco_1q, None))
-            for i in range(s.off_amd[si], s.off_amd[si + 1]):
-                nv = next(loss_iter)
-                events.append(
-                    (si, "loss", atom_loss_probability(nv, params), s.amd_qubit[i])
-                )
-            if s.off_move[si + 1] > s.off_move[si]:
-                events.append((si, "deco", p_deco_move, None))
-            for i in range(s.off_gate[si], s.off_gate[si + 1]):
-                p_gate = 1.0 - params.f_2q * heating_gate_factor(
-                    s.gate_n_vib[i], params
-                )
-                events.append((si, "2q", min(max(p_gate, 0.0), 1.0), None))
-            if s.off_gate[si + 1] > s.off_gate[si]:
-                events.append((si, "deco", p_deco_2q, None))
-            for i in range(s.off_cool[si], s.off_cool[si + 1]):
-                for _ in range(2 * s.cool_atoms[i]):
-                    events.append((si, "cooling", p_cool, None))
-        return events
-    for si, stage in enumerate(program.stages):
-        if stage.one_qubit_gates:
-            for _ in stage.one_qubit_gates:
-                events.append((si, "1q", 1.0 - params.f_1q, None))
+    s = program.collect()
+    p_1q = 1.0 - params.f_1q
+    p_deco_1q = 1.0 - math.exp(-params.t_1q / params.t1 * n)
+    p_deco_move = 1.0 - math.exp(-params.t_per_move / params.t1 * n)
+    p_deco_2q = 1.0 - math.exp(-params.t_2q / params.t1 * n)
+    p_cool = 1.0 - params.f_2q
+    for si in range(s.num_stages):
+        if s.off_raman[si + 1] > s.off_raman[si]:
+            for _ in range(s.off_raman[si + 1] - s.off_raman[si]):
+                events.append((si, "1q", p_1q, None))
             # layered 1Q decoherence
-            p_deco = 1.0 - math.exp(-params.t_1q / params.t1 * n)
-            events.append((si, "deco", p_deco, None))
-        for q in stage.atom_move_distance:
+            events.append((si, "deco", p_deco_1q, None))
+        for i in range(s.off_amd[si], s.off_amd[si + 1]):
             nv = next(loss_iter)
-            events.append((si, "loss", atom_loss_probability(nv, params), q))
-        if stage.moves:
-            p_deco = 1.0 - math.exp(-params.t_per_move / params.t1 * n)
-            events.append((si, "deco", p_deco, None))
-        for g in stage.gates:
-            p_gate = 1.0 - params.f_2q * heating_gate_factor(g.n_vib, params)
+            events.append(
+                (si, "loss", atom_loss_probability(nv, params), s.amd_qubit[i])
+            )
+        if s.off_move[si + 1] > s.off_move[si]:
+            events.append((si, "deco", p_deco_move, None))
+        for i in range(s.off_gate[si], s.off_gate[si + 1]):
+            p_gate = 1.0 - params.f_2q * heating_gate_factor(
+                s.gate_n_vib[i], params
+            )
             events.append((si, "2q", min(max(p_gate, 0.0), 1.0), None))
-        if stage.gates:
-            p_deco = 1.0 - math.exp(-params.t_2q / params.t1 * n)
-            events.append((si, "deco", p_deco, None))
-        for cool in stage.cooling:
-            for _ in range(cool.num_cz):
-                events.append((si, "cooling", 1.0 - params.f_2q, None))
+        if s.off_gate[si + 1] > s.off_gate[si]:
+            events.append((si, "deco", p_deco_2q, None))
+        for i in range(s.off_cool[si], s.off_cool[si + 1]):
+            for _ in range(2 * s.cool_atoms[i]):
+                events.append((si, "cooling", p_cool, None))
     return events
 
 
 def run_monte_carlo(
-    program: Program,
+    program: ProgramStore,
     params: HardwareParams,
     trials: int = 2000,
     seed: int = 0,
@@ -166,7 +138,7 @@ def run_monte_carlo(
     return MonteCarloResult(trials=trials, successes=successes, outcomes=outcomes)
 
 
-def analytic_reference(program: Program, params: HardwareParams) -> float:
+def analytic_reference(program: ProgramStore, params: HardwareParams) -> float:
     """Product of (1 - p) over the same event list — must equal the MC mean
     in expectation and match :func:`repro.noise.estimate_raa_fidelity` up to
     the layering conventions shared by both."""

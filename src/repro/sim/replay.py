@@ -11,43 +11,25 @@ from __future__ import annotations
 
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import Gate
-from ..core.program import Program, ProgramStore
+from ..core.program import ProgramStore
 
 
-def program_to_circuit(program: Program) -> QuantumCircuit:
+def program_to_circuit(program: ProgramStore) -> QuantumCircuit:
     """Reconstruct the executed circuit from a stage program.
 
     Cooling swaps exchange an AOD array with an identically-prepared twin,
     which is the identity at the logical level, so cooling events do not
-    contribute gates here.
-
-    A columnar :class:`~repro.core.program.ProgramStore` replays straight
-    off its pulse/gate columns (stage-order slices), skipping the
-    dataclass views entirely.
+    contribute gates here.  The program replays straight off its
+    pulse/gate columns in stage-order slices.
     """
     circ = QuantumCircuit(program.num_qubits, "replayed")
-    if isinstance(program, ProgramStore):
-        s = program
-        append = circ.append
-        for si in range(s.num_stages):
-            for i in range(s.off_raman[si], s.off_raman[si + 1]):
-                append(
-                    Gate(s.raman_name[i], (s.raman_qubit[i],), s.raman_params[i])
-                )
-            for i in range(s.off_gate[si], s.off_gate[si + 1]):
-                append(
-                    Gate(
-                        s.gate_name[i],
-                        (s.gate_a[i], s.gate_b[i]),
-                        s.gate_params[i],
-                    )
-                )
-        return circ
-    for stage in program.stages:
-        for pulse in stage.one_qubit_gates:
-            circ.append(Gate(pulse.name, (pulse.qubit,), pulse.params))
-        for gate in stage.gates:
-            circ.append(
-                Gate(gate.name, (gate.qubit_a, gate.qubit_b), gate.params)
+    s = program.collect()
+    append = circ.append
+    for si in range(s.num_stages):
+        for i in range(s.off_raman[si], s.off_raman[si + 1]):
+            append(Gate(s.raman_name[i], (s.raman_qubit[i],), s.raman_params[i]))
+        for i in range(s.off_gate[si], s.off_gate[si + 1]):
+            append(
+                Gate(s.gate_name[i], (s.gate_a[i], s.gate_b[i]), s.gate_params[i])
             )
     return circ

@@ -12,8 +12,7 @@ Pure-text renderers for terminals and logs:
 from __future__ import annotations
 
 from .circuits.circuit import QuantumCircuit
-from .core.instructions import Stage
-from .core.program import Program, StageView
+from .core.program import ProgramStore, StageView
 from .hardware.raa import AtomLocation, RAAArchitecture
 
 _MAX_DRAW_GATES = 80
@@ -75,7 +74,7 @@ def draw_placement(
     return "\n\n".join(blocks)
 
 
-def draw_stage(stage: Stage | StageView, index: int | None = None) -> str:
+def draw_stage(stage: StageView, index: int | None = None) -> str:
     """Render one stage: Raman pulses, line moves, Rydberg pairs, cooling."""
     header = f"stage {index}:" if index is not None else "stage:"
     lines = [header]
@@ -107,7 +106,7 @@ def draw_stage(stage: Stage | StageView, index: int | None = None) -> str:
     return "\n".join(lines)
 
 
-def draw_program_summary(program: Program, max_stages: int = 40) -> str:
+def draw_program_summary(program: ProgramStore, max_stages: int = 40) -> str:
     """One line per stage: move/gate/cooling counts."""
     lines = [
         f"RAA program: {program.num_qubits} qubits, "

@@ -22,7 +22,7 @@ from repro.core.program import (
 from repro.core.serialize import (
     program_from_dict,
     program_to_dict,
-    store_from_program_header,
+    store_from_header,
     store_header_doc,
 )
 from repro.hardware import RAAArchitecture
@@ -74,7 +74,7 @@ def assert_stores_bit_identical(a, b):
 
 def canon(store):
     """The serialized v2 columnar document, NaN-tolerant and key-sorted."""
-    doc = program_to_dict(store, columnar=True)
+    doc = program_to_dict(store)
     for field in TIMING_FIELDS:
         doc.pop(field, None)
     return json.dumps(doc, sort_keys=True)
@@ -165,7 +165,7 @@ class TestRoundTripDifferential:
         # byte-identical v2 document
         via_v3 = binformat.decode_program(binformat.encode_program(store))
         via_v2 = program_from_dict(
-            json.loads(json.dumps(program_to_dict(store, columnar=True)))
+            json.loads(json.dumps(program_to_dict(store)))
         )
         assert canon(via_v3) == canon(via_v2) == canon(store)
 
@@ -201,12 +201,12 @@ class TestCompiledProgram:
     def test_store_header_doc_matches_the_v2_header(self, dense):
         # the streaming server builds the header from the store; it must
         # equal the v2 document's header key for key, in order
-        header = program_doc_header(program_to_dict(dense, columnar=True))
+        header = program_doc_header(program_to_dict(dense))
         assert json.dumps(store_header_doc(dense)) == json.dumps(header)
 
     def test_chunk_records_reassemble_the_program(self, dense):
-        doc = program_to_dict(dense, columnar=True)
-        rebuilt = store_from_program_header(program_doc_header(doc))
+        doc = program_to_dict(dense)
+        rebuilt = store_from_header(program_doc_header(doc))
         for record in binformat.iter_chunk_records(dense, 7):
             assert binformat.record_kind(record) == "chunk"
             rebuilt.extend_from_chunk(binformat.decode_chunk(record))
@@ -220,7 +220,9 @@ class TestCompiledProgram:
         monkeypatch.setenv(SPILL_STAGES_ENV, "8")
         spilled = compile_store(circuit)
         assert isinstance(spilled, SpillingProgramStore)
-        assert spilled._flushed_stages > 0, "circuit too small to spill"
+        assert spilled.num_stages > len(spilled.off_gate) - 1, (
+            "circuit too small to spill"
+        )
         decoded = binformat.decode_program(
             binformat.encode_program(spilled)
         )

@@ -18,8 +18,11 @@ from repro.core.program import (
     SpillingProgramStore,
     emission_store,
 )
-from repro.core.serialize import program_to_dict, store_from_program_header
+from repro.core.serialize import program_to_dict, store_from_header
 from repro.hardware import RAAArchitecture
+from repro.noise import estimate_raa_fidelity
+from repro.sim import program_to_circuit
+from repro.sim.noisy import _stage_events
 from tests.program_doc_oracle import (
     iter_program_doc_chunks,
     program_doc_header,
@@ -28,6 +31,11 @@ from tests.program_doc_oracle import (
 
 #: wall-clock fields: naturally different between two separate compiles
 TIMING_FIELDS = {"compile_seconds", "emit_seconds", "probe_seconds"}
+#: the column and offset-table fields (everything stage-segmented)
+_COLUMN_ATTRS = [
+    f.name for f in dataclasses.fields(ProgramStore)
+    if f.name.startswith(("raman_", "move_", "gate_", "cool_", "amd_", "off_"))
+]
 
 
 def compile_store(circuit):
@@ -53,7 +61,9 @@ def spilled(circuit, tmp_path, monkeypatch):
     monkeypatch.setenv(SPILL_STAGES_ENV, "8")
     store = compile_store(circuit)
     assert isinstance(store, SpillingProgramStore)
-    assert store._flushed_stages > 0, "test circuit too small to spill"
+    assert store.num_stages > len(store.off_gate) - 1, (
+        "test circuit too small to spill"
+    )
     return store
 
 
@@ -82,9 +92,15 @@ class TestSpillBitIdentity:
                 dense, field.name
             ), f"field {field.name} differs after spill round trip"
 
-    def test_aggregates_match_without_collecting(self, dense, spilled):
+    def test_aggregates_match_without_collecting(self, dense, spilled,
+                                                 monkeypatch):
         # The spilling store answers every aggregate the analysis layer
-        # reads straight off its counters and segment replay.
+        # reads by folding over its segments: flush-time counts and
+        # seek-read columns, never a densified copy.
+        def no_collect():
+            raise AssertionError("aggregate densified the spilled store")
+
+        monkeypatch.setattr(spilled, "collect", no_collect)
         for name in (
             "num_stages",
             "num_2q_gates",
@@ -104,8 +120,24 @@ class TestSpillBitIdentity:
         assert spilled.total_move_distance(params) == dense.total_move_distance(
             params
         )
+        assert spilled.avg_move_distance(params) == dense.avg_move_distance(
+            params
+        )
         assert spilled.gate_pairs() == dense.gate_pairs()
-        assert list(spilled.iter_gate_n_vib()) == dense.gate_n_vib
+        # what fidelity reads: one array per segment, in gate order
+        chunks = list(spilled.gate_n_vib_arrays())
+        assert len(chunks) > 1
+        assert [v for c in chunks for v in c.tolist()] == dense.gate_n_vib
+
+    def test_consumers_match_the_dense_store(self, dense, spilled):
+        # noisy simulation, replay and fidelity read every segment, not
+        # just the in-memory tail
+        params = RAAArchitecture.default(side=4).params
+        assert _stage_events(spilled, params) == _stage_events(dense, params)
+        assert program_to_circuit(spilled) == program_to_circuit(dense)
+        assert estimate_raa_fidelity(spilled, params) == estimate_raa_fidelity(
+            dense, params
+        )
 
     def test_serialized_docs_identical(self, dense, spilled):
         doc_a = program_to_dict(dense)
@@ -118,8 +150,9 @@ class TestSpillBitIdentity:
         )
 
     def test_segment_file_holds_the_flushed_stages(self, spilled):
-        docs = list(spilled._iter_flushed_docs())
-        assert sum(d["stages"] for d in docs) == spilled._flushed_stages
+        docs = list(spilled.iter_segment_docs())
+        assert len(docs) > 1
+        assert sum(d["stages"] for d in docs) == spilled.num_stages
         # in-memory tail stays bounded by the segment size
         assert len(spilled.off_gate) - 1 <= spilled.segment_stages
 
@@ -137,11 +170,25 @@ class TestSpillBitIdentity:
         assert not path.exists()
 
 
+class TestExtend:
+    def test_extend_consumes_flushed_segments(self, dense, spilled):
+        # Regression: extend used to copy only the in-memory tail of a
+        # spilling store, silently dropping every flushed stage.
+        combined = ProgramStore(num_qubits=spilled.num_qubits)
+        combined.extend(spilled)
+        for name in _COLUMN_ATTRS:
+            assert getattr(combined, name) == getattr(dense, name), name
+        assert combined.num_stages == dense.num_stages
+
+    def test_collect_is_identity_for_a_dense_store(self, dense):
+        assert dense.collect() is dense
+
+
 class TestChunkStream:
     def test_chunks_reassemble_bit_exact(self, dense):
         doc = program_to_dict(dense)
         header = program_doc_header(doc)
-        rebuilt = store_from_program_header(header)
+        rebuilt = store_from_header(header)
         for chunk in iter_program_doc_chunks(doc, 7):
             rebuilt.extend_from_chunk(chunk)
         for field in dataclasses.fields(ProgramStore):

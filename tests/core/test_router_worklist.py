@@ -4,7 +4,7 @@ The router maintains its 1Q worklist and 2Q frontier incrementally from
 the newly-unlocked indices ``dag.execute`` returns; the historical
 reference loop rebuilds both per sweep with ``front_indices()`` rescans
 and is kept behind ``RouterConfig.front_rescan``.  These tests pin the
-two modes to *byte-identical* v1 serializations — not just equal stage
+two modes to *byte-identical* v2 serializations — not just equal stage
 counts — on the golden-corpus generators and on hypothesis-generated
 1Q-heavy circuits, so any drift in emitted-pulse order is an immediate
 failure.
@@ -25,7 +25,7 @@ from tests.strategies import one_q_heavy_inter_array_circuits
 
 
 def canonical_bytes(program) -> bytes:
-    """v1 serialization with the wall-clock fields zeroed (they are the
+    """v2 serialization with the wall-clock fields zeroed (they are the
     only legitimately nondeterministic part of the output)."""
     program.compile_seconds = 0.0
     program.emit_seconds = 0.0

@@ -48,9 +48,11 @@ class TestRoundTrip:
     def test_version_checked(self, compiled):
         res, _ = compiled
         doc = program_to_dict(res.program)
-        doc["format_version"] = 99
-        with pytest.raises(ValueError):
-            program_from_dict(doc)
+        # 1 is the retired stage-list format: rejected like any unknown one
+        for version in (1, 99):
+            doc["format_version"] = version
+            with pytest.raises(ValueError, match="unsupported program format"):
+                program_from_dict(doc)
 
     def test_dumps_is_valid_json(self, compiled):
         import json

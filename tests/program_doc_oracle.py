@@ -5,12 +5,17 @@ The service streams programs from v3 binary records
 helpers cut the same chunks straight out of the JSON document, with no
 :class:`~repro.core.program.ProgramStore` involved, so tests can check the
 store-side slicing and the binary codec against an independent oracle.
+:func:`doc_stage_records` likewise rebuilds each stage's instruction
+records from the document, the reference for the store's lazy views.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any, Iterator
 
+from repro.core.instructions import CoolingEvent, Move, RamanPulse, RydbergGate
+from repro.core.program import AXES
 from repro.core.serialize import COLUMNAR_FORMAT_VERSION, DOC_FAMILIES
 
 
@@ -56,3 +61,53 @@ def iter_program_doc_chunks(
             offsets[fam] = [o - base for o in off[lo : hi + 1]]
             columns[fam] = {k: all_cols[fam][k][base:top] for k in keys}
         yield {"stages": hi - lo, "columns": columns, "stage_offsets": offsets}
+
+
+def doc_stage_records(doc: dict[str, Any]) -> list[SimpleNamespace]:
+    """Per stage, the instruction records read straight off a v2 document
+    (attribute names as on :class:`~repro.core.program.StageView`)."""
+    _require_v2(doc)
+    offs = doc["stage_offsets"]
+    raman, moves, gates = (doc["columns"][f] for f in ("raman", "moves", "gates"))
+    cooling, amd = doc["columns"]["cooling"], doc["columns"]["amd"]
+    stages = []
+    for si in range(program_doc_stages(doc)):
+
+        def rows(fam: str) -> range:
+            return range(offs[fam][si], offs[fam][si + 1])
+
+        stages.append(
+            SimpleNamespace(
+                one_qubit_gates=[
+                    RamanPulse(
+                        raman["qubit"][i], raman["name"][i],
+                        tuple(raman["params"][i]),
+                    )
+                    for i in rows("raman")
+                ],
+                moves=[
+                    Move(
+                        moves["aod"][i], AXES[moves["axis"][i]],
+                        moves["index"][i], moves["start"][i], moves["end"][i],
+                    )
+                    for i in rows("moves")
+                ],
+                gates=[
+                    RydbergGate(
+                        gates["a"][i], gates["b"][i],
+                        (gates["site_r"][i], gates["site_c"][i]),
+                        n_vib=gates["n_vib"][i], name=gates["name"][i],
+                        params=tuple(gates["params"][i]),
+                    )
+                    for i in rows("gates")
+                ],
+                cooling=[
+                    CoolingEvent(cooling["aod"][i], cooling["num_atoms"][i])
+                    for i in rows("cooling")
+                ],
+                atom_move_distance={
+                    amd["qubit"][i]: amd["dist"][i] for i in rows("amd")
+                },
+            )
+        )
+    return stages

@@ -334,8 +334,8 @@ class TestProgramCapture:
         metrics, program = asyncio.run(scenario())
         direct = atomique_result(circuit, options)
         assert scrub_program(
-            program_to_dict(program, columnar=True)
-        ) == scrub_program(program_to_dict(direct.program, columnar=True))
+            program_to_dict(program)
+        ) == scrub_program(program_to_dict(direct.program))
         assert stable(metrics) == stable(
             compile_many([job], workers=1)[0]
         )

@@ -15,6 +15,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.registry import CompileOptions
 from repro.experiments import compile_on, raa_for
@@ -238,7 +240,7 @@ class TestRestRoundTrip:
             socket_path=daemon.socket_path
         ).program(job_id)
         assert body["program"] == json.loads(
-            json.dumps(program_to_dict(socket_program, columnar=True))
+            json.dumps(program_to_dict(socket_program))
         )
 
         # A finished job can no longer be cancelled.
@@ -357,6 +359,55 @@ class TestRequestBodyHandling:
         status, body = self._raw(gateway, request)
         assert status == 400
         assert "truncated" in body["error"]
+
+    def _post_body(self, gateway, body):
+        request = (
+            b"POST /v1/jobs HTTP/1.1\r\n"
+            b"Host: x\r\n"
+            b"Authorization: Bearer s3cret\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            + body
+        )
+        return self._raw(gateway, request)
+
+    def test_undecodable_body_is_400(self, farm_front):
+        _, gateway = farm_front
+        status, body = self._post_body(gateway, b"\xff\xfe\xfa")
+        assert status == 400
+        assert "not JSON" in body["error"]
+
+    def test_deeply_nested_body_is_400(self, farm_front):
+        # fits under MAX_BODY_BYTES, but nests past the JSON parser's
+        # recursion limit
+        _, gateway = farm_front
+        status, body = self._post_body(gateway, b"[" * 100_000)
+        assert status == 400
+        assert "not JSON" in body["error"]
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        payload=st.one_of(
+            st.binary(max_size=2048),
+            st.integers(1, 50_000).map(lambda n: b"[" * n),
+            st.recursive(
+                st.none() | st.booleans() | st.integers() | st.text(),
+                lambda inner: st.lists(inner)
+                | st.dictionaries(st.text(), inner),
+                max_leaves=20,
+            ).map(lambda v: json.dumps(v).encode()),
+        )
+    )
+    def test_arbitrary_bodies_are_4xx(self, farm_front, payload):
+        # whatever the bytes, the reader answers 400 (or 413) with a JSON
+        # error — never a 500, never a hang (the socket timeout bounds it)
+        _, gateway = farm_front
+        status, body = self._post_body(gateway, payload)
+        assert status in (400, 413)
+        assert "error" in body
 
     def test_wellformed_posts_still_work(self, farm_front):
         daemon, gateway = farm_front

@@ -53,7 +53,7 @@ class TestProgramCodec:
         from repro.core.serialize import program_to_dict
 
         binary = len(binformat.encode_program(store))
-        columnar = len(json.dumps(program_to_dict(store, columnar=True)))
+        columnar = len(json.dumps(program_to_dict(store)))
         assert binary < columnar
 
     def test_bad_program_payload_rejected(self):

@@ -33,8 +33,9 @@ class TestCLI:
             main(["compile", qasm_file, "--side", "4", "-o", str(out_path)]) == 0
         )
         doc = json.loads(out_path.read_text())
-        assert doc["format_version"] == 1
-        assert doc["stages"]
+        assert doc["format_version"] == 2
+        assert doc["columns"]["gates"]["a"]
+        assert len(doc["stage_offsets"]["gates"]) > 1
 
     def test_compare_command(self, qasm_file, capsys):
         assert main(["compare", qasm_file]) == 0

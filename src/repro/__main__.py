@@ -5,9 +5,7 @@ Commands
 compile   compile an OpenQASM 2.0 file for an RAA and print metrics
           (optionally dump the stage program as JSON)
 compare   compile a QASM file on all five architectures (mini Fig. 13)
-bench     print Table II statistics for the built-in benchmark suites;
-          with ``--perf``, time end-to-end routing on the 50+ qubit
-          generator suite and write ``BENCH_router.json``
+bench     print Table II statistics for the built-in benchmark suites
 serve     run the compile-service daemon (async job queue over
           ``compile_many`` with sharded workers and on-disk caches);
           ``--faults`` arms a chaos fault-injection plan; ``--farm``
@@ -87,13 +85,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.perf:
-        from .bench import bench_router, format_report
-
-        report = bench_router(output=args.output)
-        print(format_report(report))
-        print(f"report written to {args.output}")
-        return 0
     from .analysis import format_table
     from .experiments import benchmark_statistics
 
@@ -329,21 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compare.set_defaults(func=cmd_compare)
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="print Table II suite statistics, or time the router (--perf)",
-    )
-    p_bench.add_argument(
-        "--perf",
-        action="store_true",
-        help="run the router compile-speed benchmark instead",
-    )
-    p_bench.add_argument(
-        "-o",
-        "--output",
-        default="BENCH_router.json",
-        help="where --perf writes its JSON report",
-    )
+    p_bench = sub.add_parser("bench", help="print Table II suite statistics")
     p_bench.set_defaults(func=cmd_bench)
 
     p_serve = sub.add_parser(

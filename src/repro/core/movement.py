@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable
 from ..hardware.parameters import HardwareParams
 from ..hardware.raa import AtomLocation, RAAArchitecture
 from .constraints import parking_offset
-from .instructions import CoolingEvent, Move
+from .instructions import CoolingEvent
 
 if TYPE_CHECKING:
     from .program import ProgramStore
@@ -122,8 +122,6 @@ class MovementTracker:
         self._park: list[float] = [
             parking_offset(a) for a in range(self.architecture.num_arrays)
         ]
-        self._emitter: Callable[[LineMaps, LineMaps], None] | None = None
-        self._bound_store: "ProgramStore | None" = None
 
     # -- stage application ------------------------------------------------------
 
@@ -268,50 +266,7 @@ class MovementTracker:
                 # samples the post-move vibrational state.
                 loss_append(n)
 
-        self._emitter = emit
-        self._bound_store = store
         return emit
-
-    def emit_stage_maps(
-        self,
-        row_maps: LineMaps,
-        col_maps: LineMaps,
-        store: "ProgramStore",
-    ) -> None:
-        """One-call form of :meth:`bind_store` (rebinds only on a new store)."""
-        if self._bound_store is not store or self._emitter is None:
-            self.bind_store(store)
-        self._emitter(row_maps, col_maps)
-
-    def apply_stage_maps(
-        self,
-        row_maps: LineMaps,
-        col_maps: LineMaps,
-    ) -> tuple[list[Move], dict[int, float]]:
-        """Object-graph form of the stage emitter (legacy API).
-
-        Returns the :class:`Move` records and per-atom displacement in
-        metres.  The heating/position bookkeeping is exactly the columnar
-        path's — this wrapper only materializes its output as objects.
-        """
-        from .program import ProgramStore
-
-        scratch = ProgramStore()
-        self.emit_stage_maps(row_maps, col_maps, scratch)
-        self._emitter = None  # scratch store must not outlive this call
-        self._bound_store = None
-        moves = [
-            Move(aod, axis, index, start, end)
-            for aod, axis, index, start, end in zip(
-                scratch.move_aod,
-                scratch.move_axis,
-                scratch.move_index,
-                scratch.move_start,
-                scratch.move_end,
-            )
-        ]
-        distances = dict(zip(scratch.amd_qubit, scratch.amd_dist))
-        return moves, distances
 
     def maybe_cool(self) -> list[CoolingEvent]:
         """Swap any overheated AOD with a cooled twin (Sec. IV).
@@ -334,18 +289,3 @@ class MovementTracker:
                 self._hot_arrays.discard(aod)
                 self.num_cooling_events += 1
         return events
-
-    # -- queries ------------------------------------------------------------------
-
-    def pair_n_vib(self, qubit_a: int, qubit_b: int) -> float:
-        """Effective n_vib of a gate pair (Sec. IV, Eq. 2 convention).
-
-        AOD-SLM pairs use the AOD atom's n_vib; AOD-AOD pairs sum both.
-        """
-        la, lb = self.locations[qubit_a], self.locations[qubit_b]
-        total = 0.0
-        if la.is_aod:
-            total += self.n_vib[qubit_a]
-        if lb.is_aod:
-            total += self.n_vib[qubit_b]
-        return total

@@ -236,21 +236,7 @@ class DiskPipelineCache(PipelineCache):
 
     def _load(self, key: tuple) -> Any:
         path = self._path(key)
-        if not path.exists():
-            return None
-        try:
-            with path.open("rb") as fh:
-                payload = pickle.load(fh)
-        except (
-            OSError,
-            pickle.UnpicklingError,
-            EOFError,
-            AttributeError,
-            ImportError,  # entry pickled before a module move/rename
-            IndexError,
-            TypeError,
-        ):
-            return None  # corrupt entry: recompile
+        payload = load_entry(path)
         if (
             not isinstance(payload, tuple)
             or len(payload) != 2
@@ -271,8 +257,25 @@ class DiskPipelineCache(PipelineCache):
 #
 # The pickle-per-entry directories (DiskPipelineCache here, the batch
 # layer's ResultCache) share one on-disk shape: flat ``*.pkl`` entries plus
-# transient ``*.tmp.<pid>`` files.  These helpers are the shared GC layer
-# behind ``DiskPipelineCache(max_bytes=...)`` and ``python -m repro cache``.
+# transient ``*.tmp.<pid>`` files.  These helpers are the shared load and
+# GC layer behind both caches and ``python -m repro cache``.
+
+
+def load_entry(path: Path) -> Any:
+    """The unpickled contents of cache entry *path*, or ``None`` on a miss.
+
+    Every failure to read or unpickle the entry is a miss, so the caller
+    recompiles and rewrites it: a missing file, a torn write, a class moved
+    since the entry was pickled, or arbitrary bytes — on which
+    ``pickle.load`` raises almost anything (``ValueError``,
+    ``OverflowError``, ``MemoryError``, ...).  A cache entry must never
+    fail a compile.
+    """
+    try:
+        with path.open("rb") as fh:
+            return pickle.load(fh)
+    except Exception:
+        return None
 
 
 def _cache_entries(directory: str | Path) -> list[tuple[Path, int, float]]:

@@ -447,14 +447,9 @@ class ProgramStore:
     overlap_rejections: int = 0
     compile_seconds: float = 0.0
     #: wall-clock spent in the router's emission phase (the per-stage
-    #: record-keeping blocks, excluding constraint search) — the quantity
-    #: ``repro bench --perf`` tracks as ``emit_seconds``
+    #: record-keeping blocks, excluding constraint search); carried in the
+    #: v2/v3 headers.  Per-layer times come from ``perfbench/run.py --trace 1``
     emit_seconds: float = 0.0
-    #: wall-clock spent in the router's constraint-probing phase (the
-    #: per-stage ``_select_gates`` window: scratch-plan reset, candidate
-    #: lookup, and ``place_pair`` probing over the 2Q front) — the
-    #: quantity ``repro bench --perf`` tracks as ``probe_seconds``
-    probe_seconds: float = 0.0
 
     # -- columns (one python list of scalars per field) ------------------------
     raman_qubit: list[int] = field(default_factory=list)

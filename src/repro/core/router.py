@@ -65,12 +65,6 @@ class RouterConfig:
     #: legal gate set (used by the solver-proxy baselines).
     ordering_trials: int = 1
     seed: int = 11
-    #: maintain the 1Q/2Q frontiers by per-sweep ``front_indices()`` rescans
-    #: (the historical reference loop) instead of the incremental worklists
-    #: fed by the newly-unlocked indices ``dag.execute`` returns.  Output is
-    #: byte-identical either way — the worklist differential tests pin it —
-    #: so this exists for those tests and debugging, not for end users.
-    front_rescan: bool = False
 
 
 #: ring offsets of the half-lattice diamond, shared across all calls
@@ -292,10 +286,9 @@ class HighParallelismRouter:
         per-stage *record-keeping* blocks — Raman-pulse emission,
         movement/heating emission, gate emission, cooling records, and the
         stage close — excluding the constraint search and the DAG
-        bookkeeping (front scans, ``execute``), which are scheduling work,
-        not representation work.  This is the emission-phase cost tracked
-        by ``repro bench --perf``; the PR 3 baselines there were measured
-        with the same window over the object-building emitter.
+        bookkeeping (``execute``), which are scheduling work, not
+        representation work.  It travels in the v2/v3 program headers;
+        ``perfbench/run.py --trace 1`` times the router end to end.
         """
         perf = time.perf_counter
         t0 = perf()
@@ -315,7 +308,6 @@ class HighParallelismRouter:
         is_1q = dag.one_qubit
         trials = max(1, self.config.ordering_trials)
         emit = 0.0
-        probe = 0.0
 
         raman_qubit_append = store.raman_qubit.append
         raman_name_append = store.raman_name.append
@@ -335,40 +327,34 @@ class HighParallelismRouter:
         array_of = tracker._array_of
         maybe_cool = tracker.maybe_cool
         dag_execute = dag.execute
-        rescan = self.config.front_rescan
 
         # Incremental frontiers: the initial front seeds a sorted 1Q
         # worklist and a sorted 2Q front list; afterwards both are fed by
-        # the newly-unlocked indices ``dag.execute`` returns, replacing the
-        # per-sweep ``front_indices()`` rescans.  Each 1Q sweep executes
+        # the newly-unlocked indices ``dag.execute`` returns, never by a
+        # per-sweep ``front_indices()`` rescan.  Each 1Q sweep executes
         # exactly the gates that were ready when it started (gates unlocked
-        # mid-sweep wait for the next sweep, like the rescan snapshot), and
+        # mid-sweep wait for the next sweep, like a rescan snapshot), and
         # every worklist is kept sorted by gate index, so emitted-pulse
-        # order matches the historical copy-and-filter loop index for
-        # index.  Gates that are neither 1Q nor 2Q never enter a worklist,
-        # so a stuck front still raises the RoutingError below.
+        # order matches the rescan reference loop index for index (the
+        # worklist differential tests pin it).  Gates that are neither 1Q
+        # nor 2Q never enter a worklist, so a stuck front still raises the
+        # RoutingError below.
         ready_1q: list[int] = []
         #: sorted ``(idx, gate)`` 2Q frontier, maintained incrementally —
         #: index uniqueness means tuple comparisons never reach the gate
         front_2q: list[tuple[int, Gate]] = []
-        if not rescan:
-            for idx in dag.front_indices():
-                if is_1q[idx]:
-                    ready_1q.append(idx)
-                elif is_2q[idx]:
-                    front_2q.append((idx, gates[idx]))
+        for idx in dag.front_indices():
+            if is_1q[idx]:
+                ready_1q.append(idx)
+            elif is_2q[idx]:
+                front_2q.append((idx, gates[idx]))
 
         while not dag.done:
             # Step 1: flush frontier 1Q gates (Fig. 8 "Execute 1Q Gates").
             # Batching the pulse records before the DAG pops keeps the
             # historical pulse order.
-            while True:
-                if rescan:
-                    todo = [idx for idx in dag.front_indices() if is_1q[idx]]
-                else:
-                    todo = ready_1q
-                if not todo:
-                    break
+            while ready_1q:
+                todo = ready_1q
                 t_emit = perf()
                 for idx in todo:
                     g = gates[idx]
@@ -376,24 +362,16 @@ class HighParallelismRouter:
                     raman_name_append(g.name)
                     raman_params_append(g.params)
                 emit += perf() - t_emit
-                if rescan:
-                    for idx in todo:
-                        dag_execute(idx)
-                else:
-                    ready_1q = []
-                    next_1q_append = ready_1q.append
-                    for idx in todo:
-                        for succ in dag_execute(idx):
-                            if is_1q[succ]:
-                                next_1q_append(succ)
-                            elif is_2q[succ]:
-                                insort(front_2q, (succ, gates[succ]))
-                    ready_1q.sort()
+                ready_1q = []
+                next_1q_append = ready_1q.append
+                for idx in todo:
+                    for succ in dag_execute(idx):
+                        if is_1q[succ]:
+                            next_1q_append(succ)
+                        elif is_2q[succ]:
+                            insort(front_2q, (succ, gates[succ]))
+                ready_1q.sort()
 
-            if rescan:
-                front_2q = [
-                    (idx, gates[idx]) for idx in dag.front_indices() if is_2q[idx]
-                ]
             if not front_2q:
                 if store.open_raman_count:
                     store.end_stage()
@@ -407,7 +385,6 @@ class HighParallelismRouter:
                 if trials > 1
                 else None
             )
-            t_probe = perf()
             for trial in range(trials):
                 # _select_gates only iterates, and the frontier lists are
                 # never mutated while a trial runs, so the single-trial
@@ -420,7 +397,6 @@ class HighParallelismRouter:
                     best = (plan, chosen, rejections)
                 if len(chosen) == len(front_2q):
                     break
-            probe += perf() - t_probe
             plan, chosen, stage_overlap_rejections = best
             overlap_rejections += stage_overlap_rejections
 
@@ -439,8 +415,8 @@ class HighParallelismRouter:
                 gate_b_append(qb)
                 site_r_append(site[0])
                 site_c_append(site[1])
-                # pair_n_vib inlined: AOD-touching endpoints contribute, in
-                # (a, b) order — identical float sum
+                # Sec. IV, Eq. 2: AOD-touching endpoints contribute, in
+                # (a, b) order
                 n_vib_append(
                     (n_vib[qa] if array_of[qa] else 0.0)
                     + (n_vib[qb] if array_of[qb] else 0.0)
@@ -452,19 +428,15 @@ class HighParallelismRouter:
                 cool_atoms_append(ev.num_atoms)
             end_stage()
             emit += perf() - t_emit
-            if rescan:
-                for idx, _g, _site in chosen:
-                    dag_execute(idx)
-            else:
-                for idx, _g, _site in chosen:
-                    # (idx,) sorts immediately before (idx, gate)
-                    del front_2q[bisect_left(front_2q, (idx,))]
-                    for succ in dag_execute(idx):
-                        if is_1q[succ]:
-                            ready_1q.append(succ)
-                        elif is_2q[succ]:
-                            insort(front_2q, (succ, gates[succ]))
-                ready_1q.sort()
+            for idx, _g, _site in chosen:
+                # (idx,) sorts immediately before (idx, gate)
+                del front_2q[bisect_left(front_2q, (idx,))]
+                for succ in dag_execute(idx):
+                    if is_1q[succ]:
+                        ready_1q.append(succ)
+                    elif is_2q[succ]:
+                        insort(front_2q, (succ, gates[succ]))
+            ready_1q.sort()
 
         store.qubit_locations = dict(self.locations)
         # n_vib is slot-indexed; key the final snapshot like the historical
@@ -473,6 +445,5 @@ class HighParallelismRouter:
         store.atom_loss_log = list(tracker.loss_samples)
         store.overlap_rejections = overlap_rejections
         store.emit_seconds = emit
-        store.probe_seconds = probe
         store.compile_seconds = perf() - t0
         return store

@@ -37,7 +37,7 @@ from typing import Any, cast
 from ..analysis.metrics import CompiledMetrics
 from ..baselines.registry import CompileOptions, get_backend
 from ..circuits.circuit import QuantumCircuit
-from ..core.pipeline import DiskPipelineCache, PipelineCache
+from ..core.pipeline import DiskPipelineCache, PipelineCache, load_entry
 
 #: Bump when CompiledMetrics or the key layout changes shape.
 CACHE_VERSION = 2
@@ -79,20 +79,7 @@ class ResultCache:
         return self.directory / f"{job.cache_key()}.pkl"
 
     def get(self, job: CompileJob) -> CompiledMetrics | None:
-        path = self._path(job)
-        if not path.exists():
-            return None
-        try:
-            with path.open("rb") as fh:
-                return pickle.load(fh)
-        except (
-            OSError,
-            pickle.UnpicklingError,
-            EOFError,
-            AttributeError,
-            ImportError,  # entry pickled before a module move/rename
-        ):
-            return None  # corrupt or stale entry: recompile
+        return load_entry(self._path(job))
 
     def put(self, job: CompileJob, metrics: CompiledMetrics) -> None:
         # Atomic write: concurrent runs sharing the directory must never

@@ -30,7 +30,7 @@ from repro.hardware.raa import AtomLocation
 from tests.program_doc_oracle import program_doc_header
 
 #: wall-clock fields: naturally different between two separate compiles
-TIMING_FIELDS = {"compile_seconds", "emit_seconds", "probe_seconds"}
+TIMING_FIELDS = {"compile_seconds", "emit_seconds"}
 
 
 def compile_store(circuit):

@@ -175,6 +175,17 @@ class TestDiskPipelineCache:
         assert sabre_counter["count"] == 2  # recompiled after corruption
         assert _program_fingerprint(second) == _program_fingerprint(first)
 
+    def test_unsupported_pickle_protocol_recompiles(
+        self, circuit, sabre_counter, tmp_path
+    ):
+        # pickle.load raises ValueError (not UnpicklingError) on these bytes
+        first, _ = self.compile_with(circuit, tmp_path)
+        for entry in tmp_path.glob("*.pkl"):
+            entry.write_bytes(b"\x80\x09abc")
+        second, _ = self.compile_with(circuit, tmp_path)
+        assert sabre_counter["count"] == 2
+        assert _program_fingerprint(second) == _program_fingerprint(first)
+
     def test_version_bump_recompiles(self, circuit, sabre_counter, tmp_path, monkeypatch):
         first, _ = self.compile_with(circuit, tmp_path)
         assert sabre_counter["count"] == 1

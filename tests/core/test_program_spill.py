@@ -30,7 +30,7 @@ from tests.program_doc_oracle import (
 )
 
 #: wall-clock fields: naturally different between two separate compiles
-TIMING_FIELDS = {"compile_seconds", "emit_seconds", "probe_seconds"}
+TIMING_FIELDS = {"compile_seconds", "emit_seconds"}
 #: the column and offset-table fields (everything stage-segmented)
 _COLUMN_ATTRS = [
     f.name for f in dataclasses.fields(ProgramStore)

@@ -2,15 +2,12 @@
 
 The router maintains its 1Q worklist and 2Q frontier incrementally from
 the newly-unlocked indices ``dag.execute`` returns; the historical
-reference loop rebuilds both per sweep with ``front_indices()`` rescans
-and is kept behind ``RouterConfig.front_rescan``.  These tests pin the
-two modes to *byte-identical* v2 serializations — not just equal stage
-counts — on the golden-corpus generators and on hypothesis-generated
-1Q-heavy circuits, so any drift in emitted-pulse order is an immediate
-failure.
+reference loop, which rebuilds both per sweep with ``front_indices()``
+rescans, lives in :mod:`tests.router_rescan_oracle`.  These tests pin the
+two to *byte-identical* v2 serializations — not just equal stage counts —
+on the golden-corpus generators and on hypothesis-generated 1Q-heavy
+circuits, so any drift in emitted-pulse order is an immediate failure.
 """
-
-from dataclasses import replace
 
 from hypothesis import given, settings
 
@@ -21,6 +18,7 @@ from repro.core.serialize import dumps
 from repro.generators import qaoa_random, qsim_random
 from repro.generators.algorithms import bernstein_vazirani
 from repro.hardware import RAAArchitecture
+from tests.router_rescan_oracle import RescanRouter
 from tests.strategies import one_q_heavy_inter_array_circuits
 
 
@@ -29,24 +27,23 @@ def canonical_bytes(program) -> bytes:
     only legitimately nondeterministic part of the output)."""
     program.compile_seconds = 0.0
     program.emit_seconds = 0.0
-    program.probe_seconds = 0.0
     return dumps(program).encode()
 
 
 def compile_both_ways(circuit):
-    """Serialize one circuit routed with the worklist and with rescans."""
-    out = []
-    for rescan in (False, True):
-        compiler = AtomiqueCompiler(
-            RAAArchitecture.default(side=4, num_aods=2),
-            AtomiqueConfig(seed=7),
-        )
-        compiler.config.router = replace(
-            compiler.config.router, front_rescan=rescan
-        )
-        result = compiler.compile(circuit)
-        out.append(canonical_bytes(result.program))
-    return out
+    """Serialize one circuit as the pipeline routes it (worklist) and as
+    the rescan oracle routes the same transpiled circuit and placement."""
+    result = AtomiqueCompiler(
+        RAAArchitecture.default(side=4, num_aods=2),
+        AtomiqueConfig(seed=7),
+    ).compile(circuit)
+    oracle = RescanRouter(
+        result.architecture, result.locations, AtomiqueConfig(seed=7).router
+    )
+    return (
+        canonical_bytes(result.program),
+        canonical_bytes(oracle.route(result.transpiled)),
+    )
 
 
 class TestWorklistDifferential:
@@ -76,10 +73,8 @@ def test_worklist_matches_rescan_on_1q_heavy_circuits(data):
     circ, assignment = data
     arch = RAAArchitecture.default(side=6, num_aods=2)
     locs = map_qubits_to_atoms(circ, assignment, arch)
-    blobs = []
-    for rescan in (False, True):
-        router = HighParallelismRouter(
-            arch, locs, RouterConfig(front_rescan=rescan)
-        )
-        blobs.append(canonical_bytes(router.route(circ)))
+    blobs = [
+        canonical_bytes(router_cls(arch, locs, RouterConfig()).route(circ))
+        for router_cls in (HighParallelismRouter, RescanRouter)
+    ]
     assert blobs[0] == blobs[1]

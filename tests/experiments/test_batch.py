@@ -144,6 +144,16 @@ class TestDiskCache:
         results = compile_many(jobs, cache=cache)
         assert results[0].num_2q_gates > 0
 
+    def test_unsupported_pickle_protocol_recompiles(self, tmp_path):
+        # pickle.load raises ValueError (not UnpicklingError) on these bytes
+        jobs = fig13_style_jobs()[:1]
+        cache = ResultCache(tmp_path)
+        first = compile_many(jobs, cache=cache)
+        for entry in tmp_path.glob("*.pkl"):
+            entry.write_bytes(b"\x80\x09abc")
+        results = compile_many(jobs, cache=cache)
+        assert stable_row(results[0]) == stable_row(first[0])
+
     def test_stale_cache_version_recompiles(self, tmp_path, monkeypatch):
         """Entries written under an older CACHE_VERSION must recompile —
         they are keyed away, never loaded."""

@@ -47,3 +47,9 @@ class TestCLI:
         assert main(["bench"]) == 0
         out = capsys.readouterr().out
         assert "QAOA-regu5-40" in out
+
+    def test_bench_has_no_perf_mode(self, capsys):
+        # compile-speed measurement lives in perfbench/run.py
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--perf"])
+        assert exc.value.code == 2

@@ -258,8 +258,12 @@ def cmd_jobs(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    from .core.pipeline import cache_clear, cache_stats, evict_lru
+    from .core.blobs import cache_clear, cache_stats, evict_lru
 
+    # A typo'd path must not look like an empty (or emptied) cache.
+    if not Path(args.directory).is_dir():
+        print(f"no such cache directory: {args.directory}", file=sys.stderr)
+        return 2
     if args.action == "stats":
         stats = cache_stats(args.directory)
         print(f"directory    : {stats['directory']}")
@@ -280,7 +284,11 @@ def cmd_cache(args: argparse.Namespace) -> int:
         if args.max_bytes is None:
             print("cache gc requires --max-bytes", file=sys.stderr)
             return 2
-        report = evict_lru(args.directory, args.max_bytes)
+        try:
+            report = evict_lru(args.directory, args.max_bytes)
+        except ValueError as exc:
+            print(f"cache gc: {exc}", file=sys.stderr)
+            return 2
         print(
             f"evicted {report['removed']} entries "
             f"({report['removed_bytes']} bytes); "
@@ -334,7 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=0, help="TCP port (0 picks a free one)"
     )
     p_serve.add_argument(
-        "--spool", help="persist the job queue and results in this directory"
+        "--spool",
+        help="persist the job queue and results in this directory so a "
+        "restarted daemon resumes them (default: a temporary spool removed "
+        "at shutdown)",
     )
     p_serve.add_argument(
         "--shards", type=int, default=2, help="number of worker processes"

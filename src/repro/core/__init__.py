@@ -7,6 +7,7 @@ from .array_mapper import (
     max_k_cut_assignment,
 )
 from .atom_mapper import diagonal_stripe_order, map_qubits_to_atoms
+from .blobs import cache_clear, cache_stats, evict_lru
 from .compiler import AtomiqueCompiler, AtomiqueConfig, CompileResult
 from .constraints import ConstraintToggles, StagePlan, parking_offset
 from .kinematics import ConstantJerkProfile, hop_profile
@@ -27,10 +28,7 @@ from .pipeline import (
     PipelineError,
     SabreSwapPass,
     StageRouterPass,
-    cache_clear,
-    cache_stats,
     default_passes,
-    evict_lru,
 )
 from .router import HighParallelismRouter, RouterConfig, RoutingError
 

@@ -24,8 +24,6 @@ mappers) without touching the compiler facade.
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +36,8 @@ from ..transpile.layout import Layout
 from ..transpile.sabre import sabre_route
 from .array_mapper import map_qubits_to_arrays
 from .atom_mapper import map_qubits_to_atoms
+# cache_stats is re-exported: perfbench imports it from this module.
+from .blobs import BlobStore, cache_stats  # noqa: F401
 from .program import ProgramStore
 from .router import HighParallelismRouter
 
@@ -145,204 +145,55 @@ def _key_digest(key: tuple) -> str:
 class DiskPipelineCache(PipelineCache):
     """Disk-backed prefix cache: pass artifacts persist across runs.
 
-    Same contract as :class:`PipelineCache`, plus a pickle-per-entry
-    directory keyed like :class:`~repro.experiments.batch.ResultCache`
-    (sha256 of the versioned key tuple).  A fresh process pointed at the
-    same directory reuses the SABRE/mapping artifacts of earlier runs —
-    the compile service's shards share one directory so *cross-run* sweeps
-    compile SABRE once per circuit.
+    Same contract as :class:`PipelineCache`, plus a
+    :class:`~repro.core.blobs.BlobStore` keyed by the sha256 of the
+    versioned key tuple.  A fresh process pointed at the same directory
+    reuses the SABRE/mapping artifacts of earlier runs — the compile
+    service's shards share one directory so *cross-run* sweeps compile
+    SABRE once per circuit.
 
-    Writes are atomic (tmp + ``os.replace``), so concurrent workers sharing
-    the directory never observe a torn entry.  Corrupt or stale entries are
-    treated as misses and recompiled: entries carry their
-    :data:`PIPELINE_CACHE_VERSION` both in the path digest and inside the
-    payload, and a mismatch of either means the pickle is never trusted.
-
-    ``max_bytes`` bounds the directory: when writes push the total entry
-    size past the cap, least-recently-used entries (by mtime — disk hits
-    touch their entry, so recency survives process restarts) are evicted
-    until it fits.  ``None`` keeps the historical unbounded behaviour.
-    The total is tracked as a running counter seeded by one directory
-    scan at construction, so the write path never re-scans; concurrent
-    workers each enforce the cap against their own (approximate) view,
-    which re-syncs to the true on-disk total at every eviction pass.
-    Evicting an entry another worker still wants is safe: it recompiles
-    and rewrites it.
+    Writes are atomic, so concurrent workers sharing the directory never
+    observe a torn entry.  Corrupt or stale entries are treated as misses
+    and recompiled: entries carry their :data:`PIPELINE_CACHE_VERSION`
+    both in the key digest and inside the payload, and a mismatch of
+    either means the pickle is never trusted.  The directory is unbounded;
+    ``python -m repro cache gc --max-bytes N`` evicts least-recently-used
+    entries (disk hits touch their entry, so recency survives restarts).
 
     ``disk_hits``/``disk_misses`` count per-pass lookups that went to disk
     (i.e. missed the in-memory layer) for tests and service stats.
     """
 
-    def __init__(
-        self, directory: str | Path, max_bytes: int | None = None
-    ) -> None:
+    def __init__(self, directory: str | Path) -> None:
         super().__init__()
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_bytes = max_bytes
-        self._approx_bytes = (
-            cache_stats(self.directory)["total_bytes"]
-            if max_bytes is not None
-            else 0
-        )
+        self.blobs = BlobStore(directory)
+        self.directory = self.blobs.directory
         self.disk_hits: dict[str, int] = {}
         self.disk_misses: dict[str, int] = {}
 
-    def _path(self, key: tuple) -> Path:
-        return self.directory / f"{_key_digest(key)}.pkl"
-
     def lookup(self, pass_name: str, key: tuple) -> Any:
-        value = self._store.get(key)
-        if value is not None:
-            self.hits[pass_name] = self.hits.get(pass_name, 0) + 1
-            return value
-        value = self._load(key)
-        if value is None:
-            self.disk_misses[pass_name] = self.disk_misses.get(pass_name, 0) + 1
-            self.misses[pass_name] = self.misses.get(pass_name, 0) + 1
-            return None
-        self._store[key] = value
-        self.disk_hits[pass_name] = self.disk_hits.get(pass_name, 0) + 1
-        self.hits[pass_name] = self.hits.get(pass_name, 0) + 1
-        return value
+        if self._store.get(key) is None:
+            value = self._load(key)
+            counter = self.disk_misses if value is None else self.disk_hits
+            counter[pass_name] = counter.get(pass_name, 0) + 1
+            if value is not None:
+                self._store[key] = value
+        return super().lookup(pass_name, key)
 
     def store(self, key: tuple, value: Any) -> None:
+        # A failed disk write degrades to the in-memory layer.
         super().store(key, value)
-        path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            with tmp.open("wb") as fh:
-                pickle.dump((PIPELINE_CACHE_VERSION, value), fh)
-            os.replace(tmp, path)
-        except OSError:
-            # Disk full / read-only directory: degrade to the in-memory
-            # layer (already updated above) — a cache write failure must
-            # never fail the compile whose artifact it was persisting.
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return
-        if self.max_bytes is not None:
-            try:
-                self._approx_bytes += path.stat().st_size
-            except OSError:
-                pass  # already evicted/replaced by a concurrent worker
-            if self._approx_bytes > self.max_bytes:
-                report = evict_lru(self.directory, self.max_bytes)
-                self._approx_bytes = report["remaining_bytes"]
+        self.blobs.put(_key_digest(key), (PIPELINE_CACHE_VERSION, value))
 
     def _load(self, key: tuple) -> Any:
-        path = self._path(key)
-        payload = load_entry(path)
+        payload = self.blobs.get(_key_digest(key))
         if (
             not isinstance(payload, tuple)
             or len(payload) != 2
             or payload[0] != PIPELINE_CACHE_VERSION
         ):
             return None  # stale version: recompile, never deserialize
-        try:
-            # LRU bookkeeping: a disk hit refreshes the entry's mtime so
-            # eviction (here or via `repro cache gc`) drops cold entries
-            # first.  Best-effort — a concurrent eviction may win.
-            os.utime(path)
-        except OSError:
-            pass
         return payload[1]
-
-
-# -- cache-directory maintenance ---------------------------------------------
-#
-# The pickle-per-entry directories (DiskPipelineCache here, the batch
-# layer's ResultCache) share one on-disk shape: flat ``*.pkl`` entries plus
-# transient ``*.tmp.<pid>`` files.  These helpers are the shared load and
-# GC layer behind both caches and ``python -m repro cache``.
-
-
-def load_entry(path: Path) -> Any:
-    """The unpickled contents of cache entry *path*, or ``None`` on a miss.
-
-    Every failure to read or unpickle the entry is a miss, so the caller
-    recompiles and rewrites it: a missing file, a torn write, a class moved
-    since the entry was pickled, or arbitrary bytes — on which
-    ``pickle.load`` raises almost anything (``ValueError``,
-    ``OverflowError``, ``MemoryError``, ...).  A cache entry must never
-    fail a compile.
-    """
-    try:
-        with path.open("rb") as fh:
-            return pickle.load(fh)
-    except Exception:
-        return None
-
-
-def _cache_entries(directory: str | Path) -> list[tuple[Path, int, float]]:
-    """``(path, size_bytes, mtime)`` for every entry, oldest first."""
-    entries = []
-    for path in Path(directory).glob("*.pkl"):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue  # evicted/replaced by a concurrent process
-        entries.append((path, stat.st_size, stat.st_mtime))
-    entries.sort(key=lambda e: e[2])
-    return entries
-
-
-def cache_stats(directory: str | Path) -> dict[str, Any]:
-    """Entry count, byte total, and mtime range of a cache directory."""
-    entries = _cache_entries(directory)
-    return {
-        "directory": str(directory),
-        "entries": len(entries),
-        "total_bytes": sum(size for _p, size, _m in entries),
-        "oldest_mtime": entries[0][2] if entries else None,
-        "newest_mtime": entries[-1][2] if entries else None,
-    }
-
-
-def evict_lru(directory: str | Path, max_bytes: int) -> dict[str, int]:
-    """Delete least-recently-used entries until the total fits *max_bytes*.
-
-    Recency is mtime: writes stamp entries, disk hits re-stamp them.
-    Missing files (raced by a concurrent evictor) are skipped.  Returns
-    ``{"removed": n, "removed_bytes": b, "remaining_bytes": r}``.
-    """
-    entries = _cache_entries(directory)
-    total = sum(size for _p, size, _m in entries)
-    removed = removed_bytes = 0
-    for path, size, _mtime in entries:
-        if total <= max_bytes:
-            break
-        try:
-            path.unlink()
-        except OSError:
-            continue
-        total -= size
-        removed += 1
-        removed_bytes += size
-    return {
-        "removed": removed,
-        "removed_bytes": removed_bytes,
-        "remaining_bytes": total,
-    }
-
-
-def cache_clear(directory: str | Path) -> int:
-    """Delete every entry (and stray tmp file); returns entries removed."""
-    removed = 0
-    base = Path(directory)
-    for pattern in ("*.pkl", "*.tmp.*"):
-        for path in base.glob(pattern):
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            if pattern == "*.pkl":
-                removed += 1
-    return removed
 
 
 @dataclass

@@ -26,8 +26,6 @@ initializer/run-job machinery exported here.
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -37,10 +35,15 @@ from typing import Any, cast
 from ..analysis.metrics import CompiledMetrics
 from ..baselines.registry import CompileOptions, get_backend
 from ..circuits.circuit import QuantumCircuit
-from ..core.pipeline import DiskPipelineCache, PipelineCache, load_entry
+from ..core.blobs import BlobStore
+from ..core.pipeline import (
+    DiskPipelineCache,
+    PipelineCache,
+    _circuit_fingerprint,
+)
 
 #: Bump when CompiledMetrics or the key layout changes shape.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -53,50 +56,27 @@ class CompileJob:
 
     def cache_key(self) -> str:
         """Stable hash over backend, circuit contents, and every option."""
-        h = hashlib.sha256()
-        h.update(f"v{CACHE_VERSION}|{self.backend}|{self.circuit.name}|".encode())
-        h.update(f"{self.circuit.num_qubits}|".encode())
-        for g in self.circuit.gates:
-            h.update(
-                f"{g.name}{tuple(g.qubits)}{tuple(g.params)};".encode()
-            )
         opts = self.options
-        h.update(
-            f"|{opts.seed}|{opts.config!r}|{opts.raa!r}|{opts.params!r}"
+        return hashlib.sha256(
+            f"v{CACHE_VERSION}|{self.backend}|"
+            f"{_circuit_fingerprint(self.circuit)}|{opts.seed}|"
+            f"{opts.config!r}|{opts.raa!r}|{opts.params!r}"
             f"|{opts.label!r}|{opts.extra!r}".encode()
-        )
-        return h.hexdigest()
+        ).hexdigest()
 
 
 class ResultCache:
-    """Pickle-per-entry on-disk cache of :class:`CompiledMetrics`."""
+    """On-disk cache of :class:`CompiledMetrics`: a blob store keyed by
+    :meth:`CompileJob.cache_key`."""
 
     def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, job: CompileJob) -> Path:
-        return self.directory / f"{job.cache_key()}.pkl"
+        self.blobs = BlobStore(directory)
 
     def get(self, job: CompileJob) -> CompiledMetrics | None:
-        return load_entry(self._path(job))
+        return self.blobs.get(job.cache_key())
 
     def put(self, job: CompileJob, metrics: CompiledMetrics) -> None:
-        # Atomic write: concurrent runs sharing the directory must never
-        # observe a torn entry.  A write failure (disk full, directory
-        # gone read-only) degrades to an uncached entry — the cache must
-        # never fail a compile that already succeeded.
-        path = self._path(job)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            with tmp.open("wb") as fh:
-                pickle.dump(metrics, fh)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
+        self.blobs.put(job.cache_key(), metrics)
 
 
 #: Per-worker-process pipeline prefix cache, installed by the pool

@@ -1,11 +1,12 @@
 """Persistent job queue backing the compile service.
 
 The queue is the service's source of truth: every submitted job becomes a
-:class:`JobRecord` (wire payload + lifecycle state), optionally spooled to
-disk so a restarted daemon resumes exactly where the last one stopped —
-``PENDING`` jobs are still pending, jobs that were ``RUNNING`` when the
-process died are re-queued (their worker is gone), and finished results
-are served from the spool without recompiling.
+:class:`JobRecord` (wire payload + lifecycle state), spooled to disk so a
+restarted daemon resumes exactly where the last one stopped — ``PENDING``
+jobs are still pending, jobs that were ``RUNNING`` when the process died
+are re-queued (their worker is gone), and finished results are served
+from the spool without recompiling.  There is no memory-only mode: a
+service started without a spool spools to a temporary directory it owns.
 
 A ``RUNNING`` job holds a **lease**: :meth:`JobQueue.acquire` stamps an
 owner and a lease deadline and increments the record's attempt counter;
@@ -65,6 +66,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable
 
+from ..core.blobs import atomic_write
 from . import faults
 
 log = logging.getLogger("repro.service")
@@ -161,27 +163,12 @@ def dispatch_order(record: JobRecord) -> tuple[int, float, int, str]:
     )
 
 
-def _atomic_write_text(path: Path, text: str, site: str) -> None:
-    faults.maybe_fail(site, str(path))
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _atomic_write_bytes(path: Path, data: bytes, site: str) -> None:
-    faults.maybe_fail(site, str(path))
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
 class JobQueue:
-    """FIFO job store with optional disk persistence and job leases.
+    """FIFO job store spooled to *spool_dir*, with job leases.
 
-    Without a ``spool_dir`` everything lives in memory (tests, ephemeral
-    services).  With one, every mutation is mirrored to disk before it is
-    observable, so a crash between any two statements loses at most the
-    in-flight transition — never a submitted job.
+    Every mutation is mirrored to disk before it is observable, so a
+    crash between any two statements loses at most the in-flight
+    transition — never a submitted job.
 
     ``clock`` is injectable (defaults to :func:`time.time`) so lease
     expiry is testable without sleeping.  Leases use wall-clock time
@@ -190,15 +177,12 @@ class JobQueue:
 
     def __init__(
         self,
-        spool_dir: str | Path | None = None,
+        spool_dir: str | Path,
         clock: Callable[[], float] = time.time,
         node_id: str | None = None,
         shared: bool = False,
     ) -> None:
         self._records: dict[str, JobRecord] = {}
-        self._memory_results: dict[str, dict[str, Any]] = {}
-        self._memory_programs: dict[str, bytes] = {}
-        self._memory_progress: dict[str, list[dict[str, Any]]] = {}
         self._by_key: dict[str, str] = {}
         self._seq = 0
         self.clock = clock
@@ -207,18 +191,15 @@ class JobQueue:
         #: several daemons share this spool: boot must not demote peers'
         #: RUNNING jobs, and :meth:`sync` ingests their record writes
         self.shared = shared
-        if shared and spool_dir is None:
-            raise ValueError("a shared queue needs a spool_dir")
         #: spool filenames quarantined at boot (undecodable records)
         self.quarantined: list[str] = []
         #: (mtime_ns, size) per spool job file, as of our last read/write —
         #: sync() skips unchanged files and our own writes
         self._file_state: dict[str, tuple[int, int]] = {}
-        self.spool_dir = Path(spool_dir) if spool_dir is not None else None
-        if self.spool_dir is not None:
-            (self.spool_dir / "jobs").mkdir(parents=True, exist_ok=True)
-            (self.spool_dir / "results").mkdir(parents=True, exist_ok=True)
-            self._load()
+        self.spool_dir = Path(spool_dir)
+        (self.spool_dir / "jobs").mkdir(parents=True, exist_ok=True)
+        (self.spool_dir / "results").mkdir(parents=True, exist_ok=True)
+        self._load()
 
     # -- submission and lookup ---------------------------------------------
 
@@ -345,10 +326,6 @@ class JobQueue:
         self._persist(record)
         return record
 
-    def mark_running(self, job_id: str) -> None:
-        """Back-compat shorthand for :meth:`acquire` without a lease."""
-        self.acquire(job_id)
-
     def heartbeat(
         self, job_id: str, lease_seconds: float, owner: str | None = None
     ) -> bool:
@@ -473,8 +450,6 @@ class JobQueue:
         record = self.get(job_id)
         if record.state is not JobState.DONE:
             return None
-        if self.spool_dir is None:
-            return self._memory_results.get(job_id)
         path = self.spool_dir / "results" / f"{job_id}.json"
         try:
             raw = path.read_bytes()
@@ -485,34 +460,27 @@ class JobQueue:
             return None
 
     def _store_result(self, job_id: str, payload: dict[str, Any]) -> None:
-        if self.spool_dir is None:
-            self._memory_results[job_id] = payload
-            return
         path = self.spool_dir / "results" / f"{job_id}.json"
         encoded = json.dumps(payload).encode()
         if len(encoded) >= SPOOL_COMPRESS_THRESHOLD:
             encoded = SPOOL_DEFLATE_MAGIC + zlib.compress(encoded)
-        _atomic_write_bytes(path, encoded, site="spool.result")
+        faults.maybe_fail("spool.result", str(path))
+        atomic_write(path, encoded)
 
     def store_program(self, job_id: str, record: bytes) -> None:
         """Persist the v3 binary columnar program of a ``keep_program``
         job (``programs/<id>.bin``)."""
-        if self.spool_dir is None:
-            self._memory_programs[job_id] = record
-            return
         programs = self.spool_dir / "programs"
         programs.mkdir(parents=True, exist_ok=True)
-        _atomic_write_bytes(
-            programs / f"{job_id}.bin", record, site="spool.result"
-        )
+        path = programs / f"{job_id}.bin"
+        faults.maybe_fail("spool.result", str(path))
+        atomic_write(path, record)
 
     def load_program_bytes(self, job_id: str) -> bytes | None:
         """The v3 binary record of a DONE ``keep_program`` job, or None."""
         record = self.get(job_id)
         if record.state is not JobState.DONE:
             return None
-        if self.spool_dir is None:
-            return self._memory_programs.get(job_id)
         path = self.spool_dir / "programs" / f"{job_id}.bin"
         try:
             return path.read_bytes()
@@ -521,28 +489,19 @@ class JobQueue:
 
     # -- per-pass progress ----------------------------------------------------
 
-    def progress_path(self, job_id: str) -> Path | None:
-        """Where a worker appends per-pass progress events (JSONL), or
-        ``None`` for a memory-only queue (inline mode records directly)."""
-        if self.spool_dir is None:
-            return None
+    def progress_path(self, job_id: str) -> Path:
+        """Where a worker appends per-pass progress events (JSONL)."""
         progress = self.spool_dir / "progress"
         progress.mkdir(parents=True, exist_ok=True)
         return progress / f"{job_id}.jsonl"
 
-    def record_progress(self, job_id: str, event: dict[str, Any]) -> None:
-        """Append one progress event (memory-queue / inline-mode path)."""
-        self._memory_progress.setdefault(job_id, []).append(event)
-
     def load_progress(self, job_id: str) -> list[dict[str, Any]]:
         """All per-pass progress events recorded for *job_id*, in order.
 
-        Reads the spooled JSONL file when there is a spool (so farm peers
-        see each other's progress), skipping torn trailing lines; events
-        carry the attempt number, so retries append rather than reset.
+        Reads the spooled JSONL file (so farm peers see each other's
+        progress), skipping torn trailing lines; events carry the attempt
+        number, so retries append rather than reset.
         """
-        if self.spool_dir is None:
-            return list(self._memory_progress.get(job_id, []))
         path = self.spool_dir / "progress" / f"{job_id}.jsonl"
         events: list[dict[str, Any]] = []
         try:
@@ -564,10 +523,9 @@ class JobQueue:
     # -- persistence ---------------------------------------------------------
 
     def _persist(self, record: JobRecord) -> None:
-        if self.spool_dir is None:
-            return
         path = self.spool_dir / "jobs" / f"{record.job_id}.json"
-        _atomic_write_text(
+        faults.maybe_fail("spool.write", str(path))
+        atomic_write(
             path,
             json.dumps(
                 {
@@ -587,8 +545,7 @@ class JobQueue:
                     "keep_program": record.keep_program,
                     "payload": record.payload,
                 }
-            ),
-            site="spool.write",
+            ).encode(),
         )
         self._fingerprint(path)
 
@@ -613,9 +570,7 @@ class JobQueue:
 
         Returns the fresh record, the unchanged in-memory one when the
         spool file is unreadable mid-rewrite, or None for a job this
-        spool has never seen.  No-op without a spool."""
-        if self.spool_dir is None:
-            return self._records.get(job_id)
+        spool has never seen."""
         path = self.spool_dir / "jobs" / f"{job_id}.json"
         record = self._decode_record_file(path)
         if record is None:
@@ -630,9 +585,7 @@ class JobQueue:
         Scans ``jobs/`` and re-reads every file whose fingerprint moved
         since we last read or wrote it — our own atomic writes update the
         fingerprint at persist time, so only *foreign* changes surface.
-        Returns the changed records.  No-op without a spool."""
-        if self.spool_dir is None:
-            return []
+        Returns the changed records."""
         changed: list[JobRecord] = []
         for path in (self.spool_dir / "jobs").glob("*.json"):
             try:
@@ -675,7 +628,6 @@ class JobQueue:
 
     def _quarantine(self, path: Path) -> None:
         """Move an undecodable spool file aside instead of refusing to boot."""
-        assert self.spool_dir is not None
         pen = self.spool_dir / "quarantine"
         try:
             pen.mkdir(parents=True, exist_ok=True)
@@ -686,7 +638,6 @@ class JobQueue:
         log.warning("quarantined undecodable spool file %s", path.name)
 
     def _load(self) -> None:
-        assert self.spool_dir is not None
         for path in sorted((self.spool_dir / "jobs").glob("*.json")):
             record = self._decode_record_file(path)
             if record is None:

@@ -67,6 +67,7 @@ import logging
 import math
 import multiprocessing
 import os
+import tempfile
 import time
 import traceback
 import weakref
@@ -86,6 +87,7 @@ from ..core.pipeline import (
     set_pass_progress_sink,
 )
 from ..core import binformat
+from ..core.blobs import atomic_write
 from ..core.serialize import store_header_doc
 from ..experiments import batch
 from ..experiments.batch import CompileJob, ResultCache
@@ -164,7 +166,7 @@ def _capture_envelope(job: CompileJob) -> dict[str, Any]:
     }
 
 
-def _progress_file_sink(progress_path: str, attempt: int):
+def _progress_file_sink(progress_path: str | Path, attempt: int):
     """A pass-progress sink appending JSONL events to the job's spool file.
 
     One small append per pass — the write is the worker's only mid-compile
@@ -188,9 +190,9 @@ def _progress_file_sink(progress_path: str, attempt: int):
 
 def _execute_wire_job(
     payload: dict[str, Any],
-    attempt: int = 0,
-    keep_program: bool = False,
-    progress_path: str | None = None,
+    attempt: int,
+    keep_program: bool,
+    progress_path: str,
 ) -> dict[str, Any]:
     """Decode, compile, and re-encode one job (runs inside a shard worker).
 
@@ -200,8 +202,8 @@ def _execute_wire_job(
     ``batch._run_job``.  The fault-injection context includes the attempt
     number so chaos plans can target "only the first attempt of job X".
 
-    ``progress_path`` arms the per-pass progress sink: the pipeline
-    appends one JSONL event there as each pass completes.
+    The pipeline appends one JSONL progress event to ``progress_path``
+    as each pass completes.
 
     Returns an envelope ``{"metrics": ..., "program": ...}``; the program
     slot is filled only for ``keep_program`` jobs.
@@ -210,18 +212,15 @@ def _execute_wire_job(
     context = f"{job.backend}:{job.circuit.name}#a{attempt}"
     faults.maybe_exit("worker.crash", context)
     faults.maybe_sleep("job.slow", context)
-    previous = (
-        set_pass_progress_sink(_progress_file_sink(progress_path, attempt))
-        if progress_path is not None
-        else None
+    previous = set_pass_progress_sink(
+        _progress_file_sink(progress_path, attempt)
     )
     try:
         if keep_program:
             return _capture_envelope(batch.with_worker_prefix_cache(job))
         return {"metrics": encode_metrics(batch._run_job(job)), "program": None}
     finally:
-        if progress_path is not None:
-            set_pass_progress_sink(previous)
+        set_pass_progress_sink(previous)
 
 
 def _pool_ready() -> bool:
@@ -280,6 +279,13 @@ class CompileService:
             else max(min(shard_lease_seconds / 4.0, 1.0), 0.05)
         )
         node_digest = hashlib.sha256(self.node.encode()).hexdigest()[:6]
+        #: an ephemeral service spools to a temp directory aclose() removes
+        self._temp_spool: tempfile.TemporaryDirectory[str] | None = None
+        if spool_dir is None:
+            self._temp_spool = tempfile.TemporaryDirectory(
+                prefix="repro-spool-", ignore_cleanup_errors=True
+            )
+            spool_dir = self._temp_spool.name
         self.queue = JobQueue(
             spool_dir,
             clock=clock,
@@ -289,7 +295,6 @@ class CompileService:
         self._board: ShardBoard | None = None
         self._claims: JobClaims | None = None
         if farm:
-            assert spool_dir is not None
             self._board = ShardBoard(
                 Path(spool_dir) / "shards",
                 owner=self.node,
@@ -428,7 +433,8 @@ class CompileService:
         return in_flight
 
     async def aclose(self) -> None:
-        """Tear down dispatchers and worker pools (no waiting for jobs)."""
+        """Tear down dispatchers and worker pools (no waiting for jobs);
+        an ephemeral service also removes its temporary spool."""
         self._accepting = False
         tasks = list(self._dispatchers)
         if self._reaper is not None:
@@ -467,6 +473,8 @@ class CompileService:
                 except Exception:
                     pass
         self._pools = []
+        if self._temp_spool is not None:
+            self._temp_spool.cleanup()
 
     # -- job APIs ------------------------------------------------------------
 
@@ -642,16 +650,15 @@ class CompileService:
         return cancelled
 
     def _control_dir(self) -> Path:
-        assert self.queue.spool_dir is not None
         return self.queue.spool_dir / "control"
 
     def _write_cancel_marker(self, job_id: str) -> None:
         control = self._control_dir()
         control.mkdir(parents=True, exist_ok=True)
-        path = control / f"cancel-{job_id}.json"
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps({"job_id": job_id, "by": self.node}))
-        os.replace(tmp, path)
+        atomic_write(
+            control / f"cancel-{job_id}.json",
+            json.dumps({"job_id": job_id, "by": self.node}).encode(),
+        )
 
     def program_bytes(self, job_id: str) -> bytes:
         """The v3 binary record of a DONE ``keep_program`` job."""
@@ -1063,23 +1070,9 @@ class CompileService:
             job = decode_job(record.payload)
             context = f"{job.backend}:{job.circuit.name}#a{record.attempts}"
             faults.maybe_sleep("job.slow", context)
-            if progress_path is not None:
-                sink = _progress_file_sink(str(progress_path), record.attempts)
-            else:
-                # memory-only queue: record events directly
-                def sink(name, index, total, seconds):
-                    self.queue.record_progress(
-                        record.job_id,
-                        {
-                            "pass": name,
-                            "index": index,
-                            "total": total,
-                            "seconds": seconds,
-                            "attempt": record.attempts,
-                        },
-                    )
-
-            previous = set_pass_progress_sink(sink)
+            previous = set_pass_progress_sink(
+                _progress_file_sink(progress_path, record.attempts)
+            )
             try:
                 if record.keep_program:
                     return self._execute_inline(record.payload, slot, True)
@@ -1102,7 +1095,7 @@ class CompileService:
                 record.payload,
                 record.attempts,
                 record.keep_program,
-                str(progress_path) if progress_path is not None else None,
+                str(progress_path),
             )
             self._inflight[record.job_id] = future
             if record.timeout is not None:
@@ -1242,13 +1235,9 @@ class CompileService:
         self.queue.mark_done(job_id, encoded["metrics"])
         self._release_claim(job_id)
         if self._result_cache is not None:
-            try:
-                self._result_cache.put(
-                    decode_job(record.payload),
-                    decode_metrics(encoded["metrics"]),
-                )
-            except OSError:
-                pass  # cache write failure must not fail a DONE job
+            self._result_cache.put(
+                decode_job(record.payload), decode_metrics(encoded["metrics"])
+            )
         self._finish(job_id)
         # Chaos hook: a deterministic stand-in for "SIGKILL mid-run" —
         # fires only under an installed fault plan.

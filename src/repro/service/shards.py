@@ -63,6 +63,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
+from ..core.blobs import atomic_write
 from . import faults
 
 log = logging.getLogger("repro.service")
@@ -98,12 +99,6 @@ def _write_excl(path: Path, text: str) -> None:
         os.write(fd, text.encode())
     finally:
         os.close(fd)
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 class ShardBoard:
@@ -260,9 +255,9 @@ class ShardBoard:
             return self.claim(shard)
         try:
             faults.maybe_fail("lease.write", context)
-            _atomic_write(
+            atomic_write(
                 self._path(shard),
-                self._payload(shard, epoch=current.epoch, now=now),
+                self._payload(shard, epoch=current.epoch, now=now).encode(),
             )
         except OSError:
             return False  # cannot persist the renewal: treat as lost

@@ -1,4 +1,5 @@
-"""DiskPipelineCache eviction (LRU-by-mtime, size cap) and the cache CLI."""
+"""Blob-store eviction (LRU-by-mtime) under DiskPipelineCache, and the
+cache CLI."""
 
 import os
 import pickle
@@ -8,12 +9,9 @@ import pytest
 
 from repro.__main__ import main
 from repro.core import AtomiqueCompiler, AtomiqueConfig
-from repro.core.pipeline import (
-    DiskPipelineCache,
-    cache_clear,
-    cache_stats,
-    evict_lru,
-)
+from repro.core.blobs import cache_clear, cache_stats, evict_lru
+from repro.core.pipeline import DiskPipelineCache
+from repro.core.serialize import program_to_dict
 from repro.generators import qaoa_random
 from repro.hardware import RAAArchitecture
 
@@ -60,15 +58,15 @@ class TestEvictLru:
         assert not (tmp_path / "stray.tmp.123").exists()
 
 
-class TestDiskCacheCap:
-    def test_store_evicts_past_cap(self, tmp_path):
-        cache = DiskPipelineCache(tmp_path, max_bytes=0)
-        cache.store(("p", "x"), {"artifact": list(range(100))})
-        # cap 0: the entry itself is immediately evicted
-        assert cache_stats(tmp_path)["entries"] == 0
-        # the in-memory layer still serves it in this process
-        assert cache.lookup("p", ("p", "x")) is not None
+def program_doc(result):
+    """The v2 program document minus its wall-clock header fields."""
+    doc = program_to_dict(result.program)
+    for timing in ("emit_seconds", "compile_seconds"):
+        doc.pop(timing, None)
+    return doc
 
+
+class TestDiskCacheCap:
     def test_lru_keeps_recently_read_entries(self, tmp_path):
         cache = DiskPipelineCache(tmp_path)
         for i in range(4):
@@ -92,18 +90,21 @@ class TestDiskCacheCap:
     def test_capped_cache_still_compiles_correctly(self, tmp_path):
         circuit = qaoa_random(8, seed=3)
         arch = RAAArchitecture.default(side=4)
-        baseline = AtomiqueCompiler(arch, AtomiqueConfig(seed=7)).compile(circuit)
-        # a cap small enough to evict every artifact as it is written
-        cache = DiskPipelineCache(tmp_path, max_bytes=1)
-        capped = AtomiqueCompiler(
-            arch, AtomiqueConfig(seed=7), cache=cache
-        ).compile(circuit)
-        assert capped.program.gate_pairs() == baseline.program.gate_pairs()
-        assert cache_stats(tmp_path)["total_bytes"] <= 1
 
-    def test_negative_cap_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            DiskPipelineCache(tmp_path, max_bytes=-1)
+        def compile_once():
+            cache = DiskPipelineCache(tmp_path)  # cold in-memory layer
+            return AtomiqueCompiler(
+                arch, AtomiqueConfig(seed=7), cache=cache
+            ).compile(circuit)
+
+        first = compile_once()
+        assert cache_stats(tmp_path)["entries"] > 0
+        # gc to zero between the compiles: the second recompiles every pass
+        evict_lru(tmp_path, 0)
+        assert cache_stats(tmp_path)["entries"] == 0
+        second = compile_once()
+        assert program_doc(second) == program_doc(first)
+        assert cache_stats(tmp_path)["entries"] > 0
 
 
 class TestCacheCli:
@@ -127,3 +128,19 @@ class TestCacheCli:
     def test_gc_requires_max_bytes(self, tmp_path, capsys):
         assert main(["cache", "gc", str(tmp_path)]) == 2
         assert "requires --max-bytes" in capsys.readouterr().err
+
+    def test_gc_negative_cap_refused_and_touches_nothing(self, tmp_path, capsys):
+        fill(tmp_path, [("a", 100), ("b", 100), ("c", 100)])
+        assert main(["cache", "gc", str(tmp_path), "--max-bytes", "-1"]) == 2
+        assert "max_bytes must be >= 0" in capsys.readouterr().err
+        assert cache_stats(tmp_path)["entries"] == 3
+
+    @pytest.mark.parametrize("action", ["stats", "gc", "clear"])
+    def test_missing_directory_is_an_error(self, tmp_path, capsys, action):
+        missing = tmp_path / "no-such-cache"
+        argv = ["cache", action, str(missing)]
+        if action == "gc":
+            argv += ["--max-bytes", "0"]
+        assert main(argv) == 2
+        assert "no such cache directory" in capsys.readouterr().err
+        assert not missing.exists()

@@ -17,36 +17,36 @@ def payload(i):
 
 
 class TestOrdering:
-    def test_jobs_listed_in_submission_order(self):
-        queue = JobQueue()
+    def test_jobs_listed_in_submission_order(self, tmp_path):
+        queue = JobQueue(tmp_path)
         ids = [queue.submit(payload(i), shard=i % 2).job_id for i in range(6)]
         assert [r.job_id for r in queue.jobs()] == ids
         assert [r.seq for r in queue.jobs()] == list(range(1, 7))
 
-    def test_pending_is_fifo_and_tracks_transitions(self):
-        queue = JobQueue()
+    def test_pending_is_fifo_and_tracks_transitions(self, tmp_path):
+        queue = JobQueue(tmp_path)
         ids = [queue.submit(payload(i), shard=0).job_id for i in range(3)]
-        queue.mark_running(ids[0])
+        queue.acquire(ids[0])
         assert [r.job_id for r in queue.pending()] == ids[1:]
         queue.mark_done(ids[0], {"benchmark": "circ-0"})
         assert queue.get(ids[0]).state is JobState.DONE
 
-    def test_job_ids_are_unique_for_identical_payloads(self):
-        queue = JobQueue()
+    def test_job_ids_are_unique_for_identical_payloads(self, tmp_path):
+        queue = JobQueue(tmp_path)
         a = queue.submit(payload(0), shard=0)
         b = queue.submit(payload(0), shard=0)
         assert a.job_id != b.job_id
 
 
 class TestCancellation:
-    def test_pending_job_cancels(self):
-        queue = JobQueue()
+    def test_pending_job_cancels(self, tmp_path):
+        queue = JobQueue(tmp_path)
         job_id = queue.submit(payload(0), shard=0).job_id
         assert queue.cancel(job_id) is True
         assert queue.get(job_id).state is JobState.CANCELLED
 
-    def test_running_job_cancels_via_lease_revocation(self):
-        queue = JobQueue()
+    def test_running_job_cancels_via_lease_revocation(self, tmp_path):
+        queue = JobQueue(tmp_path)
         running = queue.submit(payload(0), shard=0).job_id
         queue.acquire(running, owner="d1", lease_seconds=30)
         assert queue.cancel(running) is True
@@ -57,35 +57,26 @@ class TestCancellation:
         assert queue.mark_done(running, {}) is False
         assert record.state is JobState.CANCELLED
 
-    def test_finished_jobs_do_not_cancel(self):
-        queue = JobQueue()
+    def test_finished_jobs_do_not_cancel(self, tmp_path):
+        queue = JobQueue(tmp_path)
         done = queue.submit(payload(1), shard=0).job_id
-        queue.mark_running(done)
+        queue.acquire(done)
         queue.mark_done(done, {})
         assert queue.cancel(done) is False
         assert queue.get(done).state is JobState.DONE
 
-    def test_unknown_job_raises(self):
+    def test_unknown_job_raises(self, tmp_path):
         with pytest.raises(QueueError):
-            JobQueue().cancel("job-999999-nope")
+            JobQueue(tmp_path).cancel("job-999999-nope")
 
 
 class TestResults:
-    def test_result_only_for_done_jobs(self):
-        queue = JobQueue()
+    def test_result_only_for_done_jobs(self, tmp_path):
+        queue = JobQueue(tmp_path)
         job_id = queue.submit(payload(0), shard=0).job_id
         assert queue.load_result(job_id) is None
         queue.mark_done(job_id, {"benchmark": "circ-0", "depth": 3})
         assert queue.load_result(job_id) == {"benchmark": "circ-0", "depth": 3}
-
-    def test_memory_results_are_per_queue(self):
-        a, b = JobQueue(), JobQueue()
-        job_id = a.submit(payload(0), shard=0).job_id
-        a.mark_done(job_id, {"depth": 1})
-        other = b.submit(payload(0), shard=0).job_id
-        b.mark_done(other, {"depth": 2})
-        assert a.load_result(job_id) == {"depth": 1}
-        assert b.load_result(other) == {"depth": 2}
 
 
 class TestSpoolPersistence:
@@ -93,7 +84,7 @@ class TestSpoolPersistence:
         first = JobQueue(tmp_path)
         done = first.submit(payload(0), shard=1).job_id
         pending = first.submit(payload(1), shard=0).job_id
-        first.mark_running(done)
+        first.acquire(done)
         first.mark_done(done, {"benchmark": "circ-0", "depth": 5})
 
         reborn = JobQueue(tmp_path)
@@ -107,7 +98,7 @@ class TestSpoolPersistence:
     def test_running_jobs_demote_to_pending_on_restart(self, tmp_path):
         first = JobQueue(tmp_path)
         job_id = first.submit(payload(0), shard=0).job_id
-        first.mark_running(job_id)
+        first.acquire(job_id)
 
         reborn = JobQueue(tmp_path)
         assert reborn.get(job_id).state is JobState.PENDING
@@ -202,26 +193,14 @@ class TestProgramSpool:
         assert (tmp_path / "programs" / f"{job_id}.bin").read_bytes() == record
         assert queue.load_program_bytes(job_id) == record
         assert binformat.decode_program(record).num_qubits == 2
-
-    def test_memory_fallback_keeps_binary_records(self):
-        from repro.core import binformat
-        from repro.core.program import ProgramStore
-
-        store = ProgramStore(num_qubits=1)
-        store.end_stage()
-        record = binformat.encode_program(store)
-        queue = JobQueue()  # no spool directory: in-memory only
-        job_id = self._done_job(queue)
-        queue.store_program(job_id, record)
-        assert queue.load_program_bytes(job_id) == record
         # a job that captured nothing has no record
         assert queue.load_program_bytes(self._done_job(queue)) is None
 
 
 class TestLeases:
-    def test_acquire_stamps_lease_and_counts_attempt(self):
+    def test_acquire_stamps_lease_and_counts_attempt(self, tmp_path):
         now = [1000.0]
-        queue = JobQueue(clock=lambda: now[0])
+        queue = JobQueue(tmp_path, clock=lambda: now[0])
         job_id = queue.submit(payload(0), shard=0).job_id
         record = queue.acquire(job_id, owner="daemon-1", lease_seconds=30)
         assert record.state is JobState.RUNNING
@@ -229,16 +208,16 @@ class TestLeases:
         assert record.owner == "daemon-1"
         assert record.lease_deadline == 1030.0
 
-    def test_acquire_rejects_non_pending(self):
-        queue = JobQueue()
+    def test_acquire_rejects_non_pending(self, tmp_path):
+        queue = JobQueue(tmp_path)
         job_id = queue.submit(payload(0), shard=0).job_id
         queue.acquire(job_id)
         with pytest.raises(QueueError, match="running"):
             queue.acquire(job_id)
 
-    def test_heartbeat_extends_until_expiry(self):
+    def test_heartbeat_extends_until_expiry(self, tmp_path):
         now = [1000.0]
-        queue = JobQueue(clock=lambda: now[0])
+        queue = JobQueue(tmp_path, clock=lambda: now[0])
         job_id = queue.submit(payload(0), shard=0).job_id
         queue.acquire(job_id, owner="d1", lease_seconds=10)
         now[0] = 1008.0
@@ -251,8 +230,8 @@ class TestLeases:
         queue.cancel(job_id)
         assert queue.heartbeat(job_id, lease_seconds=10) is False
 
-    def test_requeue_releases_lease_and_can_refund(self):
-        queue = JobQueue()
+    def test_requeue_releases_lease_and_can_refund(self, tmp_path):
+        queue = JobQueue(tmp_path)
         job_id = queue.submit(payload(0), shard=0).job_id
         queue.acquire(job_id, owner="d1", lease_seconds=10)
         queue.requeue(job_id)
@@ -265,8 +244,8 @@ class TestLeases:
 
 
 class TestRetryAndDeadLetter:
-    def test_retries_until_exhausted_then_dead_letters(self):
-        queue = JobQueue()
+    def test_retries_until_exhausted_then_dead_letters(self, tmp_path):
+        queue = JobQueue(tmp_path)
         job_id = queue.submit(payload(0), shard=0, max_retries=3).job_id
         for attempt in range(1, 3):
             queue.acquire(job_id)
@@ -281,8 +260,8 @@ class TestRetryAndDeadLetter:
         assert record.error == "boom 3"
         assert [r.job_id for r in queue.failed()] == [job_id]
 
-    def test_retry_preserves_last_error_until_success(self):
-        queue = JobQueue()
+    def test_retry_preserves_last_error_until_success(self, tmp_path):
+        queue = JobQueue(tmp_path)
         job_id = queue.submit(payload(0), shard=0).job_id
         queue.acquire(job_id)
         queue.retry_or_fail(job_id, "transient crash")
@@ -291,8 +270,8 @@ class TestRetryAndDeadLetter:
         queue.mark_done(job_id, {})
         assert queue.get(job_id).error is None
 
-    def test_cancelled_job_wins_over_late_retry(self):
-        queue = JobQueue()
+    def test_cancelled_job_wins_over_late_retry(self, tmp_path):
+        queue = JobQueue(tmp_path)
         job_id = queue.submit(payload(0), shard=0).job_id
         queue.acquire(job_id)
         queue.cancel(job_id)
@@ -324,8 +303,8 @@ class TestRetryAndDeadLetter:
 
 
 class TestIdempotentSubmission:
-    def test_same_key_returns_same_record(self):
-        queue = JobQueue()
+    def test_same_key_returns_same_record(self, tmp_path):
+        queue = JobQueue(tmp_path)
         a = queue.submit(payload(0), shard=0, job_key="k1")
         b = queue.submit(payload(0), shard=0, job_key="k1")
         assert a.job_id == b.job_id
@@ -340,8 +319,8 @@ class TestIdempotentSubmission:
         assert reborn.submit(payload(0), shard=0, job_key="k1").job_id == a.job_id
         assert len(reborn.jobs()) == 1
 
-    def test_keyless_submissions_never_deduplicate(self):
-        queue = JobQueue()
+    def test_keyless_submissions_never_deduplicate(self, tmp_path):
+        queue = JobQueue(tmp_path)
         a = queue.submit(payload(0), shard=0)
         b = queue.submit(payload(0), shard=0)
         assert a.job_id != b.job_id

@@ -108,6 +108,20 @@ class TestSubmissionAPI:
 
         asyncio.run(scenario())
 
+    def test_ephemeral_spool_removed_on_close(self):
+        """Without a spool_dir the service spools to a temp directory it
+        owns: inline progress lands there, and aclose() removes it."""
+
+        async def scenario():
+            service = CompileService(inline=True, shards=1)
+            spool = service.queue.spool_dir
+            await submit_and_collect(service, mixed_jobs()[:1])
+            assert len(list((spool / "progress").glob("*.jsonl"))) == 1
+            await service.aclose()
+            return spool
+
+        assert not asyncio.run(scenario()).exists()
+
     def test_unknown_backend_rejected_at_submission(self):
         async def scenario():
             service = CompileService(inline=True)

@@ -67,7 +67,8 @@ class QuantumCircuit:
 
     def append(self, gate: Gate) -> "QuantumCircuit":
         """Append *gate*, validating its qubit indices against the register."""
-        if any(q >= self.num_qubits for q in gate.qubits):
+        qubits = gate.qubits
+        if qubits and max(qubits) >= self.num_qubits:
             raise CircuitError(
                 f"gate {gate} exceeds register of {self.num_qubits} qubits"
             )
@@ -76,7 +77,7 @@ class QuantumCircuit:
 
     def add(self, name: str, qubits: Iterable[int], params: Iterable[float] = ()) -> "QuantumCircuit":
         """Append a gate by name."""
-        return self.append(Gate(name, tuple(qubits), tuple(params)))
+        return self.append(Gate(name, qubits, params))
 
     def extend(self, gates: Iterable[Gate]) -> "QuantumCircuit":
         """Append every gate in *gates*."""

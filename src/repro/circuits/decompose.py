@@ -16,6 +16,10 @@ import numpy as np
 from .circuit import QuantumCircuit
 from .gates import Gate, GateError, one_qubit_matrix
 
+#: Lowering and the peepholes only rebuild gates from the fields of gates
+#: that are already valid, so they skip ``Gate`` validation.
+_trusted = Gate.trusted
+
 
 def u3_params_from_matrix(m: np.ndarray) -> tuple[float, float, float]:
     """Recover ``(theta, phi, lam)`` such that ``U3(theta,phi,lam) ~ m``.
@@ -58,7 +62,7 @@ def merge_1q_runs(circuit: QuantumCircuit) -> QuantumCircuit:
         theta, phi, lam = u3_params_from_matrix(m)
         if abs(theta) < 1e-10 and abs((phi + lam) % (2 * math.pi)) < 1e-10:
             return  # identity up to phase
-        out.append(Gate("u3", (q,), (theta, phi, lam)))
+        out.append(_trusted("u3", (q,), (theta, phi, lam)))
 
     for g in circuit.gates:
         if g.is_one_qubit:
@@ -80,57 +84,63 @@ def _lower_gate(g: Gate, basis_2q: str) -> list[Gate]:
         return [g]
 
     def h(q: int) -> Gate:
-        return Gate("h", (q,))
+        return _trusted("h", (q,))
 
     def rz(theta: float, q: int) -> Gate:
-        return Gate("rz", (q,), (theta,))
+        return _trusted("rz", (q,), (theta,))
 
     name = g.name
     if name == "cx":
         if basis_2q == "cx":
             return [g]
         c, t = g.qubits
-        return [h(t), Gate("cz", (c, t)), h(t)]
+        return [h(t), _trusted("cz", (c, t)), h(t)]
     if name == "cz":
         if basis_2q == "cz":
             return [g]
         a, b = g.qubits
-        return [h(b), Gate("cx", (a, b)), h(b)]
+        return [h(b), _trusted("cx", (a, b)), h(b)]
     if name == "swap":
         a, b = g.qubits
-        inner = [Gate("cx", (a, b)), Gate("cx", (b, a)), Gate("cx", (a, b))]
+        inner = [_trusted("cx", (a, b)), _trusted("cx", (b, a)), _trusted("cx", (a, b))]
         return [x for gg in inner for x in _lower_gate(gg, basis_2q)]
     if name == "iswap":
         a, b = g.qubits
         inner = [
-            Gate("s", (a,)),
-            Gate("s", (b,)),
-            Gate("h", (a,)),
-            Gate("cx", (a, b)),
-            Gate("cx", (b, a)),
-            Gate("h", (b,)),
+            _trusted("s", (a,)),
+            _trusted("s", (b,)),
+            _trusted("h", (a,)),
+            _trusted("cx", (a, b)),
+            _trusted("cx", (b, a)),
+            _trusted("h", (b,)),
         ]
         return [x for gg in inner for x in _lower_gate(gg, basis_2q)]
     if name == "rzz":
         (theta,) = g.params
         a, b = g.qubits
-        inner = [Gate("cx", (a, b)), rz(theta, b), Gate("cx", (a, b))]
+        inner = [_trusted("cx", (a, b)), rz(theta, b), _trusted("cx", (a, b))]
         return [x for gg in inner for x in _lower_gate(gg, basis_2q)]
     if name == "rxx":
         (theta,) = g.params
         a, b = g.qubits
         inner = (
             [h(a), h(b)]
-            + _lower_gate(Gate("rzz", (a, b), (theta,)), basis_2q)
+            + _lower_gate(_trusted("rzz", (a, b), (theta,)), basis_2q)
             + [h(a), h(b)]
         )
         return [x for gg in inner for x in _lower_gate(gg, basis_2q)]
     if name == "ryy":
         (theta,) = g.params
         a, b = g.qubits
-        pre = [Gate("rx", (a,), (math.pi / 2,)), Gate("rx", (b,), (math.pi / 2,))]
-        post = [Gate("rx", (a,), (-math.pi / 2,)), Gate("rx", (b,), (-math.pi / 2,))]
-        inner = pre + _lower_gate(Gate("rzz", (a, b), (theta,)), basis_2q) + post
+        pre = [
+            _trusted("rx", (a,), (math.pi / 2,)),
+            _trusted("rx", (b,), (math.pi / 2,)),
+        ]
+        post = [
+            _trusted("rx", (a,), (-math.pi / 2,)),
+            _trusted("rx", (b,), (-math.pi / 2,)),
+        ]
+        inner = pre + _lower_gate(_trusted("rzz", (a, b), (theta,)), basis_2q) + post
         return [x for gg in inner for x in _lower_gate(gg, basis_2q)]
     if name == "cp":
         (theta,) = g.params
@@ -138,9 +148,9 @@ def _lower_gate(g: Gate, basis_2q: str) -> list[Gate]:
         inner = [
             rz(theta / 2, a),
             rz(theta / 2, b),
-            Gate("cx", (a, b)),
+            _trusted("cx", (a, b)),
             rz(-theta / 2, b),
-            Gate("cx", (a, b)),
+            _trusted("cx", (a, b)),
         ]
         return [x for gg in inner for x in _lower_gate(gg, basis_2q)]
     if name == "crz":
@@ -148,38 +158,42 @@ def _lower_gate(g: Gate, basis_2q: str) -> list[Gate]:
         a, b = g.qubits
         inner = [
             rz(theta / 2, b),
-            Gate("cx", (a, b)),
+            _trusted("cx", (a, b)),
             rz(-theta / 2, b),
-            Gate("cx", (a, b)),
+            _trusted("cx", (a, b)),
         ]
         return [x for gg in inner for x in _lower_gate(gg, basis_2q)]
     if name == "ccz":
         a, b, c = g.qubits
-        inner = [h(c), Gate("ccx", (a, b, c)), h(c)]
+        inner = [h(c), _trusted("ccx", (a, b, c)), h(c)]
         return [x for gg in inner for x in _lower_gate(gg, basis_2q)]
     if name == "ccx":
         a, b, c = g.qubits
         inner = [
             h(c),
-            Gate("cx", (b, c)),
-            Gate("tdg", (c,)),
-            Gate("cx", (a, c)),
-            Gate("t", (c,)),
-            Gate("cx", (b, c)),
-            Gate("tdg", (c,)),
-            Gate("cx", (a, c)),
-            Gate("t", (b,)),
-            Gate("t", (c,)),
-            Gate("cx", (a, b)),
+            _trusted("cx", (b, c)),
+            _trusted("tdg", (c,)),
+            _trusted("cx", (a, c)),
+            _trusted("t", (c,)),
+            _trusted("cx", (b, c)),
+            _trusted("tdg", (c,)),
+            _trusted("cx", (a, c)),
+            _trusted("t", (b,)),
+            _trusted("t", (c,)),
+            _trusted("cx", (a, b)),
             h(c),
-            Gate("t", (a,)),
-            Gate("tdg", (b,)),
-            Gate("cx", (a, b)),
+            _trusted("t", (a,)),
+            _trusted("tdg", (b,)),
+            _trusted("cx", (a, b)),
         ]
         return [x for gg in inner for x in _lower_gate(gg, basis_2q)]
     if name == "cswap":
         a, b, c = g.qubits
-        inner = [Gate("cx", (c, b)), Gate("ccx", (a, b, c)), Gate("cx", (c, b))]
+        inner = [
+            _trusted("cx", (c, b)),
+            _trusted("ccx", (a, b, c)),
+            _trusted("cx", (c, b)),
+        ]
         return [x for gg in inner for x in _lower_gate(gg, basis_2q)]
     raise GateError(f"cannot lower gate {name!r} to basis {basis_2q!r}")
 
@@ -232,9 +246,9 @@ def decompose_swaps(circuit: QuantumCircuit) -> QuantumCircuit:
     for g in circuit.gates:
         if g.name == "swap":
             a, b = g.qubits
-            out.append(Gate("cx", (a, b)))
-            out.append(Gate("cx", (b, a)))
-            out.append(Gate("cx", (a, b)))
+            out.append(_trusted("cx", (a, b)))
+            out.append(_trusted("cx", (b, a)))
+            out.append(_trusted("cx", (a, b)))
         else:
             out.append(g)
     return out

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from operator import index as _index
 
 import numpy as np
 
@@ -77,12 +78,19 @@ MEASURE = "measure"
 #: Name of the barrier pseudo-gate.
 BARRIER = "barrier"
 
+#: Fixed qubit count per gate name (names absent here take any arity).
+_ARITY: dict[str, int] = {
+    **dict.fromkeys(ONE_QUBIT_GATES, 1),
+    MEASURE: 1,
+    **dict.fromkeys(TWO_QUBIT_GATES, 2),
+    **dict.fromkeys(THREE_QUBIT_GATES, 3),
+}
+
 
 class GateError(ValueError):
     """Raised when a gate is constructed with inconsistent metadata."""
 
 
-@dataclass(frozen=True)
 class Gate:
     """An immutable gate application.
 
@@ -94,41 +102,89 @@ class Gate:
         Tuple of distinct qubit indices the gate acts on.
     params:
         Tuple of real parameters (rotation angles in radians).
+
+    ``Gate(...)`` normalises (lower-cased ``str`` name, ``int`` qubits via
+    :func:`operator.index`, ``float`` params) and validates its fields once.
+    :meth:`trusted` skips both, for gates the compiler builds from fields
+    that are already normalised.
     """
+
+    __slots__ = ("name", "qubits", "params")
 
     name: str
     qubits: tuple[int, ...]
-    params: tuple[float, ...] = field(default=())
+    params: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "name", self.name.lower())
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if len(set(self.qubits)) != len(self.qubits):
-            raise GateError(f"duplicate qubits in gate {self.name}: {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise GateError(f"negative qubit index in gate {self.name}: {self.qubits}")
-        expected = self.expected_arity(self.name)
-        if expected is not None and len(self.qubits) != expected:
+    def __init__(
+        self, name: str, qubits: Iterable[int], params: Iterable[float] = ()
+    ) -> None:
+        if not isinstance(name, str):
             raise GateError(
-                f"gate {self.name!r} expects {expected} qubits, got {len(self.qubits)}"
+                f"gate name must be a str, got {type(name).__name__}: {name!r}"
             )
-        nparams = GATE_NUM_PARAMS.get(self.name)
-        if nparams is not None and len(self.params) != nparams:
+        name = name.lower()
+        try:
+            qubits = tuple(map(_index, qubits))
+        except TypeError as exc:
             raise GateError(
-                f"gate {self.name!r} expects {nparams} params, got {len(self.params)}"
+                f"qubit indices of gate {name} must be integers: {exc}"
+            ) from None
+        params = tuple(map(float, params))
+        _set_name(self, name)
+        _set_qubits(self, qubits)
+        _set_params(self, params)
+        n = len(qubits)
+        if n > 1 and len(set(qubits)) != n:
+            raise GateError(f"duplicate qubits in gate {name}: {qubits}")
+        if n and min(qubits) < 0:
+            raise GateError(f"negative qubit index in gate {name}: {qubits}")
+        expected = _ARITY.get(name)
+        if expected is not None and n != expected:
+            raise GateError(f"gate {name!r} expects {expected} qubits, got {n}")
+        nparams = GATE_NUM_PARAMS.get(name)
+        if nparams is not None and len(params) != nparams:
+            raise GateError(
+                f"gate {name!r} expects {nparams} params, got {len(params)}"
             )
 
     @staticmethod
-    def expected_arity(name: str) -> int | None:
-        """Return the number of qubits gate *name* acts on, if fixed."""
-        if name in ONE_QUBIT_GATES or name == MEASURE:
-            return 1
-        if name in TWO_QUBIT_GATES:
-            return 2
-        if name in THREE_QUBIT_GATES:
-            return 3
-        return None
+    def trusted(
+        name: str, qubits: tuple[int, ...], params: tuple[float, ...] = ()
+    ) -> "Gate":
+        """Build a gate from already-normalised fields without validating.
+
+        Only for gates the code derives itself from valid gates: *name* a
+        lower-case ``str``, *qubits* a tuple of distinct non-negative
+        ``int``, *params* a tuple of ``float``, arity and parameter count
+        right.  Anything read from a user or the network goes through
+        ``Gate(...)``.
+        """
+        gate = _new(Gate)
+        _set_name(gate, name)
+        _set_qubits(gate, qubits)
+        _set_params(gate, params)
+        return gate
+
+    def __setattr__(self, attr: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {attr!r} of an immutable Gate")
+
+    def __delattr__(self, attr: str) -> None:
+        raise AttributeError(f"cannot delete field {attr!r} of an immutable Gate")
+
+    def __reduce__(self) -> tuple:
+        return (Gate.trusted, (self.name, self.qubits, self.params))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Gate:
+            return NotImplemented
+        return (
+            self.name == other.name  # type: ignore[attr-defined]
+            and self.qubits == other.qubits  # type: ignore[attr-defined]
+            and self.params == other.params  # type: ignore[attr-defined]
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.qubits, self.params))
 
     @property
     def num_qubits(self) -> int:
@@ -181,6 +237,12 @@ class Gate:
             ps = ", ".join(f"{p:.4g}" for p in self.params)
             return f"{self.name}({ps}) q{list(self.qubits)}"
         return f"{self.name} q{list(self.qubits)}"
+
+
+_new = object.__new__
+_set_name = Gate.name.__set__  # type: ignore[attr-defined]
+_set_qubits = Gate.qubits.__set__  # type: ignore[attr-defined]
+_set_params = Gate.params.__set__  # type: ignore[attr-defined]
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,9 @@ class PipelineError(RuntimeError):
 
 #: Bump when pass artifacts or the cache-key layout change shape.  Stale
 #: on-disk entries written under an older version land at a different path,
-#: so they are recompiled, never deserialized.
-PIPELINE_CACHE_VERSION = 1
+#: so they are recompiled, never deserialized.  Version 2: gates pickle as
+#: ``Gate.trusted(name, qubits, params)`` calls, not frozen-dataclass state.
+PIPELINE_CACHE_VERSION = 2
 
 
 def _circuit_fingerprint(circuit: QuantumCircuit) -> str:

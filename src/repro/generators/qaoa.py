@@ -13,10 +13,15 @@ follows each cost layer, and an initial Hadamard layer prepares ``|+>^n``.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
+from ..circuits.gates import Gate
+
+if TYPE_CHECKING:  # networkx loads only for the graph-based helpers
+    import networkx as nx
 
 
 def _qaoa_from_edges(
@@ -26,18 +31,26 @@ def _qaoa_from_edges(
     seed: int,
     name: str,
 ) -> QuantumCircuit:
-    """Assemble a p-layer QAOA circuit over *edges*."""
+    """Assemble a p-layer QAOA circuit over *edges*.
+
+    *edges* are distinct in-range ``int`` pairs, so the gates are built
+    with :meth:`Gate.trusted`.
+    """
     rng = np.random.default_rng(seed)
     circ = QuantumCircuit(num_qubits, name)
+    append = circ.append
+    gate = Gate.trusted
     for q in range(num_qubits):
-        circ.h(q)
+        append(gate("h", (q,)))
     for _ in range(p_layers):
         gamma = float(rng.uniform(0, np.pi))
         beta = float(rng.uniform(0, np.pi))
+        zz = (2.0 * gamma,)
         for a, b in edges:
-            circ.rzz(2.0 * gamma, a, b)
+            append(gate("rzz", (a, b), zz))
+        mix = (2.0 * beta,)
         for q in range(num_qubits):
-            circ.rx(2.0 * beta, q)
+            append(gate("rx", (q,), mix))
     return circ
 
 
@@ -49,12 +62,10 @@ def qaoa_random(
 ) -> QuantumCircuit:
     """QAOA on an Erdos-Renyi graph (paper's ``QAOA-rand-n``)."""
     rng = np.random.default_rng(seed)
-    edges = [
-        (i, j)
-        for i in range(num_qubits)
-        for j in range(i + 1, num_qubits)
-        if rng.random() < edge_prob
-    ]
+    pairs = [(i, j) for i in range(num_qubits) for j in range(i + 1, num_qubits)]
+    # One vector draw consumes the stream exactly as one scalar draw per pair.
+    keep = (rng.random(len(pairs)) < edge_prob).tolist()
+    edges = [pair for pair, k in zip(pairs, keep) if k]
     if not edges:
         edges = [(0, 1)]
     return _qaoa_from_edges(
@@ -75,6 +86,8 @@ def qaoa_regular(
         )
     if degree >= num_qubits:
         raise ValueError("degree must be < num_qubits")
+    import networkx as nx
+
     graph = nx.random_regular_graph(degree, num_qubits, seed=seed)
     edges = [(min(a, b), max(a, b)) for a, b in graph.edges()]
     return _qaoa_from_edges(
@@ -88,6 +101,8 @@ def qaoa_regular(
 
 def qaoa_interaction_graph(circuit: QuantumCircuit) -> nx.Graph:
     """Recover the ZZ interaction graph from a QAOA circuit (for analysis)."""
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(circuit.num_qubits))
     for gate in circuit.gates:

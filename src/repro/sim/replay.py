@@ -25,11 +25,10 @@ def program_to_circuit(program: ProgramStore) -> QuantumCircuit:
     circ = QuantumCircuit(program.num_qubits, "replayed")
     s = program.collect()
     append = circ.append
+    gate = Gate.trusted  # the columns hold the fields of valid gates
     for si in range(s.num_stages):
         for i in range(s.off_raman[si], s.off_raman[si + 1]):
-            append(Gate(s.raman_name[i], (s.raman_qubit[i],), s.raman_params[i]))
+            append(gate(s.raman_name[i], (s.raman_qubit[i],), s.raman_params[i]))
         for i in range(s.off_gate[si], s.off_gate[si + 1]):
-            append(
-                Gate(s.gate_name[i], (s.gate_a[i], s.gate_b[i]), s.gate_params[i])
-            )
+            append(gate(s.gate_name[i], (s.gate_a[i], s.gate_b[i]), s.gate_params[i]))
     return circ

@@ -43,7 +43,9 @@ def path_route(
             g = dag.gates[idx]
             if not g.is_two_qubit:
                 out.append(
-                    Gate(g.name, tuple(layout.physical(q) for q in g.qubits), g.params)
+                    Gate.trusted(
+                        g.name, tuple(layout.physical(q) for q in g.qubits), g.params
+                    )
                 )
                 dag.execute(idx)
                 break
@@ -52,12 +54,12 @@ def path_route(
                 path = coupling.shortest_path(pa, pb)
                 # Swap the first endpoint down the path until adjacent.
                 for hop in path[1:-1]:
-                    out.append(Gate("swap", (pa, hop)))
+                    out.append(Gate.trusted("swap", (pa, hop)))
                     swap_indices.append(len(out) - 1)
                     num_swaps += 1
                     layout.swap_physical(pa, hop)
                     pa = hop
-            out.append(Gate(g.name, (pa, pb), g.params))
+            out.append(Gate.trusted(g.name, (pa, pb), g.params))
             dag.execute(idx)
             break
 

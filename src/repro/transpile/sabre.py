@@ -372,10 +372,12 @@ def sabre_route(
                     pb = int(l2p[qb])
                     if pb not in adj[pa]:
                         continue
-                    out.append(Gate(g.name, (pa, pb), g.params))
+                    out.append(Gate.trusted(g.name, (pa, pb), g.params))
                 else:
                     out.append(
-                        Gate(g.name, tuple(int(l2p[q]) for q in g.qubits), g.params)
+                        Gate.trusted(
+                            g.name, tuple(int(l2p[q]) for q in g.qubits), g.params
+                        )
                     )
                 unlocked.extend(dag.execute(idx))
                 progressed = True
@@ -402,7 +404,7 @@ def sabre_route(
         chosen = scorer.select(decay, rng)
         p1, p2 = scorer.edge(chosen)
 
-        out.append(Gate("swap", (p1, p2)))
+        out.append(Gate.trusted("swap", (p1, p2)))
         swap_indices.append(len(out) - 1)
         num_swaps += 1
         scorer.commit(chosen)

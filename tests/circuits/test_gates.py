@@ -1,6 +1,8 @@
 """Unit tests for the gate taxonomy and matrices."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -54,6 +56,52 @@ class TestGateConstruction:
         g = Gate("h", (0,))
         with pytest.raises(AttributeError):
             g.name = "x"
+
+    def test_non_string_name_rejected(self):
+        with pytest.raises(GateError, match="name must be a str"):
+            Gate(1, (0,))
+
+    @pytest.mark.parametrize("bad", [1.5, "2", np.float64(1.0), None])
+    def test_non_integral_qubit_rejected(self, bad):
+        with pytest.raises(GateError, match="must be integers"):
+            Gate("cz", (0, bad))
+
+    def test_numpy_int_qubits_normalised(self):
+        g = Gate("cz", (np.int64(3), np.int32(1)))
+        assert g.qubits == (3, 1)
+        assert all(type(q) is int for q in g.qubits)
+
+
+class TestTrustedConstructor:
+    def test_trusted_equals_validated(self):
+        trusted = Gate.trusted("rzz", (2, 0), (0.5,))
+        validated = Gate("rzz", (2, 0), (0.5,))
+        assert trusted == validated
+        assert hash(trusted) == hash(validated)
+        assert repr(trusted) == repr(validated)
+        assert Gate.trusted("h", (0,)).params == ()
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [
+            lambda g: pickle.loads(pickle.dumps(g)),
+            lambda g: pickle.loads(pickle.dumps(g, protocol=2)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["pickle", "pickle-protocol-2", "copy", "deepcopy"],
+    )
+    def test_round_trips_skip_validation(self, round_trip, monkeypatch):
+        gates = [Gate("u3", (4,), (0.1, 0.2, 0.3)), Gate("cx", (1, 0))]
+
+        def no_validation(self, *args, **kwargs):
+            raise AssertionError("round trip ran Gate validation")
+
+        monkeypatch.setattr(Gate, "__init__", no_validation)
+        for g in gates:
+            back = round_trip(g)
+            assert back == g and hash(back) == hash(g)
+            assert type(back.name) is str and type(back.qubits) is tuple
 
 
 class TestGateProperties:

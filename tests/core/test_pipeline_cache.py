@@ -200,6 +200,38 @@ class TestDiskPipelineCache:
         assert cache.disk_hits.get("sabre_swap") is None
         assert _program_fingerprint(second) == _program_fingerprint(first)
 
+    def test_version_1_entries_are_misses(
+        self, circuit, sabre_counter, tmp_path, monkeypatch
+    ):
+        """Entries written before gates pickled in the slotted layout
+        recompile instead of raising."""
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline_mod, "PIPELINE_CACHE_VERSION", 1)
+            first, _ = self.compile_with(circuit, tmp_path)
+        second, cache = self.compile_with(circuit, tmp_path)
+        assert sabre_counter["count"] == 2
+        assert cache.disk_hits.get("sabre_swap") is None
+        assert _program_fingerprint(second) == _program_fingerprint(first)
+
+    def test_version_1_gate_layout_is_a_miss(self, circuit, sabre_counter, tmp_path):
+        """A gate pickled as the version-1 frozen dataclass (NEWOBJ plus a
+        state dict) no longer loads; an entry holding one is a miss."""
+        v1_gate = (
+            b"\x8c\x14repro.circuits.gates\x94\x8c\x04Gate\x94\x93\x94)\x81\x94}"
+            b"\x94(\x8c\x04name\x94\x8c\x01h\x94\x8c\x06qubits\x94K\x00\x85"
+            b"\x94\x8c\x06params\x94)ub"
+        )
+        self.compile_with(circuit, tmp_path)
+        version = pipeline_mod.PIPELINE_CACHE_VERSION
+        entry = b"\x80\x04K" + bytes((version,)) + v1_gate + b"\x86."
+        with pytest.raises(AttributeError):
+            pickle.loads(entry)
+        for path in tmp_path.glob("*.pkl"):
+            path.write_bytes(entry)
+        _, cache = self.compile_with(circuit, tmp_path)
+        assert sabre_counter["count"] == 2
+        assert cache.disk_hits.get("sabre_swap") is None
+
     def test_stale_payload_header_is_rejected(self, circuit, sabre_counter, tmp_path):
         """Defense in depth: even an entry sitting at the *current* path
         is refused if its embedded version header disagrees."""

@@ -1,8 +1,14 @@
 """Tests for the benchmark circuit generators against Table II structure."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.generators import (
     bernstein_vazirani,
     ghz,
@@ -57,6 +63,37 @@ class TestQAOA:
     def test_hadamard_initialization(self):
         c = qaoa_random(8, seed=0)
         assert [g.name for g in c.gates[:8]] == ["h"] * 8
+
+
+class TestQAOARandomStream:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 1009])
+    def test_edge_mask_matches_one_scalar_draw_per_pair(self, seed):
+        rng = np.random.default_rng(seed)
+        expected = [
+            (i, j) for i in range(30) for j in range(i + 1, 30) if rng.random() < 0.5
+        ]
+        circ = qaoa_random(30, seed=seed)
+        assert [g.qubits for g in circ.gates if g.name == "rzz"] == expected
+
+
+class TestImportBudget:
+    def test_library_path_leaves_networkx_unloaded(self):
+        """networkx loads only for the regular-graph helpers that use it."""
+        code = (
+            "import sys\n"
+            "import repro.experiments.common\n"
+            "from repro.generators.qaoa import qaoa_random\n"
+            "qaoa_random(24)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, path]))}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestQSim:

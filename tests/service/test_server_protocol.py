@@ -115,6 +115,30 @@ class TestProtocol:
         assert bad_submit["ok"] is False
         assert ping["ok"] is True
 
+    @pytest.mark.parametrize(
+        "gate",
+        [[1, [0], []], ["cz", [0, "2"], []]],
+        ids=["int-name", "str-qubit"],
+    )
+    def test_bad_gate_is_an_error_reply(self, tmp_path, caplog, gate):
+        job = {"backend": "Atomique", "circuit": {"num_qubits": 3, "gates": [gate]}}
+
+        async def body(path):
+            return await roundtrip(
+                path, [{"op": "submit", "job": job}, {"op": "ping"}]
+            )
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            rejected, ping = serve_scenario(tmp_path, body)
+        assert rejected["ok"] is False
+        assert "bad circuit payload" in rejected["error"]
+        assert ping["ok"] is True  # same connection, still served
+        crashes = [
+            r for r in caplog.records
+            if "client_connected_cb" in r.getMessage()
+        ]
+        assert not crashes, "the connection handler raised"
+
     def test_malformed_line_gets_error_response(self, tmp_path):
         async def body(path):
             reader, writer = await asyncio.open_unix_connection(path)

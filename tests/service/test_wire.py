@@ -38,6 +38,19 @@ class TestCircuitCodec:
         with pytest.raises(WireError):
             wire.decode_circuit({"gates": []})
 
+    @pytest.mark.parametrize(
+        "gate",
+        [[1, [0], []], ["cz", [0, "2"], []], ["h", [1.5], []]],
+        ids=["int-name", "str-qubit", "float-qubit"],
+    )
+    def test_malformed_gate_raises(self, gate):
+        with pytest.raises(WireError, match="bad circuit payload"):
+            wire.decode_circuit({"num_qubits": 3, "gates": [gate]})
+        with pytest.raises(WireError, match="bad circuit payload"):
+            wire.decode_job(
+                {"backend": "Atomique", "circuit": {"num_qubits": 3, "gates": [gate]}}
+            )
+
 
 class TestOptionsCodec:
     def full_options(self):

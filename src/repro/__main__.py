@@ -93,6 +93,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    if not args.inline:
+        from . import forkserver
+
+        # Before the daemon's own imports, so the workers' preload runs
+        # alongside them.
+        forkserver.start()
     from .service import serve_forever
 
     fault_spec = args.faults

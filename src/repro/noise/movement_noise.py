@@ -16,7 +16,6 @@ import math
 from collections.abc import Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from ..hardware.parameters import HardwareParams
 
@@ -75,6 +74,8 @@ def atom_loss_probability(n_vib: float, params: HardwareParams) -> float:
     """
     if n_vib <= 0.0:
         return 0.0
+    from scipy.special import erf  # on first use: see movement_loss_fidelity
+
     z = (params.n_vib_max - n_vib) / math.sqrt(2.0 * n_vib)
     return 1.0 - 0.5 * (1.0 + float(erf(z)))
 
@@ -94,7 +95,13 @@ def movement_loss_fidelity(
     arrays (``sqrt`` is correctly rounded, ``erf`` is the same ufunc), and
     ``multiply.accumulate`` carries the running product sequentially,
     ``r[i] = r[i - 1] * a[i]``, seeded with the previous chunks' product.
+
+    ``scipy.special`` (~0.3 s, 26 MB) is imported here on first use, not
+    at module import, so processes that never score fidelity (the
+    service daemon and its clients) never load it.
     """
+    from scipy.special import erf
+
     f = 1.0
     buf = np.empty(LOSS_CHUNK + 1)
     for start in range(0, len(move_n_vibs), LOSS_CHUNK):

@@ -65,7 +65,6 @@ import hashlib
 import json
 import logging
 import math
-import multiprocessing
 import os
 import tempfile
 import time
@@ -77,6 +76,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable
 
+from .. import forkserver
 from ..baselines.atomique_adapter import metrics_from_result
 from ..baselines.registry import atomique_result, available_backends, get_backend
 from ..core.pipeline import (
@@ -224,7 +224,7 @@ def _execute_wire_job(
 
 
 def _pool_ready() -> bool:
-    """No-op worker task: its round trip proves a spawned worker is up."""
+    """No-op worker task: its round trip proves a started worker is up."""
     return True
 
 
@@ -315,7 +315,7 @@ class CompileService:
             ResultCache(result_cache_dir) if result_cache_dir is not None else None
         )
         self._pools: list[ProcessPoolExecutor] = []
-        #: pools whose worker has answered a round trip since spawning
+        #: pools whose worker has answered a round trip since it started
         self._warm_pools: "weakref.WeakSet[ProcessPoolExecutor]" = (
             weakref.WeakSet()
         )
@@ -349,13 +349,13 @@ class CompileService:
         fault_spec = (
             self.fault_plan.to_spec() if self.fault_plan is not None else None
         )
-        # spawn, not fork: a forked worker inherits the daemon's listening
-        # socket, so after a daemon hard-kill the orphaned worker keeps the
-        # old listener alive and silently black-holes client connects meant
-        # for the replacement daemon.
+        # Forked from the preloaded forkserver, never from the daemon: a
+        # worker forked here would inherit the listening socket, and after
+        # a daemon hard-kill the orphan would keep the old listener alive
+        # and black-hole connects meant for the replacement daemon.
         return ProcessPoolExecutor(
             max_workers=1,
-            mp_context=multiprocessing.get_context("spawn"),
+            mp_context=forkserver.context(),
             initializer=batch.init_worker_prefix_cache,
             initargs=(self._prefix_cache_dir, fault_spec),
         )
@@ -1081,13 +1081,16 @@ class CompileService:
                 set_pass_progress_sink(previous)
         loop = asyncio.get_running_loop()
         try:
-            # A cold (fresh or rebuilt) pool spawns its worker on first use,
-            # which can take a second on a loaded host: pay that before the
-            # deadline starts so a timeout covers only the job.  Re-checked
-            # after the await: a job sharing the slot may rebuild it.
+            # A cold (fresh or rebuilt) pool starts its worker on first use:
+            # pay that before the deadline starts so a timeout covers only
+            # the job.  The first submit blocks until the forkserver has
+            # finished its preload and forked the worker, so it runs off
+            # the event loop.  Re-checked after the await: a job sharing
+            # the slot may rebuild it.
             while self._pools[slot] not in self._warm_pools:
                 pool = self._pools[slot]
-                await loop.run_in_executor(pool, _pool_ready)
+                ready = await asyncio.to_thread(pool.submit, _pool_ready)
+                await asyncio.wrap_future(ready)
                 self._warm_pools.add(pool)
             future = loop.run_in_executor(
                 self._pools[slot],

@@ -1,7 +1,6 @@
 """Mapping & routing substrate: layouts, SABRE, ASAP scheduling."""
 
 from .layout import Layout, LayoutError, dense_layout
-from .pathrouter import path_route
 from .sabre import SabreResult, route_with_sabre, sabre_layout, sabre_route
 from .scheduling import Schedule, asap_schedule, two_qubit_depth
 
@@ -12,7 +11,6 @@ __all__ = [
     "Schedule",
     "asap_schedule",
     "dense_layout",
-    "path_route",
     "route_with_sabre",
     "sabre_layout",
     "sabre_route",

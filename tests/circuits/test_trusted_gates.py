@@ -12,9 +12,8 @@ from repro.core import AtomiqueCompiler, AtomiqueConfig
 from repro.core.atom_mapper import map_qubits_to_atoms
 from repro.core.router import HighParallelismRouter
 from repro.generators import qaoa_random, qsim_random
-from repro.hardware import RAAArchitecture, grid_coupling
+from repro.hardware import RAAArchitecture
 from repro.sim import program_to_circuit
-from repro.transpile import path_route
 from tests.core.test_router_golden import random_inter_array
 
 
@@ -60,7 +59,6 @@ def test_golden_corpus_compiles_build_validated_gates(trusted_gates, factory):
     res = AtomiqueCompiler(arch, AtomiqueConfig(seed=7)).compile(circuit)
     program_to_circuit(res.program)
     lower_to_basis(circuit, basis_2q="cz")
-    path_route(circuit, grid_coupling(4, 3))
     assert_as_validated(trusted_gates)
 
 

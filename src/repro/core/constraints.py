@@ -84,6 +84,17 @@ def _snap_site(r: float, c: float) -> Site:
     return (round(r / _EPS) * _EPS, round(c / _EPS) * _EPS)
 
 
+def _overlaps(lines: list[tuple[list[float], int]], site: Site) -> bool:
+    """True if *site* comes within ``_EPS`` of a committed target on any of
+    *lines* (``(sorted targets, coord)`` pairs): a C3 equality."""
+    for ts, coord in lines:
+        t = site[coord]
+        j = bisect_left(ts, t)
+        if (j < len(ts) and ts[j] - t < _EPS) or (j and t - ts[j - 1] < _EPS):
+            return True
+    return False
+
+
 #: Below this candidate count the scalar probe loop wins outright (PR 3
 #: measured numpy slower than scalars at 2–8 entries), so the vectorized
 #: batch probe only engages at or above it.
@@ -411,12 +422,12 @@ class StagePlan:
     def _atom_half(self, qubit: int) -> tuple:
         """Cached per-atom contribution to pair templates.
 
-        ``(loc, is_aod, reqs, deduped, home)`` — an SLM atom contributes
-        its home coordinate, an AOD atom its two line requirements (map
-        dict and sorted mirror resolved up front; (axis, aod) identity ==
-        line identity) with the C1 mate lists pre-resolved.  Pair
-        templates are assembled from two halves, so the per-line lookups
-        happen once per *atom* instead of once per pair.
+        ``(loc, is_aod, reqs, home)`` — an SLM atom contributes its home
+        coordinate, an AOD atom its two line requirements (map dict and
+        sorted mirror resolved up front; (axis, aod) identity == line
+        identity) with the C1 mate lists pre-resolved.  Pair templates are
+        assembled from two halves, so the per-line lookups happen once per
+        *atom* instead of once per pair.
         """
         half = self._atom_halves.get(qubit)
         if half is not None:
@@ -424,21 +435,15 @@ class StagePlan:
         loc = self.locations[qubit]
         aod = loc.array
         if aod == 0:
-            half = (loc, False, (), (), ((loc.row, loc.col),))
+            half = (loc, False, (), ((loc.row, loc.col),))
         else:
             row_map = self.row_maps[aod]
             col_map = self.col_maps[aod]
-            row_line = self._line(_ROW, aod)
-            col_line = self._line(_COL, aod)
             atom_index = self.index
             reqs = (
-                (row_map, row_line, loc.row, 0, _ROW, aod),
-                (col_map, col_line, loc.col, 1, _COL, aod),
-            )
-            deduped = (
                 (
                     row_map,
-                    row_line,
+                    self._line(_ROW, aod),
                     loc.row,
                     0,
                     atom_index.atoms_by_row.get((aod, loc.row)),
@@ -448,7 +453,7 @@ class StagePlan:
                 ),
                 (
                     col_map,
-                    col_line,
+                    self._line(_COL, aod),
                     loc.col,
                     1,
                     atom_index.atoms_by_col.get((aod, loc.col)),
@@ -457,7 +462,7 @@ class StagePlan:
                     aod,
                 ),
             )
-            half = (loc, True, reqs, deduped, ())
+            half = (loc, True, reqs, ())
         self._atom_halves[qubit] = half
         return half
 
@@ -465,51 +470,37 @@ class StagePlan:
         """Cached per-pair requirement template for :meth:`place_pair`.
 
         Everything about a pair that does not depend on the candidate site
-        or the plan *state*: the atom locations, the full requirement
-        list, the requirements deduped for the fast path, the SLM home
-        coordinates, whether the fast path is statically eligible (no two
-        *distinct* entries on one physical line), and whether the
-        empty-plan fast path is statically eligible (at least one AOD
-        atom, not both in the same array).  Assembled from the per-atom
-        halves: two atoms only ever share a line when they live in the
-        same AOD array — same row/col means the identical entry (deduped),
-        any other collision disqualifies the fast path exactly as the
-        historical per-requirement scan decided.
+        or the plan *state*: the atom locations, the line requirements,
+        the SLM home coordinates, and whether the empty-plan fast path is
+        statically eligible (at least one AOD atom, not both in the same
+        array).  Assembled from the per-atom halves: two atoms only ever
+        share a line when they live in the same AOD array — the same
+        row/col means the identical entries (kept once); two distinct
+        atoms would put two distinct entries on one shared line, which no
+        inter-array gate does, so ``reqs`` is None and :meth:`place_pair`
+        rejects the pair.
         """
         key = (qubit_a, qubit_b)
         tmpl = self._pair_templates.get(key)
         if tmpl is not None:
             return tmpl
-        loc_a, a_aod, a_reqs, a_ded, a_home = self._atom_half(qubit_a)
-        loc_b, b_aod, b_reqs, b_ded, b_home = self._atom_half(qubit_b)
-        empty_ok = (a_aod or b_aod) and not (
-            a_aod and b_aod and loc_a.array == loc_b.array
-        )
-        reqs = a_reqs + b_reqs
-        slm_homes = a_home + b_home
-        if a_aod and b_aod and loc_a.array == loc_b.array:
-            if loc_a.row == loc_b.row and loc_a.col == loc_b.col:
-                # the same physical atom twice: identical entries dedupe
-                fast_ok = True
-                deduped = a_ded
-            else:
-                # same array, distinct atoms: the shared row or col line
-                # would carry two distinct entries — generic path only
-                fast_ok = False
-                deduped = ()
+        loc_a, a_aod, a_reqs, a_home = self._atom_half(qubit_a)
+        loc_b, b_aod, b_reqs, b_home = self._atom_half(qubit_b)
+        same_array = a_aod and b_aod and loc_a.array == loc_b.array
+        if not same_array:
+            reqs = a_reqs + b_reqs
+        elif loc_a.row == loc_b.row and loc_a.col == loc_b.col:
+            reqs = a_reqs  # the same physical atom twice
         else:
-            fast_ok = True
-            deduped = a_ded + b_ded
+            reqs = None
         tmpl = (
             reqs,
-            deduped,
-            slm_homes,
-            fast_ok,
+            a_home + b_home,
             loc_a,
             loc_b,
             a_aod,
             b_aod,
-            empty_ok,
+            (a_aod or b_aod) and not same_array,
         )
         self._pair_templates[key] = tmpl
         return tmpl
@@ -797,12 +788,18 @@ class StagePlan:
         """Router hot path: try ``(raw, snapped)`` candidate sites best-first.
 
         Returns ``(raw_site, overlap_blocked)`` where ``raw_site`` is the
-        first candidate that passed every constraint (committed into the
-        plan) or None, and ``overlap_blocked`` is True when at least one
-        rejected candidate would have been feasible with C3 relaxed (the
-        Fig. 24 statistic).  Equivalent to looping ``can_add`` + ``add`` +
-        ``is_legal`` + ``restore`` per site, with the strict and
-        C3-relaxed feasibility evaluated in one pass.
+        first candidate that passed every enforced constraint (committed
+        into the plan) or None, and ``overlap_blocked`` is True when C3 is
+        enforced and at least one rejected candidate would have been
+        feasible with C3 relaxed (the Fig. 24 statistic).  Equivalent to
+        looping ``can_add`` + ``add`` + ``is_legal`` + ``restore`` per site,
+        under every toggle setting, with the strict and C3-relaxed
+        feasibility evaluated in one pass.
+
+        The two atoms must sit in different arrays (every routed gate is
+        inter-array): two distinct atoms of one AOD array raise
+        ``ValueError``, as does a committed line that breaks C2 while C2
+        is enforced (only direct map edits can make one).
         """
         if type(candidates) is not CandidateSet:
             # Direct list-of-pairs callers (tests, baselines) get extremes
@@ -811,23 +808,18 @@ class StagePlan:
             candidates = CandidateSet.from_pairs(candidates)
         extremes = candidates
         candidates = candidates.sites
-        busy = self.busy_qubits
-        if qubit_a in busy or qubit_b in busy:
-            return None, False
         tmpl = self._pair_templates.get((qubit_a, qubit_b))
         if tmpl is None:
             tmpl = self._pair_template(qubit_a, qubit_b)
-        (
-            reqs,
-            deduped,
-            slm_homes,
-            fast_ok,
-            loc_a,
-            loc_b,
-            a_aod,
-            b_aod,
-            empty_ok,
-        ) = tmpl
+        reqs, slm_homes, loc_a, loc_b, a_aod, b_aod, empty_ok = tmpl
+        if reqs is None:
+            raise ValueError(
+                f"qubits {qubit_a} and {qubit_b} are distinct atoms of AOD "
+                f"array {loc_a.array}; place_pair takes inter-array pairs"
+            )
+        busy = self.busy_qubits
+        if qubit_a in busy or qubit_b in busy:
+            return None, False
         if (
             empty_ok
             and self._num_line_entries == 0
@@ -840,8 +832,8 @@ class StagePlan:
             # immediately (the common case for the first gate of every
             # stage).  Router-built CandidateSets are pre-filtered, so the
             # validity check below only guards direct callers; on any
-            # failure we fall through to the general probe loop.  The only
-            # atoms the new entries can engage are the pair itself, so the
+            # failure we fall through to the probe loop.  The only atoms
+            # the new entries can engage are the pair itself, so the
             # occupancy update is a single direct write and the site cannot
             # be bad.
             raw, site = candidates[0]
@@ -892,7 +884,7 @@ class StagePlan:
                 journal_append((_BUSY, qubit_a))
                 journal_append((_BUSY, qubit_b))
                 return raw, False
-            # fall through: validate every candidate via the general loop
+            # fall through: validate every candidate via the probe loop
         toggles = self.toggles
         check_c1 = toggles.no_unintended_interaction
         no_overlap = toggles.no_overlap
@@ -903,49 +895,52 @@ class StagePlan:
         slm_lookup = self._slm_site_to_qubit
         overlap_blocked = False
 
-        # Fast path: default toggles, weakly monotone committed lines, and
-        # no two requirements on the same physical line (statically decided
-        # in the template after deduping the identical ones).  The plan is
-        # frozen for the whole probe loop, so each requirement's committed
-        # bound and its idx-space neighbours are computed once and
-        # *combined per axis*: committed bounds on an axis must all pin the
-        # same coordinate, and C2 windows intersect to (max of
-        # predecessors, min of successors).  The committed value nearest
-        # the target in value space is always one of those extremes
-        # whenever the C2 window admits it, so the C3 probe needs no
-        # per-candidate bisect.  Every candidate then costs a handful of
-        # float compares against the two axis summaries.
-        if no_overlap and preserve_order and fast_ok:
-            ok = True
-            inf = float("inf")
-            rbound: float | None = None  # per-axis pinned coord
-            cbound: float | None = None
-            rpred = cpred = -inf
-            rsucc = csucc = inf
-            #: (mates, committed other-axis map, is_row) per *new* line entry —
-            #: the atoms that entry could newly engage (C1 pre-check)
-            scan_specs: list[tuple[list, dict, bool]] = []
-            for m, line, idx, coord, mates, other_map, is_row, _aod in deduped:
-                # Untouched lines (the common case mid-sweep) contribute no
-                # bound and an infinite window; only their mates matter.
-                if line.idx:
+        # The plan is frozen for the whole probe loop, so each
+        # requirement's committed bound and (with C2 enforced) its
+        # idx-space neighbours are computed once and *combined per axis*:
+        # committed bounds on an axis must all pin the same coordinate,
+        # and C2 windows intersect to (max of predecessors, min of
+        # successors).  With C2 and C3 both enforced, the committed value
+        # nearest the target in value space is always one of those
+        # extremes whenever the window admits it, so the C3 probe needs no
+        # per-candidate bisect; with C2 relaxed there is no window, and C3
+        # bisects the sorted targets of each unpinned committed line
+        # instead.  Every candidate then costs a handful of float compares
+        # against the two axis summaries.
+        inf = float("inf")
+        rbound: float | None = None  # per-axis pinned coord
+        cbound: float | None = None
+        rpred = cpred = -inf
+        rsucc = csucc = inf
+        #: (sorted targets, coord) per unpinned committed line — the C3
+        #: probe when C2 is relaxed
+        c3_lines: list[tuple[list[float], int]] = []
+        #: (mates, committed other-axis map, is_row) per *new* line entry —
+        #: the atoms that entry could newly engage (C1 pre-check)
+        scan_specs: list[tuple[list, dict, bool]] = []
+        for m, line, idx, coord, mates, other_map, is_row, _aod in reqs:
+            # Untouched lines (the common case mid-sweep) contribute no
+            # bound and an infinite window; only their mates matter.
+            if line.idx:
+                bound = m.get(idx)
+                if bound is not None:
+                    if coord:
+                        if cbound is not None and cbound != bound:
+                            # two committed lines pinned to different
+                            # coords: no site can satisfy both, with or
+                            # without C3
+                            return None, False
+                        cbound = bound
+                    else:
+                        if rbound is not None and rbound != bound:
+                            return None, False
+                        rbound = bound
+                    continue
+                if preserve_order:
                     if not line.monotone:
-                        ok = False
-                        break
-                    bound = m.get(idx)
-                    if bound is not None:
-                        if coord:
-                            if cbound is not None and cbound != bound:
-                                # two committed lines pinned to different
-                                # coords: no site can satisfy both, with or
-                                # without C3
-                                return None, False
-                            cbound = bound
-                        else:
-                            if rbound is not None and rbound != bound:
-                                return None, False
-                            rbound = bound
-                        continue
+                        raise ValueError(
+                            "a committed line breaks C2 (order preservation)"
+                        )
                     p = bisect_left(line.idx, idx)
                     tgt = line.tgt
                     if coord:
@@ -958,247 +953,92 @@ class StagePlan:
                             rpred = tgt[p - 1]
                         if p < len(tgt) and tgt[p] < rsucc:
                             rsucc = tgt[p]
-                elif not line.monotone:
-                    ok = False
-                    break
-                if mates:
-                    scan_specs.append((mates, other_map, is_row))
-            if ok:
-                # Whole-gate shortcuts: if the combined C2 window on either
-                # axis is empty, or contradicts a pinned coordinate, no
-                # candidate can pass even with C3 relaxed — the entire scan
-                # (and the Fig. 24 statistic) is decided without probing.
-                two_eps = _EPS + _EPS
-                if (
-                    rpred > rsucc + two_eps
-                    or cpred > csucc + two_eps
-                    or (
-                        rbound is not None
-                        and (rpred > rbound + _EPS or rsucc < rbound - _EPS)
-                    )
-                    or (
-                        cbound is not None
-                        and (cpred > cbound + _EPS or csucc < cbound - _EPS)
-                    )
-                ):
-                    return None, False
-                if (
-                    rpred > extremes.max_r + _EPS
-                    or rsucc < extremes.min_r - _EPS
-                    or cpred > extremes.max_c + _EPS
-                    or csucc < extremes.min_c - _EPS
-                    or (
-                        rbound is not None
-                        and (
-                            rbound < extremes.min_r - _EPS
-                            or rbound > extremes.max_r + _EPS
-                        )
-                    )
-                    or (
-                        cbound is not None
-                        and (
-                            cbound < extremes.min_c - _EPS
-                            or cbound > extremes.max_c + _EPS
-                        )
-                    )
-                ):
-                    # The feasibility window cannot touch any candidate:
-                    # every probe would fail C2 (or the pinned coordinate),
-                    # strict and relaxed alike.
-                    return None, False
-                # Index-side candidate pruning: select a sound superset of
-                # the candidates that can survive the *silent* pinned /
-                # C2-window / bounds rejects below, so the best-first loop
-                # skips runs of doomed candidates.  Anything that could
-                # reach the C3 equality test (Fig. 24 ``overlap_blocked``)
-                # or a commit attempt always survives selection, and the
-                # scalar body re-applies every exact check, so results are
-                # bit-identical to the full scan.
-                n = len(candidates)
-                probe = extremes.probe
-                order = range(n)
-                if probe is not None:
-                    if rbound is not None:
-                        order = probe.pin_run(0, rbound)
-                    elif cbound is not None:
-                        order = probe.pin_run(1, cbound)
-                    else:
-                        sel = probe.window_run(rpred, rsucc, cpred, csucc)
-                        if sel is not None:
-                            order = sel
-                        elif n >= _VEC_MIN and (
-                            rpred != -inf
-                            or rsucc != inf
-                            or cpred != -inf
-                            or csucc != inf
-                        ):
-                            order = probe.vec_run(
-                                rpred, rsucc, cpred, csucc, max_r, max_c
-                            )
-                    if not len(order):
-                        return None, False
-                occupancy = self._occupancy
-                eng_mates: list[tuple[bool, float]] | None = None
-                for i in order:
-                    raw, site = candidates[i]
-                    if site in scheduled:
-                        continue
-                    r, c = site
-                    if not (-0.5 <= r <= max_r and -0.5 <= c <= max_c):
-                        continue
-                    slm_here = slm_lookup.get(site)
-                    if (
-                        slm_here is not None
-                        and check_c1
-                        and slm_here != qubit_a
-                        and slm_here != qubit_b
-                    ):
-                        continue
-                    feasible = True
-                    for hr, hc in slm_homes:
-                        if abs(hr - r) > _EPS or abs(hc - c) > _EPS:
-                            feasible = False
-                            break
-                    if not feasible:
-                        continue
-                    if rbound is not None and abs(rbound - r) >= _EPS:
-                        continue
-                    if cbound is not None and abs(cbound - c) >= _EPS:
-                        continue
-                    if (
-                        rpred > r + _EPS
-                        or rsucc < r - _EPS
-                        or cpred > c + _EPS
-                        or csucc < c - _EPS
-                    ):
-                        continue  # C2: fails relaxed too
-                    if (
-                        abs(r - rpred) < _EPS
-                        or abs(r - rsucc) < _EPS
-                        or abs(c - cpred) < _EPS
-                        or abs(c - csucc) < _EPS
-                    ):
-                        overlap_blocked = True  # C3 alone blocked this site
-                        continue
-                    if check_c1:
-                        # Exact C1 pre-check: committing would violate C1
-                        # iff a stray atom already sits on this site, or an
-                        # atom newly engaged by the new line entries lands
-                        # on the gate site, an occupied point, an SLM trap,
-                        # or the same point as another newly engaged atom.
-                        # Skipping the doomed commit+rollback here is what
-                        # the old code did via add()/is_legal()/restore().
-                        eng_site = _snap_site(r, c)
-                        eng_r, eng_c = eng_site
-                        viol = False
-                        pre = occupancy.get(eng_site)
-                        if pre:
-                            for x in pre:
-                                if x != qubit_a and x != qubit_b:
-                                    viol = True
-                                    break
-                        if not viol and scan_specs:
-                            if eng_mates is None:
-                                # A mate's landing depends on the candidate
-                                # only through eng_r/eng_c; its committed
-                                # other-axis coordinate is frozen for the
-                                # whole probe loop (commit attempts either
-                                # return or roll back), so resolve and snap
-                                # each engaged mate once per call instead
-                                # of once per candidate.
-                                eng_mates = []
-                                for mates, other_map, is_row in scan_specs:
-                                    for q, other_idx in mates:
-                                        if q == qubit_a or q == qubit_b:
-                                            continue
-                                        other_t = other_map.get(other_idx)
-                                        if other_t is None:
-                                            continue
-                                        eng_mates.append(
-                                            (
-                                                is_row,
-                                                round(other_t / _EPS) * _EPS,
-                                            )
-                                        )
-                            if eng_mates:
-                                landings: list[Site] = []
-                                for is_row, other_t in eng_mates:
-                                    landing = (
-                                        (eng_r, other_t)
-                                        if is_row
-                                        else (other_t, eng_c)
-                                    )
-                                    if (
-                                        landing == eng_site
-                                        or occupancy.get(landing)
-                                        or landing in slm_lookup
-                                        or landing in landings
-                                    ):
-                                        viol = True
-                                        break
-                                    landings.append(landing)
-                        if viol:
-                            continue
-                    # Commit: :meth:`_map_set` + the ``add=True`` arm of
-                    # :meth:`_engage` inlined over the deduped requirements
-                    # (identical to looping ``_map_set`` over ``reqs`` — the
-                    # only entries ``deduped`` drops are exact duplicates,
-                    # which ``_map_set`` would no-op without journaling).
-                    journal = self._journal
-                    journal_append = journal.append
-                    token = len(journal)
-                    for m, line, idx, coord, mates, other_map, is_row, aod in (
-                        deduped
-                    ):
-                        target = site[coord]
-                        old = m.get(idx)
-                        if old is not None and old == target:
-                            continue
-                        axis = _ROW if is_row else _COL
-                        if old is not None:
-                            self._engage(axis, aod, idx, old, add=False)
-                            line.remove(idx, old)
-                        else:
-                            self._num_line_entries += 1
-                        m[idx] = target
-                        line.insert(idx, target)
-                        if mates and other_map:
-                            snapped = round(target / _EPS) * _EPS
-                            for q2, other_idx in mates:
-                                other_t = other_map.get(other_idx)
-                                if other_t is None:
-                                    continue
-                                other_snapped = round(other_t / _EPS) * _EPS
-                                if is_row:
-                                    esite = (snapped, other_snapped)
-                                else:
-                                    esite = (other_snapped, snapped)
-                                atoms = occupancy.get(esite)
-                                if atoms is None:
-                                    occupancy[esite] = [q2]
-                                    # a lone engaged atom only matters on an
-                                    # SLM trap
-                                    if esite in slm_lookup:
-                                        self._refresh_site(esite)
-                                else:
-                                    atoms.append(q2)
-                                    self._refresh_site(esite)
-                        journal_append((axis, aod, idx, old))
-                    pair = (qubit_a, qubit_b)
-                    scheduled[site] = pair
-                    journal_append((_SCHED, site))
-                    self._refresh_site(site)
-                    for q in pair:
-                        if q not in busy:
-                            busy.add(q)
-                            journal_append((_BUSY, q))
-                    if not (check_c1 and self._bad_sites):
-                        return raw, overlap_blocked
-                    self.restore(token)
-                return None, overlap_blocked
+                elif no_overlap:
+                    c3_lines.append((line.tsorted, coord))
+            if mates:
+                scan_specs.append((mates, other_map, is_row))
+        # The window extremes a target must not equal (C3); out of reach
+        # when C3 is relaxed, so the per-candidate test never fires.
+        if no_overlap:
+            nr_lo, nr_hi, nc_lo, nc_hi = rpred, rsucc, cpred, csucc
+        else:
+            nr_lo = nc_lo = -inf
+            nr_hi = nc_hi = inf
 
-        staged: list[tuple[_SortedLine, int, float]] = []
-        for raw, site in candidates:
+        # Whole-gate shortcuts: if the combined C2 window on either axis is
+        # empty, or contradicts a pinned coordinate, no candidate can pass
+        # even with C3 relaxed — the entire scan (and the Fig. 24
+        # statistic) is decided without probing.
+        two_eps = _EPS + _EPS
+        if (
+            rpred > rsucc + two_eps
+            or cpred > csucc + two_eps
+            or (
+                rbound is not None
+                and (rpred > rbound + _EPS or rsucc < rbound - _EPS)
+            )
+            or (
+                cbound is not None
+                and (cpred > cbound + _EPS or csucc < cbound - _EPS)
+            )
+        ):
+            return None, False
+        if (
+            rpred > extremes.max_r + _EPS
+            or rsucc < extremes.min_r - _EPS
+            or cpred > extremes.max_c + _EPS
+            or csucc < extremes.min_c - _EPS
+            or (
+                rbound is not None
+                and (
+                    rbound < extremes.min_r - _EPS
+                    or rbound > extremes.max_r + _EPS
+                )
+            )
+            or (
+                cbound is not None
+                and (
+                    cbound < extremes.min_c - _EPS
+                    or cbound > extremes.max_c + _EPS
+                )
+            )
+        ):
+            # The feasibility window cannot touch any candidate: every
+            # probe would fail C2 (or the pinned coordinate), strict and
+            # relaxed alike.
+            return None, False
+        # Index-side candidate pruning: select a sound superset of the
+        # candidates that can survive the *silent* pinned / C2-window /
+        # bounds rejects below, so the best-first loop skips runs of
+        # doomed candidates.  Anything that could reach the C3 equality
+        # test (Fig. 24 ``overlap_blocked``) or a commit attempt always
+        # survives selection, and the scalar body re-applies every exact
+        # check, so results are bit-identical to the full scan.
+        n = len(candidates)
+        probe = extremes.probe
+        order = range(n)
+        if probe is not None:
+            if rbound is not None:
+                order = probe.pin_run(0, rbound)
+            elif cbound is not None:
+                order = probe.pin_run(1, cbound)
+            else:
+                sel = probe.window_run(rpred, rsucc, cpred, csucc)
+                if sel is not None:
+                    order = sel
+                elif n >= _VEC_MIN and (
+                    rpred != -inf
+                    or rsucc != inf
+                    or cpred != -inf
+                    or csucc != inf
+                ):
+                    order = probe.vec_run(rpred, rsucc, cpred, csucc, max_r, max_c)
+            if not len(order):
+                return None, False
+        occupancy = self._occupancy
+        eng_mates: list[tuple[bool, float]] | None = None
+        for i in order:
+            raw, site = candidates[i]
             if site in scheduled:
                 continue
             r, c = site
@@ -1219,89 +1059,132 @@ class StagePlan:
                     break
             if not feasible:
                 continue
-            # Strict (toggles as-is) and C3-relaxed feasibility in one pass.
-            del staged[:]
-            strict_ok = True
-            relaxed_ok = True
-            for m, line, idx, coord, _axis, _aod in reqs:
-                target = site[coord]
-                bound = m.get(idx)
-                if bound is None:
-                    for line2, idx2, t2 in staged:
-                        if line2 is line and idx2 == idx:
-                            bound = t2
-                            break
-                if bound is not None:
-                    if abs(bound - target) >= _EPS:
-                        strict_ok = relaxed_ok = False
-                        break
-                    continue
-                if line.idx:
-                    if no_overlap and strict_ok:
-                        ts = line.tsorted
-                        j = bisect_left(ts, target)
-                        if (j < len(ts) and ts[j] - target < _EPS) or (
-                            j > 0 and target - ts[j - 1] < _EPS
-                        ):
-                            strict_ok = False
-                            if overlap_blocked:
-                                break  # relaxed outcome no longer matters
-                    if preserve_order:
-                        if line.monotone:
-                            p = bisect_left(line.idx, idx)
-                            if (
-                                p > 0 and line.tgt[p - 1] > target + _EPS
-                            ) or (
-                                p < len(line.idx)
-                                and line.tgt[p] < target - _EPS
-                            ):
-                                strict_ok = relaxed_ok = False
-                                break
-                        else:
-                            for other_idx, other_t in zip(line.idx, line.tgt):
-                                if other_idx < idx and other_t > target + _EPS:
-                                    strict_ok = relaxed_ok = False
-                                    break
-                                if other_idx > idx and other_t < target - _EPS:
-                                    strict_ok = relaxed_ok = False
-                                    break
-                            if not relaxed_ok:
-                                break
-                for line2, idx2, t2 in staged:
-                    if line2 is not line:
-                        continue
-                    if no_overlap and strict_ok and abs(t2 - target) < _EPS:
-                        strict_ok = False
-                        if overlap_blocked:
-                            break
-                    if preserve_order:
-                        if idx2 < idx and t2 > target + _EPS:
-                            strict_ok = relaxed_ok = False
-                            break
-                        if idx2 > idx and t2 < target - _EPS:
-                            strict_ok = relaxed_ok = False
-                            break
-                if not relaxed_ok or (not strict_ok and overlap_blocked):
-                    break
-                staged.append((line, idx, target))
-            if not strict_ok:
-                if relaxed_ok and no_overlap:
-                    overlap_blocked = True
+            if rbound is not None and abs(rbound - r) >= _EPS:
                 continue
-            # Constraints 2/3 hold; commit and verify C1 incrementally.
-            token = len(self._journal)
-            for _m, _line, idx, coord, axis, aod in reqs:
-                self._map_set(axis, aod, idx, site[coord])
+            if cbound is not None and abs(cbound - c) >= _EPS:
+                continue
+            if (
+                rpred > r + _EPS
+                or rsucc < r - _EPS
+                or cpred > c + _EPS
+                or csucc < c - _EPS
+            ):
+                continue  # C2: fails relaxed too
+            if (
+                abs(r - nr_lo) < _EPS
+                or abs(r - nr_hi) < _EPS
+                or abs(c - nc_lo) < _EPS
+                or abs(c - nc_hi) < _EPS
+            ) or (c3_lines and _overlaps(c3_lines, site)):
+                overlap_blocked = True  # C3 alone blocked this site
+                continue
+            if check_c1:
+                # Exact C1 pre-check: committing would violate C1 iff a
+                # stray atom already sits on this site, or an atom newly
+                # engaged by the new line entries lands on the gate site,
+                # an occupied point, an SLM trap, or the same point as
+                # another newly engaged atom.  It reads only the occupancy
+                # index, so it holds whatever C2/C3 allow, and a doomed
+                # candidate is never committed and rolled back.
+                eng_site = _snap_site(r, c)
+                eng_r, eng_c = eng_site
+                viol = False
+                pre = occupancy.get(eng_site)
+                if pre:
+                    for x in pre:
+                        if x != qubit_a and x != qubit_b:
+                            viol = True
+                            break
+                if not viol and scan_specs:
+                    if eng_mates is None:
+                        # A mate's landing depends on the candidate only
+                        # through eng_r/eng_c; its committed other-axis
+                        # coordinate is frozen for the whole probe loop, so
+                        # resolve and snap each engaged mate once per call
+                        # instead of once per candidate.
+                        eng_mates = []
+                        for mates, other_map, is_row in scan_specs:
+                            for q, other_idx in mates:
+                                if q == qubit_a or q == qubit_b:
+                                    continue
+                                other_t = other_map.get(other_idx)
+                                if other_t is None:
+                                    continue
+                                eng_mates.append(
+                                    (is_row, round(other_t / _EPS) * _EPS)
+                                )
+                    if eng_mates:
+                        landings: list[Site] = []
+                        for is_row, other_t in eng_mates:
+                            landing = (
+                                (eng_r, other_t) if is_row else (other_t, eng_c)
+                            )
+                            if (
+                                landing == eng_site
+                                or occupancy.get(landing)
+                                or landing in slm_lookup
+                                or landing in landings
+                            ):
+                                viol = True
+                                break
+                            landings.append(landing)
+                if viol:
+                    continue
+            # Commit: :meth:`_map_set` + the ``add=True`` arm of
+            # :meth:`_engage` inlined over the requirements (identical to
+            # :meth:`add` — the only entries ``reqs`` drops are exact
+            # duplicates, which ``_map_set`` would no-op without
+            # journaling).
+            journal = self._journal
+            journal_append = journal.append
+            token = len(journal)
+            for m, line, idx, coord, mates, other_map, is_row, aod in reqs:
+                target = site[coord]
+                old = m.get(idx)
+                if old is not None and old == target:
+                    continue
+                axis = _ROW if is_row else _COL
+                if old is not None:
+                    self._engage(axis, aod, idx, old, add=False)
+                    line.remove(idx, old)
+                else:
+                    self._num_line_entries += 1
+                m[idx] = target
+                line.insert(idx, target)
+                if mates and other_map:
+                    snapped = round(target / _EPS) * _EPS
+                    for q2, other_idx in mates:
+                        other_t = other_map.get(other_idx)
+                        if other_t is None:
+                            continue
+                        other_snapped = round(other_t / _EPS) * _EPS
+                        if is_row:
+                            esite = (snapped, other_snapped)
+                        else:
+                            esite = (other_snapped, snapped)
+                        atoms = occupancy.get(esite)
+                        if atoms is None:
+                            occupancy[esite] = [q2]
+                            # a lone engaged atom only matters on an SLM
+                            # trap
+                            if esite in slm_lookup:
+                                self._refresh_site(esite)
+                        else:
+                            atoms.append(q2)
+                            self._refresh_site(esite)
+                journal_append((axis, aod, idx, old))
             pair = (qubit_a, qubit_b)
             scheduled[site] = pair
-            self._journal.append((_SCHED, site))
+            journal_append((_SCHED, site))
             self._refresh_site(site)
             for q in pair:
                 if q not in busy:
                     busy.add(q)
-                    self._journal.append((_BUSY, q))
+                    journal_append((_BUSY, q))
             if not (check_c1 and self._bad_sites):
                 return raw, overlap_blocked
+            # The pre-check is exact, so only a plan that was illegal before
+            # this commit (direct map edits) is rolled back here.
             self.restore(token)
         return None, overlap_blocked
 

@@ -26,11 +26,15 @@ initializer/run-job machinery exported here.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import multiprocessing.connection
+import os
+import threading
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, cast
+from typing import cast
 
 from ..analysis.metrics import CompiledMetrics
 from ..baselines.registry import CompileOptions, get_backend
@@ -84,9 +88,7 @@ class ResultCache:
 _WORKER_PREFIX_CACHE: PipelineCache | None = None
 
 
-def init_worker_prefix_cache(
-    directory: str | None = None, fault_spec: Any = None
-) -> None:
+def init_worker_prefix_cache(directory: str | None = None) -> None:
     """Process-pool initializer: build this worker's prefix cache once.
 
     With a *directory*, the worker gets a :class:`DiskPipelineCache` over
@@ -94,23 +96,31 @@ def init_worker_prefix_cache(
     shares the persisted artifacts.  Without one, jobs run uncached unless
     they carry their own ``pipeline_cache``.
 
-    *fault_spec* (a :meth:`FaultPlan.to_spec` dict) arms the chaos
-    harness's fault-injection plan inside the worker process; absent one,
-    the ``REPRO_FAULTS`` environment variable (inherited from the parent)
-    is honored.  Outside chaos tests both are unset and this is a no-op.
+    In a pool worker it also starts a watchdog thread that ends the worker
+    when its parent process dies.  An idle ``ProcessPoolExecutor`` worker
+    blocks on a call queue whose write end it holds itself, so without the
+    watchdog a worker orphaned by a hard-killed parent never exits.
     """
     global _WORKER_PREFIX_CACHE
     _WORKER_PREFIX_CACHE = (
         DiskPipelineCache(directory) if directory is not None else None
     )
-    # Imported lazily: batch is a core experiments module and must not pay
-    # a service import (or create a cycle) outside worker-pool boots.
-    from ..service import faults
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with_parent,
+            args=(parent.sentinel,),
+            name="exit-with-parent",
+            daemon=True,
+        ).start()
 
-    if fault_spec is not None:
-        faults.install(fault_spec)
-    else:
-        faults.install_from_env()
+
+def _exit_with_parent(sentinel: int) -> None:
+    # Nothing is ever written to the sentinel pipe: it turns readable (EOF)
+    # once the parent, which holds its write end, is gone (with a fork
+    # context, so are the later-forked siblings that inherited a copy).
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
 
 
 def with_worker_prefix_cache(job: CompileJob) -> CompileJob:

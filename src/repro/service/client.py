@@ -109,8 +109,12 @@ class ServiceClient:
         try:
             if self.socket_path is not None:
                 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                sock.settimeout(timeout)
-                sock.connect(self.socket_path)
+                try:
+                    sock.settimeout(timeout)
+                    sock.connect(self.socket_path)
+                except OSError:
+                    sock.close()
+                    raise
                 return sock
             assert self.port is not None
             return socket.create_connection(

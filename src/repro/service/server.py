@@ -5,7 +5,8 @@ job model.
 and a set of *shards*.  Each shard is one worker process (a single-process
 ``ProcessPoolExecutor``) fed by its own asyncio dispatcher, and keeps a
 long-lived pipeline prefix cache installed by
-:func:`repro.experiments.batch.init_worker_prefix_cache` — jobs that agree
+:func:`repro.experiments.batch.init_worker_prefix_cache` (through
+:func:`_init_shard_worker`, which also arms the fault plan) — jobs that agree
 on a (circuit, architecture) prefix are routed to the same shard, so the
 in-memory layer hits across jobs of one run, and the disk layer
 (:class:`~repro.core.pipeline.DiskPipelineCache`, shared directory) hits
@@ -223,6 +224,23 @@ def _execute_wire_job(
         set_pass_progress_sink(previous)
 
 
+def _init_shard_worker(prefix_dir: str | None, fault_spec: Any) -> None:
+    """Shard-worker initializer: the batch worker set-up, then the fault
+    plan.
+
+    *fault_spec* (a :meth:`FaultPlan.to_spec` dict) arms the chaos
+    harness's fault-injection plan inside the worker; absent one, the
+    ``REPRO_FAULTS`` environment variable is honored.  Outside chaos tests
+    both are unset and installing is a no-op.  Only shard workers run
+    fault hooks, so ``compile_many``'s workers never import this module.
+    """
+    batch.init_worker_prefix_cache(prefix_dir)
+    if fault_spec is not None:
+        faults.install(fault_spec)
+    else:
+        faults.install_from_env()
+
+
 def _pool_ready() -> bool:
     """No-op worker task: its round trip proves a started worker is up."""
     return True
@@ -356,7 +374,7 @@ class CompileService:
         return ProcessPoolExecutor(
             max_workers=1,
             mp_context=forkserver.context(),
-            initializer=batch.init_worker_prefix_cache,
+            initializer=_init_shard_worker,
             initargs=(self._prefix_cache_dir, fault_spec),
         )
 

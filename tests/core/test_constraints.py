@@ -384,7 +384,8 @@ class TestJournaledRestore:
 
 class TestPlacePairEquivalence:
     """place_pair must behave exactly like the reference probe loop
-    (can_add + add + is_legal + restore per candidate)."""
+    (can_add + add + is_legal + restore per candidate), under every one
+    of the eight constraint-toggle settings (Fig. 22's ablation)."""
 
     def reference_place(self, plan, a, b, sites):
         overlap_blocked = False
@@ -411,12 +412,13 @@ class TestPlacePairEquivalence:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_reference_on_random_programs(self, seed):
+        import itertools
+
         import numpy as np
 
         from repro.core.constraints import _snap
         from repro.core.router import candidate_sites
 
-        rng = np.random.default_rng(seed)
         arch = arch_2aod(side=5)
         locations = {}
         q = 0
@@ -430,15 +432,22 @@ class TestPlacePairEquivalence:
             for l in locations.values()
             if l.is_slm
         }
-        plan_fast = make_plan(locations, side=5)
-        plan_ref = make_plan(locations, side=5)
-        for _ in range(25):
-            a, b = rng.choice(q, size=2, replace=False)
-            a, b = int(a), int(b)
-            if locations[a].array == locations[b].array:
-                continue
-            sites = candidate_sites(a, b, locations, arch, slm_sites, 12)
-            pairs = [(s, (_snap(s[0]), _snap(s[1]))) for s in sites]
-            got = plan_fast.place_pair(a, b, pairs)
-            want = self.reference_place(plan_ref, a, b, sites)
-            assert got == want, (a, b)
+        for flags in itertools.product((True, False), repeat=3):
+            toggles = ConstraintToggles(*flags)
+            rng = np.random.default_rng(seed)
+            plan_fast = make_plan(locations, toggles, side=5)
+            plan_ref = make_plan(locations, toggles, side=5)
+            for _ in range(25):
+                a, b = rng.choice(q, size=2, replace=False)
+                a, b = int(a), int(b)
+                if locations[a].array == locations[b].array:
+                    continue
+                sites = candidate_sites(a, b, locations, arch, slm_sites, 12)
+                pairs = [(s, (_snap(s[0]), _snap(s[1]))) for s in sites]
+                got = plan_fast.place_pair(a, b, pairs)
+                want = self.reference_place(plan_ref, a, b, sites)
+                assert got == want, (toggles, a, b)
+                assert plan_fast.row_maps == plan_ref.row_maps, toggles
+                assert plan_fast.col_maps == plan_ref.col_maps, toggles
+                assert plan_fast.scheduled == plan_ref.scheduled, toggles
+                assert plan_fast.busy_qubits == plan_ref.busy_qubits, toggles

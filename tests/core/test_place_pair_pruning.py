@@ -16,8 +16,11 @@ attempt.  These tests check that contract three ways:
   ``overlap_blocked`` flag when the strict path prunes sibling
   candidates;
 * property: hypothesis-generated plans and candidate lists where the
-  pruned path and the reference loop must agree on every probe.
+  pruned path and the reference loop must agree on every probe, under
+  each of the eight constraint-toggle settings.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -47,6 +50,13 @@ def make_plan(locations, toggles=None, side=5):
         locations=locations,
         toggles=toggles or ConstraintToggles(),
     )
+
+
+#: every constraint-toggle setting (C1, C2, C3 each on or off)
+ALL_TOGGLES = [
+    ConstraintToggles(*flags)
+    for flags in itertools.product((True, False), repeat=3)
+]
 
 
 def pairs_for(sites):
@@ -324,6 +334,18 @@ class TestCallFormEquivalence:
         ) == plan_list.place_pair(0, 2, list(pairs))
 
 
+def test_same_array_pair_raises():
+    """Two distinct atoms of one AOD array would need two distinct entries
+    on a shared line; every routed gate is inter-array, so place_pair
+    rejects the pair instead of probing it."""
+    locs = {0: AtomLocation(1, 0, 0), 1: AtomLocation(1, 1, 1)}
+    for toggles in ALL_TOGGLES:
+        plan = make_plan(locs, toggles)
+        with pytest.raises(ValueError, match="inter-array"):
+            plan.place_pair(0, 1, pairs_for([(0.5, 0.5), (1.5, 1.5)]))
+        assert not plan.scheduled and not plan.busy_qubits
+
+
 # ---------------------------------------------------------------------------
 # property: no false prune on hypothesis-generated plans
 # ---------------------------------------------------------------------------
@@ -365,11 +387,17 @@ def probe_sequences(draw):
 @settings(max_examples=60, deadline=None)
 def test_pruning_never_drops_reference_accepts(data):
     """The summary never rules out a site the reference probe accepts,
-    and the overlap_blocked count survives pruning, on random plans."""
+    and the overlap_blocked count survives pruning, on random plans under
+    every toggle setting; the plans stay identical probe by probe."""
     locs, steps = data
-    plan = make_plan(locs)
-    ref = make_plan(locs)
-    for (a, b), sites in steps:
-        got = plan.place_pair(a, b, pairs_for(sites))
-        want = reference_place(ref, a, b, sites)
-        assert got == want, (a, b, sites)
+    for toggles in ALL_TOGGLES:
+        plan = make_plan(locs, toggles)
+        ref = make_plan(locs, toggles)
+        for (a, b), sites in steps:
+            got = plan.place_pair(a, b, pairs_for(sites))
+            want = reference_place(ref, a, b, sites)
+            assert got == want, (toggles, a, b, sites)
+            assert plan.row_maps == ref.row_maps, toggles
+            assert plan.col_maps == ref.col_maps, toggles
+            assert plan.scheduled == ref.scheduled, toggles
+            assert plan.busy_qubits == ref.busy_qubits, toggles

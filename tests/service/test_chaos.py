@@ -312,6 +312,33 @@ class TestClientBackoff:
         assert len(calls) == 5  # 1 above + initial + 3 retries
 
 
+    def test_failed_connect_closes_its_socket(self, tmp_path):
+        """A connect to a missing socket path (a daemon still booting, as
+        ``wait_ready`` polls it) must not leave the client's Unix socket
+        open: under ``-W error::ResourceWarning`` an unclosed socket
+        reports itself on stderr when collected."""
+        code = (
+            "import gc\n"
+            "from repro.service import ServiceClient, ServiceUnavailable\n"
+            f"client = ServiceClient(socket_path={str(tmp_path / 'no.sock')!r},"
+            " retries=0)\n"
+            "try:\n"
+            "    client.ping(timeout=1.0)\n"
+            "except ServiceUnavailable:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('connected to a missing socket')\n"
+            "gc.collect()\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-c", code],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "ResourceWarning" not in out.stderr, out.stderr
+
+
 class TestSocketDropIdempotency:
     def _serve_in_thread(self, service, socket_path):
         """Run a ServiceServer on its own event loop in a daemon thread."""

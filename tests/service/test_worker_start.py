@@ -1,7 +1,10 @@
 """How shard workers start.
 
 - Import budget (tier-1): the daemon and client modules load no scipy;
-  workers get it from the forkserver's preload instead.
+  workers get it from the forkserver's preload instead.  A batch worker's
+  initializer loads no part of the compile service.
+- Orphans (tier-1): a pool worker, shard or batch, exits once its parent
+  is hard-killed, and takes the forkserver and resource tracker with it.
 - Listener isolation (``-m service_smoke``, excluded from tier-1): once a
   real ``python -m repro serve`` has warmed every shard, no process in
   its tree but the daemon itself (not the forkserver, not a worker)
@@ -13,6 +16,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -44,6 +48,78 @@ def test_daemon_and_client_imports_leave_scipy_unloaded():
         env=_env(), capture_output=True, text=True, timeout=120, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_batch_worker_start_leaves_the_service_unloaded():
+    code = (
+        "import sys\n"
+        "from repro.experiments.batch import init_worker_prefix_cache\n"
+        "init_worker_prefix_cache()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.service')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+#: Builds ``pool`` in a child interpreter: a daemon's shard pool (forked
+#: from the preloaded forkserver), or a ``compile_many``-style fork pool.
+_ORPHAN_POOLS = {
+    "shard": (
+        "from repro.service.server import CompileService\n"
+        "pool = CompileService(spool_dir={spool!r})._make_pool()\n"
+    ),
+    "batch": (
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "from repro.experiments.batch import init_worker_prefix_cache\n"
+        "pool = ProcessPoolExecutor(1, initializer=init_worker_prefix_cache)\n"
+    ),
+}
+
+
+def _running(pid: int) -> bool:
+    """True while *pid* exists and is not a zombie."""
+    try:
+        stat = (PROC / str(pid) / "stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not PROC.exists(), reason="needs Linux /proc")
+@pytest.mark.parametrize("kind", sorted(_ORPHAN_POOLS))
+def test_orphaned_workers_exit_with_their_parent(kind, tmp_path):
+    code = _ORPHAN_POOLS[kind].format(spool=str(tmp_path / "spool")) + (
+        "import os\n"
+        "from multiprocessing import forkserver, resource_tracker\n"
+        "pids = [pool.submit(os.getpid).result(timeout=120),\n"
+        "        forkserver._forkserver._forkserver_pid,\n"
+        "        resource_tracker._resource_tracker._pid]\n"
+        "print(*[p for p in pids if p], flush=True)\n"
+        "os._exit(0)\n"  # no pool shutdown: the worker is orphaned
+    )
+    # Output to a file, not a pipe: every process left behind would hold a
+    # pipe open.
+    log = tmp_path / "pids.txt"
+    with log.open("w") as out:
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=_env(), stdout=out, timeout=120, check=True,
+        )
+    pids = [int(p) for p in log.read_text().split()]
+    try:
+        deadline = time.monotonic() + 10.0
+        while any(_running(pid) for pid in pids):
+            assert time.monotonic() < deadline, [
+                pid for pid in pids if _running(pid)
+            ]
+            time.sleep(0.05)
+    finally:
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, 9)
 
 
 def _descendants(root: int) -> list[int]:

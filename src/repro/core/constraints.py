@@ -40,11 +40,9 @@ rather than a full :meth:`engaged_atoms` rebuild.  Mutating ``row_maps`` /
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-import numpy as np
 
 from ..hardware.raa import AtomLocation, RAAArchitecture
 
@@ -95,194 +93,28 @@ def _overlaps(lines: list[tuple[list[float], int]], site: Site) -> bool:
     return False
 
 
-#: Below this candidate count the scalar probe loop wins outright (PR 3
-#: measured numpy slower than scalars at 2–8 entries), so the vectorized
-#: batch probe only engages at or above it.
-_VEC_MIN = 12
-
-#: A per-axis digest run at most this long is probed by the exact scalar
-#: loop directly — cheaper than building a numpy mask over all candidates.
-_RUN_MAX = 8
-
-#: memo-miss sentinel (``None`` is a valid cached probe result)
-_MISS = object()
-
-
-class _ProbeIndex:
-    """Per-:class:`CandidateSet` feasibility digest over the snapped sites.
-
-    Holds, per axis, the candidate coordinates sorted by value alongside
-    the candidate indices in that order, plus (lazily) columnar numpy
-    arrays in best-first order.  :meth:`StagePlan.place_pair` uses these to
-    answer "can any site in this coordinate range satisfy this line
-    requirement?" without touching the plan, and to select a sound
-    *superset* of the candidates that can survive its silent
-    pinned/C2-window rejects.  Selection never drops a candidate that
-    could reach the C3 equality test (the ``overlap_blocked`` statistic)
-    or the commit attempt: every pruned candidate fails a check the
-    scalar loop rejects with a plain ``continue``.
-    """
-
-    __slots__ = ("vals", "order", "_rs", "_cs", "_coords", "_memo")
-
-    def __init__(self, pairs: list[tuple[Site, Site]]) -> None:
-        rs = [s[0] for _raw, s in pairs]
-        cs = [s[1] for _raw, s in pairs]
-        r_order = sorted(range(len(rs)), key=rs.__getitem__)
-        c_order = sorted(range(len(cs)), key=cs.__getitem__)
-        #: per-axis candidate coordinates sorted ascending
-        self.vals = ([rs[i] for i in r_order], [cs[i] for i in c_order])
-        #: per-axis candidate indices, parallel to ``vals``
-        self.order = (r_order, c_order)
-        self._rs = rs
-        self._cs = cs
-        self._coords: tuple[np.ndarray, np.ndarray] | None = None
-        #: query -> selection memo.  The probes are pure functions of the
-        #: digest, and their float inputs are quantized (committed line
-        #: targets and the windows derived from them), so the same handful
-        #: of queries recur across the whole route; capped as a safety
-        #: valve.  Entries are immutable (tuples/arrays callers only read).
-        self._memo: dict[tuple, tuple | np.ndarray | None] = {}
-
-    @property
-    def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Columnar (rows, cols) float64 arrays in best-first order."""
-        if self._coords is None:
-            self._coords = (np.asarray(self._rs), np.asarray(self._cs))
-        return self._coords
-
-    def pin_run(self, coord: int, bound: float) -> tuple:
-        """Candidate indices within the snap tolerance of a pinned *bound*.
-
-        Exact complement of the scalar ``abs(bound - x) >= _EPS`` reject
-        (same subtraction, same tolerance), found as a contiguous run of
-        the sorted digest; the run scans terminate because the distance to
-        *bound* is monotone away from the bisect point.  Returned in
-        candidate (best-first) order.
-        """
-        memo = self._memo
-        key = (coord, bound)
-        run = memo.get(key, _MISS)
-        if run is not _MISS:
-            return run
-        vals = self.vals[coord]
-        order = self.order[coord]
-        j = bisect_left(vals, bound)
-        lo = j
-        while lo > 0 and abs(bound - vals[lo - 1]) < _EPS:
-            lo -= 1
-        hi = j
-        n = len(vals)
-        while hi < n and abs(bound - vals[hi]) < _EPS:
-            hi += 1
-        run = tuple(sorted(order[lo:hi]))
-        if len(memo) > 1024:
-            memo.clear()
-        memo[key] = run
-        return run
-
-    def window_run(
-        self, rpred: float, rsucc: float, cpred: float, csucc: float
-    ) -> tuple | None:
-        """Digest probe of the combined C2 windows.
-
-        Returns ``()`` when either axis window misses every candidate
-        coordinate (the whole scan is decided: all rejects are silent),
-        a short candidate-index run when one axis narrows the scan to at
-        most ``_RUN_MAX`` sites, or ``None`` when both runs are wide and
-        the caller should fall through to the batch/scalar probe.  The
-        2×``_EPS`` margin keeps the range a conservative superset of the
-        scalar ``pred > x + _EPS or succ < x - _EPS`` accept region.
-        """
-        memo = self._memo
-        key = (rpred, rsucc, cpred, csucc)
-        run = memo.get(key, _MISS)
-        if run is not _MISS:
-            return run
-        two = _EPS + _EPS
-        rv, cv = self.vals
-        a = bisect_left(rv, rpred - two)
-        b = bisect_right(rv, rsucc + two)
-        if a >= b:
-            run = ()
-        else:
-            a2 = bisect_left(cv, cpred - two)
-            b2 = bisect_right(cv, csucc + two)
-            if a2 >= b2:
-                run = ()
-            elif b - a <= b2 - a2:
-                run = (
-                    tuple(sorted(self.order[0][a:b]))
-                    if b - a <= _RUN_MAX
-                    else None
-                )
-            elif b2 - a2 <= _RUN_MAX:
-                run = tuple(sorted(self.order[1][a2:b2]))
-            else:
-                run = None
-        if len(memo) > 1024:
-            memo.clear()
-        memo[key] = run
-        return run
-
-    def vec_run(
-        self,
-        rpred: float,
-        rsucc: float,
-        cpred: float,
-        csucc: float,
-        max_r: float,
-        max_c: float,
-    ) -> np.ndarray:
-        """Vectorized batch probe: columnar bounds + C2 window masks over
-        all candidates in one shot.  Elementwise float64 ops are
-        IEEE-identical to the scalar expressions, so the kept set is
-        exactly the candidates the scalar loop would not silently reject
-        on these checks; ``flatnonzero`` preserves best-first order."""
-        memo = self._memo
-        key = (rpred, rsucc, cpred, csucc, max_r, max_c)
-        run = memo.get(key)
-        if run is not None:
-            return run
-        rs, cs = self.coords
-        keep = (rs >= -0.5) & (rs <= max_r)
-        keep &= (cs >= -0.5) & (cs <= max_c)
-        keep &= rs + _EPS >= rpred
-        keep &= rs - _EPS <= rsucc
-        keep &= cs + _EPS >= cpred
-        keep &= cs - _EPS <= csucc
-        run = np.flatnonzero(keep)
-        if len(memo) > 1024:
-            memo.clear()
-        memo[key] = run
-        return run
-
-
 class CandidateSet(NamedTuple):
     """Candidate interaction sites for one qubit pair, plus their
     coordinate extremes (over the snapped values) so the placement engine
     can reject a whole scan when a gate's feasibility window cannot touch
-    any candidate, and a :class:`_ProbeIndex` digest for index-side
-    candidate pruning (built for multi-candidate sets only)."""
+    any candidate."""
 
     sites: list[tuple[Site, Site]]  # (raw, snapped), best-first
     min_r: float
     max_r: float
     min_c: float
     max_c: float
-    probe: _ProbeIndex | None = None
 
     @classmethod
     def from_pairs(cls, pairs: list[tuple[Site, Site]]) -> "CandidateSet":
-        """Build a set (extremes + probe digest) from ``(raw, snapped)``
-        pairs — the one constructor both the router and direct
-        list-of-pairs callers go through."""
+        """Build a set (with its extremes) from ``(raw, snapped)`` pairs —
+        the one constructor both the router and direct list-of-pairs
+        callers go through."""
         if not pairs:
-            return cls(pairs, 0.0, 0.0, 0.0, 0.0, None)
+            return cls(pairs, 0.0, 0.0, 0.0, 0.0)
         rs = [s[0] for _raw, s in pairs]
         cs = [s[1] for _raw, s in pairs]
-        probe = _ProbeIndex(pairs) if len(pairs) > 1 else None
-        return cls(pairs, min(rs), max(rs), min(cs), max(cs), probe)
+        return cls(pairs, min(rs), max(rs), min(cs), max(cs))
 
 
 class LocationIndex:
@@ -294,7 +126,7 @@ class LocationIndex:
     rebuilding the dictionaries per stage.
     """
 
-    __slots__ = ("slm_site_to_qubit", "aod_atoms", "atoms_by_row", "atoms_by_col")
+    __slots__ = ("slm_site_to_qubit", "aod_atoms", "line_atoms")
 
     def __init__(self, locations: dict[int, AtomLocation]) -> None:
         self.slm_site_to_qubit: dict[Site, int] = {
@@ -303,19 +135,21 @@ class LocationIndex:
             if loc.is_slm
         }
         self.aod_atoms: dict[int, list[tuple[int, AtomLocation]]] = {}
-        #: (aod, row) -> [(qubit, its col)] — the atoms a row-map entry can engage
-        self.atoms_by_row: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        #: (aod, col) -> [(qubit, its row)]
-        self.atoms_by_col: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        #: per axis, (aod, line) -> {other-axis index: qubit}: the atom at
+        #: each crosspoint of that line.  A new line entry engages exactly
+        #: the atoms at its crosspoints with the other axis's committed
+        #: entries, so the engagement walk visits those entries (usually
+        #: 1-3), not every atom on the line.
+        self.line_atoms: tuple[
+            dict[tuple[int, int], dict[int, int]],
+            dict[tuple[int, int], dict[int, int]],
+        ] = ({}, {})
+        by_row, by_col = self.line_atoms
         for q, loc in locations.items():
             if loc.is_aod:
                 self.aod_atoms.setdefault(loc.array, []).append((q, loc))
-                self.atoms_by_row.setdefault((loc.array, loc.row), []).append(
-                    (q, loc.col)
-                )
-                self.atoms_by_col.setdefault((loc.array, loc.col), []).append(
-                    (q, loc.row)
-                )
+                by_row.setdefault((loc.array, loc.row), {})[loc.col] = q
+                by_col.setdefault((loc.array, loc.col), {})[loc.row] = q
 
 
 class _SortedLine:
@@ -403,14 +237,18 @@ class StagePlan:
         self._bad_sites: set[Site] = set()
         self._journal: list[tuple] = []
         self._num_line_entries = 0
-        # Replay any prefilled maps through the incremental indexes.
+        # Replay any prefilled maps through the incremental indexes: every
+        # line entry first, then each engaged atom once (engaging per entry
+        # would land an atom once from its row and again from its column).
         for axis, maps in ((_ROW, self.row_maps), (_COL, self.col_maps)):
             for aod, m in maps.items():
                 for idx, target in m.items():
                     self._line(axis, aod).insert(idx, target)
-                    self._engage(axis, aod, idx, target, add=True)
                     self._num_line_entries += 1
-        self._journal.clear()
+        for q, site in self.engaged_atoms():
+            self._occupancy.setdefault(site, []).append(q)
+        for site in self._occupancy:
+            self._refresh_site(site)
 
     def _line(self, axis: int, aod: int) -> _SortedLine:
         per_axis = self._lines[axis]
@@ -425,9 +263,9 @@ class StagePlan:
         ``(loc, is_aod, reqs, home)`` — an SLM atom contributes its home
         coordinate, an AOD atom its two line requirements (map dict and
         sorted mirror resolved up front; (axis, aod) identity == line
-        identity) with the C1 mate lists pre-resolved.  Pair templates are
-        assembled from two halves, so the per-line lookups happen once per
-        *atom* instead of once per pair.
+        identity) with the line's crosspoint atoms pre-resolved.  Pair
+        templates are assembled from two halves, so the per-line lookups
+        happen once per *atom* instead of once per pair.
         """
         half = self._atom_halves.get(qubit)
         if half is not None:
@@ -439,14 +277,14 @@ class StagePlan:
         else:
             row_map = self.row_maps[aod]
             col_map = self.col_maps[aod]
-            atom_index = self.index
+            by_row, by_col = self.index.line_atoms
             reqs = (
                 (
                     row_map,
                     self._line(_ROW, aod),
                     loc.row,
                     0,
-                    atom_index.atoms_by_row.get((aod, loc.row)),
+                    by_row[(aod, loc.row)],
                     col_map,
                     True,
                     aod,
@@ -456,7 +294,7 @@ class StagePlan:
                     self._line(_COL, aod),
                     loc.col,
                     1,
-                    atom_index.atoms_by_col.get((aod, loc.col)),
+                    by_col[(aod, loc.col)],
                     row_map,
                     False,
                     aod,
@@ -470,10 +308,11 @@ class StagePlan:
         """Cached per-pair requirement template for :meth:`place_pair`.
 
         Everything about a pair that does not depend on the candidate site
-        or the plan *state*: the atom locations, the line requirements,
-        the SLM home coordinates, and whether the empty-plan fast path is
-        statically eligible (at least one AOD atom, not both in the same
-        array).  Assembled from the per-atom halves: two atoms only ever
+        or the plan *state*: the line requirements, the SLM home
+        coordinates, the first atom's location (for the same-array error),
+        whether each atom sits in an AOD, and whether the empty-plan fast
+        path is statically eligible (at least one AOD atom, not both in the
+        same array).  Assembled from the per-atom halves: two atoms only ever
         share a line when they live in the same AOD array — the same
         row/col means the identical entries (kept once); two distinct
         atoms would put two distinct entries on one shared line, which no
@@ -497,7 +336,6 @@ class StagePlan:
             reqs,
             a_home + b_home,
             loc_a,
-            loc_b,
             a_aod,
             b_aod,
             (a_aod or b_aod) and not same_array,
@@ -538,22 +376,20 @@ class StagePlan:
         """Engage/disengage the atoms a map entry completes.
 
         A row entry ``idx -> target`` lands every AOD atom in that row whose
-        column is also mapped; symmetrically for column entries.
+        column is also mapped; symmetrically for column entries.  The walk
+        visits the other axis's committed entries and looks up the atom at
+        each crosspoint.
         """
-        if axis == _ROW:
-            mates = self.index.atoms_by_row.get((aod, idx))
-            other_map = self.col_maps[aod]
-        else:
-            mates = self.index.atoms_by_col.get((aod, idx))
-            other_map = self.row_maps[aod]
-        if not mates or not other_map:
+        atoms_on_line = self.index.line_atoms[axis].get((aod, idx))
+        other_map = (self.col_maps if axis == _ROW else self.row_maps)[aod]
+        if not atoms_on_line or not other_map:
             return
         snapped = round(target / _EPS) * _EPS
         occupancy = self._occupancy
         slm_lookup = self._slm_site_to_qubit
-        for q, other_idx in mates:
-            other_t = other_map.get(other_idx)
-            if other_t is None:
+        for other_idx, other_t in other_map.items():
+            q = atoms_on_line.get(other_idx)
+            if q is None:
                 continue
             other_snapped = round(other_t / _EPS) * _EPS
             if axis == _ROW:
@@ -803,15 +639,15 @@ class StagePlan:
         """
         if type(candidates) is not CandidateSet:
             # Direct list-of-pairs callers (tests, baselines) get extremes
-            # and the probe digest computed once at entry, so they hit the
-            # identical pruned path as router-built CandidateSets.
+            # computed once at entry, so they take the identical path as
+            # router-built CandidateSets.
             candidates = CandidateSet.from_pairs(candidates)
         extremes = candidates
         candidates = candidates.sites
         tmpl = self._pair_templates.get((qubit_a, qubit_b))
         if tmpl is None:
             tmpl = self._pair_template(qubit_a, qubit_b)
-        reqs, slm_homes, loc_a, loc_b, a_aod, b_aod, empty_ok = tmpl
+        reqs, slm_homes, loc_a, a_aod, b_aod, empty_ok = tmpl
         if reqs is None:
             raise ValueError(
                 f"qubits {qubit_a} and {qubit_b} are distinct atoms of AOD "
@@ -834,51 +670,42 @@ class StagePlan:
             # validity check below only guards direct callers; on any
             # failure we fall through to the probe loop.  The only atoms
             # the new entries can engage are the pair itself, so the
-            # occupancy update is a single direct write and the site cannot
-            # be bad.
+            # occupancy update is a single direct write.
             raw, site = candidates[0]
+            slm_here = self._slm_site_to_qubit.get(site)
+            stray_slm = (
+                slm_here is not None and slm_here != qubit_a and slm_here != qubit_b
+            )
             site_ok = (
-                -0.5 <= site[0] <= self._max_r and -0.5 <= site[1] <= self._max_c
+                -0.5 <= site[0] <= self._max_r
+                and -0.5 <= site[1] <= self._max_c
+                and not (stray_slm and self.toggles.no_unintended_interaction)
             )
             if site_ok:
-                slm_here = self._slm_site_to_qubit.get(site)
-                if (
-                    slm_here is not None
-                    and slm_here != qubit_a
-                    and slm_here != qubit_b
-                    and self.toggles.no_unintended_interaction
-                ):
-                    site_ok = False
-            if site_ok:
-                for loc, aod_flag in ((loc_a, a_aod), (loc_b, b_aod)):
-                    if not aod_flag and (
-                        abs(loc.row - site[0]) > _EPS
-                        or abs(loc.col - site[1]) > _EPS
-                    ):
+                for hr, hc in slm_homes:
+                    if abs(hr - site[0]) > _EPS or abs(hc - site[1]) > _EPS:
                         site_ok = False
                         break
             if site_ok:
+                # Every line is empty, and the template's line objects are
+                # already resolved: write each entry straight through them.
                 journal_append = self._journal.append
-                engaged: list[int] = []
-                for loc, aod_flag, q in (
-                    (loc_a, a_aod, qubit_a),
-                    (loc_b, b_aod, qubit_b),
-                ):
-                    if not aod_flag:
-                        continue
-                    aod = loc.array
-                    for axis, m, idx, target in (
-                        (_ROW, self.row_maps[aod], loc.row, site[0]),
-                        (_COL, self.col_maps[aod], loc.col, site[1]),
-                    ):
-                        m[idx] = target
-                        self._line(axis, aod).insert(idx, target)
-                        self._num_line_entries += 1
-                        journal_append((axis, aod, idx, None))
-                    engaged.append(q)
-                self._occupancy[_snap_site(site[0], site[1])] = engaged
+                for m, line, idx, coord, _atoms, _other, is_row, aod in reqs:
+                    target = site[coord]
+                    m[idx] = target
+                    line.insert(idx, target)
+                    journal_append((_ROW if is_row else _COL, aod, idx, None))
+                self._num_line_entries = len(reqs)
+                engaged = [qubit_a] if a_aod else []
+                if b_aod:
+                    engaged.append(qubit_b)
+                landing = _snap_site(site[0], site[1])
+                self._occupancy[landing] = engaged
                 self.scheduled[site] = (qubit_a, qubit_b)
                 journal_append((_SCHED, site))
+                if stray_slm:
+                    # C1 relaxed let the pair meet on another atom's trap
+                    self._refresh_site(landing)
                 busy.add(qubit_a)
                 busy.add(qubit_b)
                 journal_append((_BUSY, qubit_a))
@@ -915,12 +742,9 @@ class StagePlan:
         #: (sorted targets, coord) per unpinned committed line — the C3
         #: probe when C2 is relaxed
         c3_lines: list[tuple[list[float], int]] = []
-        #: (mates, committed other-axis map, is_row) per *new* line entry —
-        #: the atoms that entry could newly engage (C1 pre-check)
-        scan_specs: list[tuple[list, dict, bool]] = []
-        for m, line, idx, coord, mates, other_map, is_row, _aod in reqs:
+        for m, line, idx, coord, _atoms, _other, _is_row, _aod in reqs:
             # Untouched lines (the common case mid-sweep) contribute no
-            # bound and an infinite window; only their mates matter.
+            # bound and an infinite window.
             if line.idx:
                 bound = m.get(idx)
                 if bound is not None:
@@ -955,8 +779,6 @@ class StagePlan:
                             rsucc = tgt[p]
                 elif no_overlap:
                     c3_lines.append((line.tsorted, coord))
-            if mates:
-                scan_specs.append((mates, other_map, is_row))
         # The window extremes a target must not equal (C3); out of reach
         # when C3 is relaxed, so the per-candidate test never fires.
         if no_overlap:
@@ -1007,42 +829,26 @@ class StagePlan:
             # probe would fail C2 (or the pinned coordinate), strict and
             # relaxed alike.
             return None, False
-        # Index-side candidate pruning: select a sound superset of the
-        # candidates that can survive the *silent* pinned / C2-window /
-        # bounds rejects below, so the best-first loop skips runs of
-        # doomed candidates.  Anything that could reach the C3 equality
-        # test (Fig. 24 ``overlap_blocked``) or a commit attempt always
-        # survives selection, and the scalar body re-applies every exact
-        # check, so results are bit-identical to the full scan.
-        n = len(candidates)
-        probe = extremes.probe
-        order = range(n)
-        if probe is not None:
-            if rbound is not None:
-                order = probe.pin_run(0, rbound)
-            elif cbound is not None:
-                order = probe.pin_run(1, cbound)
-            else:
-                sel = probe.window_run(rpred, rsucc, cpred, csucc)
-                if sel is not None:
-                    order = sel
-                elif n >= _VEC_MIN and (
-                    rpred != -inf
-                    or rsucc != inf
-                    or cpred != -inf
-                    or csucc != inf
-                ):
-                    order = probe.vec_run(rpred, rsucc, cpred, csucc, max_r, max_c)
-            if not len(order):
-                return None, False
         occupancy = self._occupancy
         eng_mates: list[tuple[bool, float]] | None = None
-        for i in order:
-            raw, site = candidates[i]
-            if site in scheduled:
-                continue
+        for raw, site in candidates:
+            # Silent rejects first, cheapest and most frequent first: the
+            # pinned coordinate and the C2 window are float compares.
             r, c = site
-            if not (-0.5 <= r <= max_r and -0.5 <= c <= max_c):
+            if rbound is not None and abs(rbound - r) >= _EPS:
+                continue
+            if cbound is not None and abs(cbound - c) >= _EPS:
+                continue
+            if (
+                rpred > r + _EPS
+                or rsucc < r - _EPS
+                or cpred > c + _EPS
+                or csucc < c - _EPS
+            ):
+                continue  # C2: fails relaxed too
+            if site in scheduled or not (
+                -0.5 <= r <= max_r and -0.5 <= c <= max_c
+            ):
                 continue
             slm_here = slm_lookup.get(site)
             if (
@@ -1059,17 +865,6 @@ class StagePlan:
                     break
             if not feasible:
                 continue
-            if rbound is not None and abs(rbound - r) >= _EPS:
-                continue
-            if cbound is not None and abs(cbound - c) >= _EPS:
-                continue
-            if (
-                rpred > r + _EPS
-                or rsucc < r - _EPS
-                or cpred > c + _EPS
-                or csucc < c - _EPS
-            ):
-                continue  # C2: fails relaxed too
             if (
                 abs(r - nr_lo) < _EPS
                 or abs(r - nr_hi) < _EPS
@@ -1095,20 +890,22 @@ class StagePlan:
                         if x != qubit_a and x != qubit_b:
                             viol = True
                             break
-                if not viol and scan_specs:
+                if not viol:
                     if eng_mates is None:
-                        # A mate's landing depends on the candidate only
-                        # through eng_r/eng_c; its committed other-axis
-                        # coordinate is frozen for the whole probe loop, so
-                        # resolve and snap each engaged mate once per call
-                        # instead of once per candidate.
+                        # A new line entry engages the atoms at its
+                        # crosspoints with the other axis's committed
+                        # entries.  A mate's landing depends on the
+                        # candidate only through eng_r/eng_c; its committed
+                        # other-axis coordinate is frozen for the whole
+                        # probe loop, so resolve and snap each engaged mate
+                        # once per call instead of once per candidate.
                         eng_mates = []
-                        for mates, other_map, is_row in scan_specs:
-                            for q, other_idx in mates:
-                                if q == qubit_a or q == qubit_b:
-                                    continue
-                                other_t = other_map.get(other_idx)
-                                if other_t is None:
+                        for m, _ln, idx, _co, atoms, other_map, is_row, _aod in reqs:
+                            if idx in m:
+                                continue  # committed: engages nothing new
+                            for other_idx, other_t in other_map.items():
+                                q = atoms.get(other_idx)
+                                if q is None or q == qubit_a or q == qubit_b:
                                     continue
                                 eng_mates.append(
                                     (is_row, round(other_t / _EPS) * _EPS)
@@ -1138,7 +935,7 @@ class StagePlan:
             journal = self._journal
             journal_append = journal.append
             token = len(journal)
-            for m, line, idx, coord, mates, other_map, is_row, aod in reqs:
+            for m, line, idx, coord, line_atoms, other_map, is_row, aod in reqs:
                 target = site[coord]
                 old = m.get(idx)
                 if old is not None and old == target:
@@ -1151,11 +948,11 @@ class StagePlan:
                     self._num_line_entries += 1
                 m[idx] = target
                 line.insert(idx, target)
-                if mates and other_map:
+                if other_map:
                     snapped = round(target / _EPS) * _EPS
-                    for q2, other_idx in mates:
-                        other_t = other_map.get(other_idx)
-                        if other_t is None:
+                    for other_idx, other_t in other_map.items():
+                        q2 = line_atoms.get(other_idx)
+                        if q2 is None:
                             continue
                         other_snapped = round(other_t / _EPS) * _EPS
                         if is_row:

@@ -188,39 +188,36 @@ class HighParallelismRouter:
         :class:`RydbergGate`; the snapped one is what the constraint
         engine compares against, pre-computed once instead of per probe,
         along with the coordinate extremes the engine's whole-scan
-        shortcuts test against and the probe digest its index-side
-        candidate pruning consults.
+        shortcuts test against.
         """
         key = (qubit_a, qubit_b)
         sites = self._site_cache.get(key)
         if sites is None:
             la = self.locations[qubit_a]
             lb = self.locations[qubit_b]
-            anchor_key = None
-            if la.is_aod and lb.is_aod:
-                # AOD-AOD candidates depend only on the anchor midpoint, so
-                # pairs sharing it share one (read-only) candidate set.
-                anchor_key = ("anchor", la.row + lb.row, la.col + lb.col)
-                sites = self._site_cache.get(anchor_key)
-                if sites is not None:
-                    self._site_cache[key] = sites
-                    return sites
-            pairs = [
-                (site, _snap_site(site[0], site[1]))
-                for site in candidate_sites(
-                    qubit_a,
-                    qubit_b,
-                    self.locations,
-                    self.architecture,
-                    self._slm_sites,
-                    self.config.max_candidate_sites,
-                    self._walk_cache,
-                )
-            ]
-            sites = CandidateSet.from_pairs(pairs)
+            # Pairs that share their candidates share one (read-only) set:
+            # an AOD-SLM pair's only candidate is the SLM atom's trap, and
+            # AOD-AOD candidates depend only on the anchor midpoint.
+            if la.is_slm or lb.is_slm:
+                shared_key = ("slm", qubit_a if la.is_slm else qubit_b)
+            else:
+                shared_key = ("anchor", la.row + lb.row, la.col + lb.col)
+            sites = self._site_cache.get(shared_key)
+            if sites is None:
+                pairs = [
+                    (site, _snap_site(site[0], site[1]))
+                    for site in candidate_sites(
+                        qubit_a,
+                        qubit_b,
+                        self.locations,
+                        self.architecture,
+                        self._slm_sites,
+                        self.config.max_candidate_sites,
+                        self._walk_cache,
+                    )
+                ]
+                sites = self._site_cache[shared_key] = CandidateSet.from_pairs(pairs)
             self._site_cache[key] = sites
-            if anchor_key is not None:
-                self._site_cache[anchor_key] = sites
         return sites
 
     def _select_gates(

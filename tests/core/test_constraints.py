@@ -2,9 +2,15 @@
 Fig. 9-11 violation scenarios."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.constraints import ConstraintToggles, StagePlan, parking_offset
 from repro.hardware import ArrayShape, AtomLocation, RAAArchitecture
+from tests.core.test_place_pair_pruning import (
+    assert_c1_view_matches_full_scan,
+    assert_plans_agree,
+)
 
 
 def arch_2aod(side=4):
@@ -447,7 +453,51 @@ class TestPlacePairEquivalence:
                 got = plan_fast.place_pair(a, b, pairs)
                 want = self.reference_place(plan_ref, a, b, sites)
                 assert got == want, (toggles, a, b)
-                assert plan_fast.row_maps == plan_ref.row_maps, toggles
-                assert plan_fast.col_maps == plan_ref.col_maps, toggles
-                assert plan_fast.scheduled == plan_ref.scheduled, toggles
-                assert plan_fast.busy_qubits == plan_ref.busy_qubits, toggles
+                assert_plans_agree(plan_fast, plan_ref)
+
+
+class TestPrefilledPlan:
+    """A plan built with prefilled row/col maps replays them into the
+    incremental indexes, engaging every atom exactly once."""
+
+    def test_atom_engaged_once(self):
+        locs = {0: AtomLocation(0, 0, 0), 1: AtomLocation(1, 0, 0)}
+        plan = StagePlan(
+            architecture=RAAArchitecture.default(side=4, num_aods=1),
+            locations=locs,
+            row_maps={1: {0: 1.5}},
+            col_maps={1: {0: 1.5}},
+        )
+        assert plan._occupancy == {(1.5, 1.5): [1]}
+        assert plan.is_legal() and not plan.violates_c1()
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["row", "col"]),
+                st.sampled_from([1, 2]),
+                st.integers(0, 2),
+                st.sampled_from([x / 2.0 for x in range(0, 6)]),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_legality_matches_full_scan(self, entries):
+        locs = {}
+        for arr in range(3):
+            for r in range(3):
+                for c in range(3):
+                    locs[len(locs)] = AtomLocation(arr, r, c)
+        row_maps = {1: {}, 2: {}}
+        col_maps = {1: {}, 2: {}}
+        for axis, aod, idx, target in entries:
+            (row_maps if axis == "row" else col_maps)[aod][idx] = target
+        plan = StagePlan(
+            architecture=arch_2aod(side=3),
+            locations=locs,
+            row_maps=row_maps,
+            col_maps=col_maps,
+        )
+        # C1 is enforced, so this includes is_legal() == not violates_c1()
+        assert_c1_view_matches_full_scan(plan)

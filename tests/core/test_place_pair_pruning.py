@@ -1,40 +1,31 @@
-"""Differential tests for place_pair's index-side candidate pruning.
+"""Differential tests for place_pair's probe scan.
 
-The pruning contract: selection (``_ProbeIndex.pin_run`` /
-``window_run`` / ``vec_run``) may only skip candidates the scalar loop
-rejects with a *silent* ``continue`` — never one that could reach the C3
-equality test (the Fig. 24 ``overlap_blocked`` statistic) or a commit
-attempt.  These tests check that contract three ways:
+The scan contract: :meth:`StagePlan.place_pair` returns what the
+reference can_add + add + is_legal + restore loop returns — the committed
+site and the Fig. 24 ``overlap_blocked`` flag — and leaves the plan in
+the same state, whichever whole-scan shortcut (pinned coordinate, empty
+C2 window, window outside the candidate extremes) decides the call.
+These tests check that contract two ways:
 
-* digest-level: each probe's run against a brute-force scan of the same
-  candidate list (``pin_run`` exact, ``window_run`` a sound superset,
-  ``vec_run`` bit-identical to the scalar window mask);
-* plan-level: engineered scenarios that drive each selection path
-  (pinned coordinate, narrow window, gap prune, vectorized) through
-  :meth:`StagePlan.place_pair` and compare against the reference
-  can_add + add + is_legal + restore loop, including the
-  ``overlap_blocked`` flag when the strict path prunes sibling
-  candidates;
-* property: hypothesis-generated plans and candidate lists where the
-  pruned path and the reference loop must agree on every probe, under
-  each of the eight constraint-toggle settings.
+* plan-level: engineered scenarios that drive each shortcut and the
+  scalar loop through :meth:`StagePlan.place_pair`, including the
+  ``overlap_blocked`` flag when other candidates are rejected silently;
+* property: hypothesis-generated plans and candidate lists where
+  place_pair and the reference loop must agree on every probe, under
+  each of the eight constraint-toggle settings, down to the occupancy
+  index and the set of sites violating C1.
 """
 
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.constraints import (
-    _EPS,
-    _RUN_MAX,
-    _VEC_MIN,
     CandidateSet,
     ConstraintToggles,
     StagePlan,
-    _ProbeIndex,
     _snap_site,
 )
 from repro.hardware import AtomLocation, RAAArchitecture
@@ -64,7 +55,7 @@ def pairs_for(sites):
 
 
 def reference_place(plan, a, b, sites):
-    """The pre-pruning oracle: can_add + add + is_legal + restore."""
+    """The reference probe loop: can_add + add + is_legal + restore."""
     overlap_blocked = False
     relaxed = ConstraintToggles(
         no_unintended_interaction=plan.toggles.no_unintended_interaction,
@@ -88,111 +79,48 @@ def reference_place(plan, a, b, sites):
     return None, overlap_blocked
 
 
-# ---------------------------------------------------------------------------
-# digest-level: probe runs vs brute force over the same candidate list
-# ---------------------------------------------------------------------------
+def occupancy_by_site(plan):
+    """The plan's occupancy index with each site's atoms sorted: the list
+    order follows the engagement walk, and nothing reads it."""
+    return {site: sorted(atoms) for site, atoms in plan._occupancy.items()}
+
+
+def assert_c1_view_matches_full_scan(plan):
+    """The plan's incremental C1 view — occupancy index, violating sites,
+    ``is_legal`` — agrees with the full ``engaged_atoms``/``violates_c1``
+    scan."""
+    toggles = plan.toggles
+    rebuilt = {}
+    for q, site in plan.engaged_atoms():
+        rebuilt.setdefault(site, []).append(q)
+    assert occupancy_by_site(plan) == {
+        site: sorted(atoms) for site, atoms in rebuilt.items()
+    }, toggles
+    violates = plan.violates_c1()
+    assert bool(plan._bad_sites) == violates, toggles
+    assert plan.is_legal() == (
+        not (toggles.no_unintended_interaction and violates)
+    ), toggles
+
+
+def assert_plans_agree(plan, ref):
+    """*plan* and its reference replica *ref* hold the same state after a
+    probe — maps, schedule, busy set, occupancy index and C1-violating
+    sites — and each plan's incremental C1 view matches the full scan."""
+    toggles = plan.toggles
+    assert plan.row_maps == ref.row_maps, toggles
+    assert plan.col_maps == ref.col_maps, toggles
+    assert plan.scheduled == ref.scheduled, toggles
+    assert plan.busy_qubits == ref.busy_qubits, toggles
+    assert occupancy_by_site(plan) == occupancy_by_site(ref), toggles
+    assert plan._bad_sites == ref._bad_sites, toggles
+    assert_c1_view_matches_full_scan(plan)
+    assert_c1_view_matches_full_scan(ref)
 
 
 def lattice_sites(draw_halves=True):
     vals = [x / 2.0 for x in range(-1, 10)] if draw_halves else list(range(5))
     return st.tuples(st.sampled_from(vals), st.sampled_from(vals))
-
-
-@st.composite
-def candidate_lists(draw, min_size=2, max_size=20):
-    sites = draw(
-        st.lists(
-            lattice_sites(), min_size=min_size, max_size=max_size, unique=True
-        )
-    )
-    return pairs_for(sites)
-
-
-@given(candidate_lists(), st.sampled_from([x / 2.0 for x in range(-1, 10)]))
-@settings(max_examples=200, deadline=None)
-def test_pin_run_matches_scalar_reject(pairs, bound):
-    """pin_run is the exact complement of the scalar pinned reject."""
-    probe = _ProbeIndex(pairs)
-    for coord in (0, 1):
-        want = sorted(
-            i
-            for i, (_raw, s) in enumerate(pairs)
-            if not abs(bound - s[coord]) >= _EPS
-        )
-        assert list(probe.pin_run(coord, bound)) == want
-
-
-@given(
-    candidate_lists(),
-    st.sampled_from([x / 2.0 for x in range(-2, 11)]),
-    st.sampled_from([x / 2.0 for x in range(-2, 11)]),
-    st.sampled_from([x / 2.0 for x in range(-2, 11)]),
-    st.sampled_from([x / 2.0 for x in range(-2, 11)]),
-)
-@settings(max_examples=200, deadline=None)
-def test_window_run_is_sound_superset(pairs, rpred, rsucc, cpred, csucc):
-    """window_run never drops a candidate the scalar window admits.
-
-    The scalar loop's silent C2 reject is
-    ``rpred > r + eps or rsucc < r - eps or cpred > c + eps or
-    csucc < c - eps``; anything *not* rejected (including the C3-equality
-    candidates Fig. 24 counts) must survive selection.
-    """
-    probe = _ProbeIndex(pairs)
-    survivors = {
-        i
-        for i, (_raw, (r, c)) in enumerate(pairs)
-        if not (
-            rpred > r + _EPS
-            or rsucc < r - _EPS
-            or cpred > c + _EPS
-            or csucc < c - _EPS
-        )
-    }
-    run = probe.window_run(rpred, rsucc, cpred, csucc)
-    if run is None:
-        return  # wide: selection declined to prune, trivially sound
-    assert survivors <= set(run)
-    if len(run):
-        assert len(run) <= _RUN_MAX
-
-
-@given(
-    candidate_lists(min_size=2, max_size=24),
-    st.sampled_from([x / 2.0 for x in range(-2, 11)]),
-    st.sampled_from([x / 2.0 for x in range(-2, 11)]),
-    st.sampled_from([x / 2.0 for x in range(-2, 11)]),
-    st.sampled_from([x / 2.0 for x in range(-2, 11)]),
-)
-@settings(max_examples=200, deadline=None)
-def test_vec_run_matches_scalar_mask(pairs, rpred, rsucc, cpred, csucc):
-    """The numpy batch probe reproduces the scalar compares bit for bit
-    (bounds + C2 window — the same IEEE compares in columnar form)."""
-    probe = _ProbeIndex(pairs)
-    max_r = max_c = 4.5
-    run = probe.vec_run(rpred, rsucc, cpred, csucc, max_r, max_c)
-    want = [
-        i
-        for i, (_raw, (r, c)) in enumerate(pairs)
-        if (-0.5 <= r <= max_r and -0.5 <= c <= max_c)
-        and r + _EPS >= rpred
-        and r - _EPS <= rsucc
-        and c + _EPS >= cpred
-        and c - _EPS <= csucc
-    ]
-    assert list(run) == want
-
-
-def test_probe_memo_returns_identical_results():
-    """Repeated quantized queries hit the memo and stay identical."""
-    pairs = pairs_for([(0.5, 0.5), (1.0, 1.5), (2.5, 0.5), (3.0, 3.0)])
-    probe = _ProbeIndex(pairs)
-    first = probe.pin_run(0, 0.5)
-    assert probe.pin_run(0, 0.5) is first
-    w1 = probe.window_run(0.0, 2.0, 0.0, 2.0)
-    assert probe.window_run(0.0, 2.0, 0.0, 2.0) == w1
-    v1 = probe.vec_run(0.0, 2.0, 0.0, 2.0, 4.5, 4.5)
-    assert probe.vec_run(0.0, 2.0, 0.0, 2.0, 4.5, 4.5) is v1
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +129,9 @@ def test_probe_memo_returns_identical_results():
 
 
 class TestPrunedScanDifferential:
-    """Each selection path, checked against the reference loop on a
-    replica plan — results (committed site + overlap_blocked) must match
-    even when the strict path prunes sibling candidates."""
+    """Each shortcut and scan path, checked against the reference loop on
+    a replica plan — results (committed site + overlap_blocked) must match
+    even when the other candidates are rejected silently."""
 
     def _locations(self):
         # Two AOD atoms per array sharing a column, so committing one
@@ -235,11 +163,11 @@ class TestPrunedScanDifferential:
         # row 0 / col 0 to 0.5.
         first = [(0.5, 0.5)]
         assert self._check(plan, ref, 0, 2, first) == ((0.5, 0.5), False)
-        # Gate (1, 3): AOD1 col 0 is pinned to 0.5, so selection runs
-        # pin_run(col, 0.5).  The col=0.5 candidate survives selection
-        # and reaches the C3 equality test on AOD2's col line
-        # (idx 1 would duplicate idx 0's 0.5 target): overlap_blocked
-        # must be True even though the other candidates are pruned.
+        # Gate (1, 3): AOD1 col 0 is pinned to 0.5, so the scan rejects
+        # every off-pin candidate silently.  The col=0.5 candidate reaches
+        # the C3 equality test on AOD2's col line (idx 1 would duplicate
+        # idx 0's 0.5 target): overlap_blocked must be True even though
+        # no other candidate gets that far.
         sites = [(1.5, 0.5), (2.5, 1.5), (1.5, 2.5), (3.5, 3.5)]
         assert self._check(plan, ref, 1, 3, sites) == (None, True)
 
@@ -248,8 +176,8 @@ class TestPrunedScanDifferential:
         assert self._check(plan, ref, 0, 2, [(0.5, 0.5)]) == ((0.5, 0.5), False)
         # Gate (1, 5): both atoms share column 0 with the committed
         # gate, so both col pins agree at 0.5 and the pinned run
-        # contains a committable candidate ((1.5, 0.5): row 1.5 clears
-        # both row windows).  The off-pin candidates are pruned; both
+        # admits a committable candidate ((1.5, 0.5): row 1.5 clears
+        # both row windows).  The off-pin candidates are rejected; both
         # paths must pick the same site.
         sites = [(0.5, 1.5), (1.5, 0.5), (2.5, 0.5), (3.5, 0.5)]
         got = self._check(plan, ref, 1, 5, sites)
@@ -260,7 +188,7 @@ class TestPrunedScanDifferential:
         assert self._check(plan, ref, 0, 2, [(2.0, 2.0)]) == ((2.0, 2.0), False)
         # Gate (1, 3): AOD1 row 1 needs a target > 2.0 (idx 0 sits at
         # 2.0) and AOD1 col 0 is pinned at 2.0; candidates whose rows
-        # all sit below the window leave selection nothing to scan.
+        # all sit below the window are rejected before any scan.
         sites = [(0.5, 2.0), (1.5, 2.0), (1.0, 2.0)]
         assert self._check(plan, ref, 1, 3, sites) == (None, False)
 
@@ -268,14 +196,13 @@ class TestPrunedScanDifferential:
         plan, ref = self._twin_plans()
         assert self._check(plan, ref, 0, 2, [(1.0, 1.0)]) == ((1.0, 1.0), False)
         # Gate (6, 7) shares no line with the committed gate, so nothing
-        # is pinned; both axes carry a wide [1.0, inf) window whose runs
-        # exceed _RUN_MAX, window_run declines, and with >= _VEC_MIN
-        # candidates the numpy batch probe picks the survivors.  The
-        # best survivor (1.5, 1.5) clears the C3 equality at 1.0; the
-        # equality candidates before it set overlap_blocked.
+        # is pinned; both axes carry a wide [1.0, inf) window over a long
+        # candidate list, scanned candidate by candidate.  The best
+        # survivor (1.5, 1.5) clears the C3 equality at 1.0; the equality
+        # candidates before it set overlap_blocked.
         vals = [x / 2.0 for x in range(0, 10)]
         sites = [(r, c) for r in vals[:6] for c in vals[:4]]
-        assert len(sites) >= _VEC_MIN
+        assert len(sites) >= 12
         got = self._check(plan, ref, 6, 7, sites)
         assert got == ((1.5, 1.5), True)
 
@@ -286,15 +213,14 @@ class TestPrunedScanDifferential:
 
 
 # ---------------------------------------------------------------------------
-# satellite: both place_pair call forms take the identical pruned path
+# both place_pair call forms take the identical path
 # ---------------------------------------------------------------------------
 
 
 class TestCallFormEquivalence:
     """CandidateSet callers (the router) and list-of-pairs callers
     (tests, baselines) must get identical results and identical plan
-    state — the list form builds the same extremes + probe digest at
-    entry."""
+    state — the list form builds the same extremes at entry."""
 
     def _scenario(self):
         locs = {
@@ -346,8 +272,27 @@ def test_same_array_pair_raises():
         assert not plan.scheduled and not plan.busy_qubits
 
 
+def test_empty_plan_commit_on_a_stray_trap_marks_the_site():
+    """With C1 relaxed, the empty-plan commit may put an AOD-AOD pair on
+    another atom's SLM trap; the site then hosts three atoms and must be
+    in the C1-violating set, as the reference add leaves it."""
+    locs = {
+        0: AtomLocation(1, 0, 0),
+        1: AtomLocation(2, 0, 0),
+        2: AtomLocation(0, 1, 1),
+    }
+    toggles = ConstraintToggles(no_unintended_interaction=False)
+    plan = make_plan(locs, toggles)
+    ref = make_plan(locs, toggles)
+    sites = [(1.0, 1.0)]
+    assert plan.place_pair(0, 1, pairs_for(sites)) == ((1.0, 1.0), False)
+    assert reference_place(ref, 0, 1, sites) == ((1.0, 1.0), False)
+    assert plan._bad_sites == {(1.0, 1.0)}
+    assert_plans_agree(plan, ref)
+
+
 # ---------------------------------------------------------------------------
-# property: no false prune on hypothesis-generated plans
+# property: place_pair agrees with the reference on hypothesis-generated plans
 # ---------------------------------------------------------------------------
 
 
@@ -386,9 +331,10 @@ def probe_sequences(draw):
 @given(probe_sequences())
 @settings(max_examples=60, deadline=None)
 def test_pruning_never_drops_reference_accepts(data):
-    """The summary never rules out a site the reference probe accepts,
-    and the overlap_blocked count survives pruning, on random plans under
-    every toggle setting; the plans stay identical probe by probe."""
+    """The per-axis summaries never rule out a site the reference probe
+    accepts, and the overlap_blocked flag matches, on random plans under
+    every toggle setting; the plans stay identical probe by probe, down to
+    the occupancy index and the C1-violating sites."""
     locs, steps = data
     for toggles in ALL_TOGGLES:
         plan = make_plan(locs, toggles)
@@ -397,7 +343,4 @@ def test_pruning_never_drops_reference_accepts(data):
             got = plan.place_pair(a, b, pairs_for(sites))
             want = reference_place(ref, a, b, sites)
             assert got == want, (toggles, a, b, sites)
-            assert plan.row_maps == ref.row_maps, toggles
-            assert plan.col_maps == ref.col_maps, toggles
-            assert plan.scheduled == ref.scheduled, toggles
-            assert plan.busy_qubits == ref.busy_qubits, toggles
+            assert_plans_agree(plan, ref)

@@ -89,6 +89,25 @@ class TestBasicRouting:
         assert program.num_1q_gates == 3
 
 
+class TestCandidateSetSharing:
+    def test_aod_slm_pairs_share_the_slm_atoms_set(self):
+        """An AOD-SLM pair's only candidate is the SLM atom's trap, so
+        every pair on one SLM atom, in either order, gets the same set."""
+        arch = RAAArchitecture.default(side=4, num_aods=2)
+        locs = {
+            0: AtomLocation(0, 1, 2),
+            1: AtomLocation(0, 3, 0),
+            2: AtomLocation(1, 0, 0),
+            3: AtomLocation(2, 2, 1),
+        }
+        router = HighParallelismRouter(arch, locs)
+        shared = router._candidate_sites(2, 0)
+        assert [raw for raw, _snapped in shared.sites] == [(1.0, 2.0)]
+        assert router._candidate_sites(0, 3) is shared
+        assert router._candidate_sites(3, 0) is shared
+        assert router._candidate_sites(2, 1) is not shared
+
+
 class TestSerialMode:
     def test_one_gate_per_stage(self):
         c = QuantumCircuit(4).cz(0, 2).cz(1, 3)

@@ -23,7 +23,7 @@ def _workloads():
     ]
 
 
-def test_ablation_gamma_sweep(benchmark, record_rows):
+def test_ablation_gamma_sweep(record_rows):
     gammas = [0.5, 0.8, 0.95, 1.0]
 
     def run():
@@ -35,7 +35,7 @@ def test_ablation_gamma_sweep(benchmark, record_rows):
             ]
         return out
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
     rows = []
     for gamma, ms in results.items():
         for m in ms:

@@ -28,7 +28,7 @@ def _workloads():
     return jobs
 
 
-def test_ablation_swap_vs_transfer(benchmark, record_rows):
+def test_ablation_swap_vs_transfer(record_rows):
     def run():
         out = {"Atomique": [], "Atomique-Transfer": []}
         for circ in _workloads():
@@ -38,7 +38,7 @@ def test_ablation_swap_vs_transfer(benchmark, record_rows):
             )
         return out
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
     rows = []
     for arch, ms in results.items():
         for m in ms:

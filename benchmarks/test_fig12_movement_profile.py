@@ -13,11 +13,9 @@ from repro.core.kinematics import hop_profile
 from repro.hardware.parameters import neutral_atom_params
 
 
-def test_fig12_movement_pattern(benchmark, record_rows):
+def test_fig12_movement_pattern(record_rows):
     params = neutral_atom_params()
-    profile = benchmark.pedantic(
-        hop_profile, args=(1, params), rounds=1, iterations=1
-    )
+    profile = hop_profile(1, params)
     series = profile.sample(13)
     rows = [
         {

@@ -23,10 +23,8 @@ def _suite():
     return [s for s in specs if s.name not in skip]
 
 
-def test_fig13_main_comparison(benchmark, record_rows):
-    results = benchmark.pedantic(
-        run_main_comparison, args=(_suite(),), rounds=1, iterations=1
-    )
+def test_fig13_main_comparison(record_rows):
+    results = run_main_comparison(_suite())
     rows = []
     for arch, ms in results.items():
         for m in ms:

@@ -25,12 +25,9 @@ def _suite():
     return [s for s in specs if s.build().num_qubits <= 14]
 
 
-def test_fig14_solver_comparison(benchmark, record_rows):
-    results = benchmark.pedantic(
-        run_solver_comparison,
-        kwargs={"benchmarks": _suite(), "solver_qubit_limit": _limit()},
-        rounds=1,
-        iterations=1,
+def test_fig14_solver_comparison(record_rows):
+    results = run_solver_comparison(
+        benchmarks=_suite(), solver_qubit_limit=_limit()
     )
     rows = [m.row() for ms in results.values() for m in ms]
     record_rows("fig14_solver_comparison", rows)

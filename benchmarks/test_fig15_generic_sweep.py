@@ -20,10 +20,8 @@ def _grid():
     return dict(num_qubits=24, gates_per_qubit=[4, 12, 20], degrees=[2, 4, 6])
 
 
-def test_fig15_generic_sweep(benchmark, record_rows):
-    cells = benchmark.pedantic(
-        run_generic_sweep, kwargs=_grid(), rounds=1, iterations=1
-    )
+def test_fig15_generic_sweep(record_rows):
+    cells = run_generic_sweep(**_grid())
     rows = []
     for cell in cells:
         rows.append(

@@ -18,8 +18,8 @@ def _grid():
     return dict(qubit_numbers=[10, 24, 40], non_identity_probs=[0.2, 0.5])
 
 
-def test_fig17_qsim_sweep(benchmark, record_rows):
-    cells = benchmark.pedantic(run_qsim_sweep, kwargs=_grid(), rounds=1, iterations=1)
+def test_fig17_qsim_sweep(record_rows):
+    cells = run_qsim_sweep(**_grid())
     rows = [
         {
             "qubits": c.x,

@@ -52,14 +52,9 @@ def _fid(points, value, arch, benchmark=None):
     return prod ** (1 / len(sel))
 
 
-def test_fig18a_time_per_move(benchmark, record_rows):
+def test_fig18a_time_per_move(record_rows):
     values = [100e-6, 300e-6, 1000e-6]
-    points = benchmark.pedantic(
-        run_sensitivity,
-        args=("t_per_move", values, _benchmarks()),
-        rounds=1,
-        iterations=1,
-    )
+    points = run_sensitivity("t_per_move", values, _benchmarks())
     record_rows("fig18a_time_per_move", _points_to_rows(points))
     mid = _fid(points, 300e-6, "Atomique")
     fast = _fid(points, 100e-6, "Atomique")
@@ -72,19 +67,16 @@ def test_fig18a_time_per_move(benchmark, record_rows):
     ) < 1e-9
 
 
-def test_fig18c_atom_distance(benchmark, record_rows):
+def test_fig18c_atom_distance(record_rows):
     values = [15e-6, 60e-6]
-    points = benchmark.pedantic(
-        run_sensitivity,
-        args=("atom_distance", values, _benchmarks(), ["Atomique"]),
-        rounds=1,
-        iterations=1,
+    points = run_sensitivity(
+        "atom_distance", values, _benchmarks(), ["Atomique"]
     )
     record_rows("fig18c_atom_distance", _points_to_rows(points))
     assert _fid(points, 15e-6, "Atomique") > _fid(points, 60e-6, "Atomique")
 
 
-def test_fig18d_cooling_threshold(benchmark, record_rows):
+def test_fig18d_cooling_threshold(record_rows):
     # use a long-distance setting so cooling actually engages
     from repro.experiments.fig18 import params_for
 
@@ -116,20 +108,16 @@ def test_fig18d_cooling_threshold(benchmark, record_rows):
                 }
             )
         fids[thr] = prod ** (1 / len(_benchmarks()))
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     record_rows("fig18d_cooling_threshold", rows)
     # the paper's optimal window (12-25) beats both extremes
     assert fids[15.0] >= fids[1.0]
     assert fids[15.0] >= fids[45.0]
 
 
-def test_fig18e_coherence_time(benchmark, record_rows):
+def test_fig18e_coherence_time(record_rows):
     values = [0.1, 15.0, 100.0]
-    points = benchmark.pedantic(
-        run_sensitivity,
-        args=("t1", values, _benchmarks(), ["FAA-Rectangular", "Atomique"]),
-        rounds=1,
-        iterations=1,
+    points = run_sensitivity(
+        "t1", values, _benchmarks(), ["FAA-Rectangular", "Atomique"]
     )
     record_rows("fig18e_coherence", _points_to_rows(points))
     # RAA gains more from coherence than FAA does
@@ -144,13 +132,10 @@ def test_fig18e_coherence_time(benchmark, record_rows):
     assert _fid(points, 100.0, "Atomique") > _fid(points, 100.0, "FAA-Rectangular")
 
 
-def test_fig18f_two_qubit_fidelity(benchmark, record_rows):
+def test_fig18f_two_qubit_fidelity(record_rows):
     values = [0.99, 0.9975, 0.99995]
-    points = benchmark.pedantic(
-        run_sensitivity,
-        args=("f_2q", values, _benchmarks(), ["FAA-Triangular", "Atomique"]),
-        rounds=1,
-        iterations=1,
+    points = run_sensitivity(
+        "f_2q", values, _benchmarks(), ["FAA-Triangular", "Atomique"]
     )
     record_rows("fig18f_2q_fidelity", _points_to_rows(points))
     # at today's fidelity Atomique wins ...
@@ -163,13 +148,8 @@ def test_fig18f_two_qubit_fidelity(benchmark, record_rows):
     assert gap_future < gap_now
 
 
-def test_fig18_bottom_error_breakdown(benchmark, record_rows):
-    rows = benchmark.pedantic(
-        error_breakdown,
-        args=("t_per_move", [100e-6, 300e-6, 1000e-6]),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig18_bottom_error_breakdown(record_rows):
+    rows = error_breakdown("t_per_move", [100e-6, 300e-6, 1000e-6])
     for r in rows:
         r["value"] = r["value"]
         for k in list(r):

@@ -11,13 +11,8 @@ from repro.analysis import geometric_mean
 from repro.experiments import run_qpilot_comparison
 
 
-def test_fig19_qpilot_comparison(benchmark, record_rows):
-    results = benchmark.pedantic(
-        run_qpilot_comparison,
-        kwargs={"include_large": full_scale()},
-        rounds=1,
-        iterations=1,
-    )
+def test_fig19_qpilot_comparison(record_rows):
+    results = run_qpilot_comparison(include_large=full_scale())
     rows = [m.row() for ms in results.values() for m in ms]
     record_rows("fig19_qpilot", rows)
 

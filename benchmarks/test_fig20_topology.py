@@ -39,18 +39,13 @@ def _rows(points):
     ]
 
 
-def test_fig20a_aspect_ratio(benchmark, record_rows):
+def test_fig20a_aspect_ratio(record_rows):
     shapes = (
         [(1, 48), (2, 24), (4, 12), (7, 7), (12, 4), (24, 2), (48, 1)]
         if full_scale()
         else [(1, 16), (2, 8), (4, 4)]
     )
-    points = benchmark.pedantic(
-        run_aspect_ratio,
-        kwargs={"shapes": shapes, "benchmarks": _benchmarks()},
-        rounds=1,
-        iterations=1,
-    )
+    points = run_aspect_ratio(shapes=shapes, benchmarks=_benchmarks())
     record_rows("fig20a_aspect_ratio", _rows(points))
     extreme = [p for p in points if p.label == f"1x{shapes[0][1]}"]
     square = [p for p in points if p.label == f"{shapes[-1 if not full_scale() else 3][0]}x{shapes[-1 if not full_scale() else 3][1]}"]
@@ -61,14 +56,9 @@ def test_fig20a_aspect_ratio(benchmark, record_rows):
         )
 
 
-def test_fig20b_array_size(benchmark, record_rows):
+def test_fig20b_array_size(record_rows):
     sides = [7, 10, 14, 17, 20] if full_scale() else [7, 14]
-    points = benchmark.pedantic(
-        run_array_size,
-        kwargs={"sides": sides, "benchmarks": _benchmarks()},
-        rounds=1,
-        iterations=1,
-    )
+    points = run_array_size(sides=sides, benchmarks=_benchmarks())
     record_rows("fig20b_array_size", _rows(points))
     small = [p for p in points if p.label == f"{sides[0]}x{sides[0]}"]
     large = [p for p in points if p.label == f"{sides[-1]}x{sides[-1]}"]
@@ -78,14 +68,9 @@ def test_fig20b_array_size(benchmark, record_rows):
     )
 
 
-def test_fig20c_num_aods(benchmark, record_rows):
+def test_fig20c_num_aods(record_rows):
     counts = [1, 2, 3, 4, 5, 6, 7] if full_scale() else [1, 2, 4]
-    points = benchmark.pedantic(
-        run_num_aods,
-        kwargs={"aod_counts": counts, "benchmarks": _benchmarks()},
-        rounds=1,
-        iterations=1,
-    )
+    points = run_num_aods(aod_counts=counts, benchmarks=_benchmarks())
     record_rows("fig20c_num_aods", _rows(points))
     one = [p for p in points if p.label == f"{counts[0]} AODs"]
     many = [p for p in points if p.label == f"{counts[-1]} AODs"]

@@ -10,10 +10,10 @@ from conftest import full_scale
 from repro.experiments import run_breakdown
 
 
-def test_fig21_technique_breakdown(benchmark, record_rows):
+def test_fig21_technique_breakdown(record_rows):
     # cheap even at the paper's scale (40 qubits, 26 gates/qubit)
     kwargs = dict(num_qubits=40, gates_per_qubit=26.0, degree=5.0)
-    results = benchmark.pedantic(run_breakdown, kwargs=kwargs, rounds=1, iterations=1)
+    results = run_breakdown(**kwargs)
     rows = [m.row() for m in results]
     record_rows("fig21_breakdown", rows)
 

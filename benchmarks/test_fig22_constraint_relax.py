@@ -27,10 +27,8 @@ def _benchmarks():
     return [qaoa, qsim, pc]
 
 
-def test_fig22_constraint_relaxation(benchmark, record_rows):
-    points = benchmark.pedantic(
-        run_constraint_relaxation, args=(_benchmarks(),), rounds=1, iterations=1
-    )
+def test_fig22_constraint_relaxation(record_rows):
+    points = run_constraint_relaxation(_benchmarks())
     rows = [
         {
             "relaxation": p.relaxation,

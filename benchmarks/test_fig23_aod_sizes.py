@@ -24,10 +24,8 @@ def _benchmarks():
     return [qaoa, qsim, pc]
 
 
-def test_fig23_aod_sizes(benchmark, record_rows):
-    points = benchmark.pedantic(
-        run_aod_sizes, args=(_benchmarks(),), rounds=1, iterations=1
-    )
+def test_fig23_aod_sizes(record_rows):
+    points = run_aod_sizes(_benchmarks())
     rows = [
         {
             "config": p.label,

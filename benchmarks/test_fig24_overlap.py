@@ -25,14 +25,9 @@ def _setup():
     return [4, 6, 8], [qaoa, qsim, pc]
 
 
-def test_fig24_overlap_pressure(benchmark, record_rows):
+def test_fig24_overlap_pressure(record_rows):
     sides, benchmarks = _setup()
-    points = benchmark.pedantic(
-        run_overlap_pressure,
-        kwargs={"sides": sides, "benchmarks": benchmarks},
-        rounds=1,
-        iterations=1,
-    )
+    points = run_overlap_pressure(sides=sides, benchmarks=benchmarks)
     rows = [
         {
             "config": p.label,

@@ -20,10 +20,8 @@ def _suite():
     return [s for s in specs if s.name in keep]
 
 
-def test_fig25_additional_cnots(benchmark, record_rows):
-    results = benchmark.pedantic(
-        run_main_comparison, args=(_suite(),), rounds=1, iterations=1
-    )
+def test_fig25_additional_cnots(record_rows):
+    results = run_main_comparison(_suite())
     rows = []
     for arch, ms in results.items():
         for m in ms:

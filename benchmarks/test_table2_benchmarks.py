@@ -7,8 +7,8 @@ degree-per-qubit columns for every benchmark in both suites.
 from repro.experiments import benchmark_statistics
 
 
-def test_table2_benchmark_statistics(benchmark, record_rows):
-    rows = benchmark.pedantic(benchmark_statistics, rounds=1, iterations=1)
+def test_table2_benchmark_statistics(record_rows):
+    rows = benchmark_statistics()
     record_rows("table2_benchmarks", rows)
     # structural checks against the paper's Table II
     by_name = {r["name"]: r for r in rows}

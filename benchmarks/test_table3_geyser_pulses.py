@@ -16,10 +16,8 @@ def _names():
     return [n for n in TABLE3_BENCHMARKS if n != "QV-32"]
 
 
-def test_table3_geyser_pulses(benchmark, record_rows):
-    rows = benchmark.pedantic(
-        pulse_comparison, args=(_names(),), rounds=1, iterations=1
-    )
+def test_table3_geyser_pulses(record_rows):
+    rows = pulse_comparison(_names())
     record_rows("table3_geyser_pulses", rows)
     for row in rows:
         assert row["reduction"] > 1.0, f"{row['benchmark']} lost to Geyser"

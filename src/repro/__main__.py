@@ -174,8 +174,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
         print(f"submitted {job_id} ({backend})")
     if args.stream:
         # One streaming connection per job: per-pass progress lines as the
-        # daemon reports them, then metrics (and the program, chunked over
-        # binary frames, when --fetch-program asked for it).
+        # daemon reports them, then metrics (and the program, as one binary
+        # frame, when --fetch-program asked for it).
         def show(event: dict) -> None:
             print(
                 f"  [{event.get('index')}/{event.get('total')}] "
@@ -505,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="wait over a streaming connection: per-pass progress lines "
         "as the daemon compiles, and (with --fetch-program) the program "
-        "fetched in chunks over binary frames",
+        "sent as one binary frame",
     )
     p_submit.set_defaults(func=cmd_submit)
 

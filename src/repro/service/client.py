@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from ..analysis.metrics import CompiledMetrics
-from ..core.serialize import store_from_header
 from ..experiments.batch import CompileJob
 from .wire import (
     FRAME_HEADER_LEN,
@@ -69,6 +68,19 @@ class RemoteError(RuntimeError):
     """The daemon rejected a request (its error message is the payload)."""
 
 
+def _decode_program(message: dict[str, Any]):
+    """The :class:`~repro.core.program.ProgramStore` a ``program`` response
+    or stream event carries; an absent or undecodable record raises
+    :class:`RemoteError`, like any other undecodable response."""
+    doc = message.get("program")
+    if not isinstance(doc, BinaryDoc):
+        raise RemoteError("program response without a binary record")
+    try:
+        return doc.to_store()
+    except WireError as exc:
+        raise RemoteError(f"undecodable service response: {exc}") from exc
+
+
 class ServiceClient:
     """One client endpoint: either ``socket_path`` (Unix) or ``host``/``port``.
 
@@ -99,8 +111,8 @@ class ServiceClient:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self._jitter = random.Random(backoff_seed)
-        #: chunk-transfer accounting of the last :meth:`result_stream`
-        #: call — ``{"binary_chunks": n}``
+        #: program-transfer accounting of the last :meth:`result_stream`
+        #: call — ``{"binary_chunks": 1}`` when a program arrived, else 0
         self.last_stream_stats: dict[str, int] | None = None
 
     # -- transport -----------------------------------------------------------
@@ -340,18 +352,18 @@ class ServiceClient:
         job_id: str,
         timeout: float | None = None,
         on_event: Any = None,
-        chunk_stages: int | None = None,
     ):
         """Streaming :meth:`result`: per-pass progress plus the compiled
-        program in stage-range chunks, over one connection.
+        program, over one connection.
 
-        Returns ``(metrics, store)`` where *store* is an assembled
-        :class:`~repro.core.program.ProgramStore` when the job was
-        submitted with ``keep_program=True`` (else ``None``).  *on_event*
-        — if given — is called with each raw ``progress`` message as it
-        arrives (keys ``pass``, ``index``, ``total``, ``seconds``,
-        ``attempt``); *chunk_stages* overrides the server's chunk size.
-        Every chunk arrives as a v3 binary record."""
+        Returns ``(metrics, store)`` where *store* is the
+        :class:`~repro.core.program.ProgramStore` of a job submitted with
+        ``keep_program=True`` (else ``None``).  *on_event* — if given — is
+        called with each raw ``progress`` message as it arrives (keys
+        ``pass``, ``index``, ``total``, ``seconds``, ``attempt``).  The
+        program arrives as one ``program`` event carrying the daemon's
+        spooled v3 record byte for byte, decoded here exactly like a
+        :meth:`program` fetch."""
         server_timeout = timeout if timeout is not None else self.timeout
         payload: dict[str, Any] = {
             "op": "result",
@@ -360,11 +372,8 @@ class ServiceClient:
             "stream": True,
             "timeout": server_timeout,
         }
-        if chunk_stages is not None:
-            payload["chunk_stages"] = int(chunk_stages)
         metrics_payload: dict[str, Any] | None = None
         store = None
-        stats = {"binary_chunks": 0}
         # Server enforces the deadline; give the socket slack (see result).
         messages = self._exchange(payload, server_timeout + 30.0)
         try:
@@ -373,25 +382,15 @@ class ServiceClient:
                 if event == "progress":
                     if on_event is not None:
                         on_event(dict(message))
-                elif event == "program_header":
-                    store = store_from_header(message["header"])
-                elif event == "program_chunk":
-                    chunk = message.get("chunk")
-                    if store is None or not isinstance(chunk, BinaryDoc):
-                        raise RemoteError(
-                            "program_chunk without a header or binary record"
-                        )
-                    store.extend_from_chunk(chunk.to_chunk())
-                    stats["binary_chunks"] += 1
+                elif event == "program":
+                    store = _decode_program(message)
                 elif event == "done":
                     metrics_payload = message["metrics"]
                     break
                 # Unknown events from a newer daemon are skipped.
-        except WireError as exc:
-            raise RemoteError(f"undecodable service response: {exc}") from exc
         finally:
             messages.close()
-        self.last_stream_stats = stats
+        self.last_stream_stats = {"binary_chunks": int(store is not None)}
         return decode_metrics(metrics_payload), store
 
     def program(self, job_id: str):
@@ -399,10 +398,7 @@ class ServiceClient:
         ``keep_program=True``, decoded to a
         :class:`~repro.core.program.ProgramStore` from the v3 binary
         record the daemon attaches to its response."""
-        doc = self.request({"op": "program", "id": job_id}).get("program")
-        if not isinstance(doc, BinaryDoc):
-            raise RemoteError("program response without a binary record")
-        return doc.to_store()
+        return _decode_program(self.request({"op": "program", "id": job_id}))
 
     def cancel(self, job_id: str) -> bool:
         return bool(self.request({"op": "cancel", "id": job_id})["cancelled"])

@@ -89,7 +89,6 @@ from ..core.pipeline import (
 )
 from ..core import binformat
 from ..core.blobs import atomic_write
-from ..core.serialize import store_header_doc
 from ..experiments import batch
 from ..experiments.batch import CompileJob, ResultCache
 from ..hardware.raa import RAAArchitecture
@@ -115,10 +114,6 @@ log = logging.getLogger("repro.service")
 #: Default lease duration; heartbeats land every third of this, so a
 #: healthy attempt can miss two heartbeats before the reaper acts.
 DEFAULT_LEASE_SECONDS = 30.0
-
-#: Stages per program chunk on the streaming ``result`` path (callers can
-#: override per-request with ``chunk_stages``).
-DEFAULT_STREAM_CHUNK_STAGES = 2048
 
 
 class ServiceError(RuntimeError):
@@ -1290,11 +1285,11 @@ class ServiceServer:
     ``submit`` (optional ``timeout``/``max_retries``/``key``/``priority``/
     ``deadline``/``keep_program``), ``status``, ``result`` (optional
     ``wait``/``timeout``; with ``stream`` the response is a frame sequence
-    — per-pass ``progress`` events, then ``program_header``/
-    ``program_chunk`` frames for ``keep_program`` jobs, then a terminal
-    ``done`` with the metrics), ``program``, ``cancel``, ``jobs``,
-    ``stats``, ``drain``.  Programs and chunks ship as v3 binary-doc
-    attachments.
+    — per-pass ``progress`` events, then one ``program`` frame for
+    ``keep_program`` jobs, then a terminal ``done`` with the metrics),
+    ``program``, ``cancel``, ``jobs``, ``stats``, ``drain``.  Programs
+    ship as binary-doc attachments carrying the spooled v3 record as it
+    is.
 
     A frame that decodes badly gets an ``ok: false`` answer and the
     connection stays usable; a bad *header* (wrong magic, version, flags,
@@ -1396,7 +1391,15 @@ class ServiceServer:
                     "socket.drop", str((request or {}).get("op", ""))
                 ):
                     break
-                self._write_message(writer, response)
+                try:
+                    self._write_message(writer, response)
+                except WireError as exc:  # a record past MAX_FRAME_BYTES
+                    error = {
+                        "ok": False,
+                        "op": response.get("op"),
+                        "error": str(exc),
+                    }
+                    self._write_message(writer, error)
                 await writer.drain()
                 if response.get("op") == "drain" and response.get("ok"):
                     self._drained.set()
@@ -1434,8 +1437,10 @@ class ServiceServer:
         self, request: dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
         """The streaming ``result`` path: progress events while the job
-        runs, then the program as stage-range chunks (``keep_program``
-        jobs), then a terminal ``done`` message carrying the metrics.
+        runs, then the program (``keep_program`` jobs) as one binary-doc
+        frame carrying the spooled ``programs/<id>.bin`` bytes unchanged —
+        the daemon never decodes, re-chunks or re-encodes it — then a
+        terminal ``done`` message carrying the metrics.
 
         Every message is a standalone frame with an ``event``
         discriminator; the client reads until ``done`` (or ``ok: false``).
@@ -1494,33 +1499,14 @@ class ServiceServer:
                 else None
             )
             if raw is not None:
-                # Decode the spooled record once, then slice it into
-                # stage-range chunks, each re-encoded as its own v3 record.
-                store = binformat.decode_program(raw)
-                total = store.num_stages
                 await send(
                     {
                         "ok": True,
                         "op": op,
-                        "event": "program_header",
-                        "header": store_header_doc(store),
-                        "stages": total,
+                        "event": "program",
+                        "_bindoc": ("program", raw),
                     }
                 )
-                chunk_stages = request.get("chunk_stages")
-                step = max(1, int(chunk_stages or DEFAULT_STREAM_CHUNK_STAGES))
-                for seq, lo in enumerate(range(0, total, step)):
-                    chunk = store.chunk_doc(lo, min(lo + step, total))
-                    record_bytes = binformat.encode_chunk(chunk)
-                    await send(
-                        {
-                            "ok": True,
-                            "op": op,
-                            "event": "program_chunk",
-                            "seq": seq,
-                            "_bindoc": ("chunk", record_bytes),
-                        }
-                    )
             await send({"ok": True, "op": op, "event": "done", "metrics": metrics})
         except (ServiceError, WireError, ValueError) as exc:
             await send({"ok": False, "op": op, "error": str(exc)})

@@ -20,12 +20,13 @@ daemon is one **length-prefixed binary frame** (:func:`encode_frame` /
 :func:`parse_frame_header` / :func:`decode_frame_payload`): a fixed 8-byte
 header — 2 magic bytes, a version, a flags byte, a big-endian u32 payload
 length — followed by the JSON body, raw-deflate compressed past
-:data:`WIRE_COMPRESS_THRESHOLD`.  Compiled programs and streamed program
-chunks ride as **binary-doc attachments** (:data:`FRAME_FLAG_BINARY_DOC`,
+:data:`WIRE_COMPRESS_THRESHOLD`.  Compiled programs — fetched or streamed
+— ride as **binary-doc attachments** (:data:`FRAME_FLAG_BINARY_DOC`,
 :func:`encode_bindoc_frame`): the body is a u32 length-prefixed JSON
-message followed by the raw v3 record from :mod:`repro.core.binformat`,
-which the receiver surfaces as a :class:`BinaryDoc`.  There is no
-negotiation: both ends always speak this one format.  The REST gateway
+message followed by the spooled v3 record from
+:mod:`repro.core.binformat`, byte for byte and never deflated, which the
+receiver surfaces as a :class:`BinaryDoc`.  There is no negotiation: both
+ends always speak this one format.  The REST gateway
 (:mod:`repro.service.http`) is the only JSON-text edge.
 """
 
@@ -54,7 +55,10 @@ class WireError(ValueError):
     """A payload could not be decoded into a compile job."""
 
 
-#: Frame bodies longer than this (encoded bytes) are raw-deflate compressed.
+#: JSON frame bodies longer than this (encoded bytes) are raw-deflate
+#: compressed.  Binary-doc frames never are: a v3 record already packs its
+#: columns at their narrowest widths, and deflating it on every send costs
+#: more than the bytes it saves on a local socket.
 WIRE_COMPRESS_THRESHOLD = 64 * 1024
 
 
@@ -89,12 +93,8 @@ FRAME_HEADER_LEN = 8
 MAX_FRAME_BYTES = 256 * 2**20
 
 
-def _seal(body: bytes, flags: int, threshold: int) -> bytes:
-    """Header + *body*, raw-deflating the body past *threshold* bytes."""
-    if len(body) > threshold:
-        packer = zlib.compressobj(wbits=-zlib.MAX_WBITS)
-        body = packer.compress(body) + packer.flush()
-        flags |= FRAME_FLAG_DEFLATE
+def _seal(body: bytes, flags: int) -> bytes:
+    """Header + *body*, as it is."""
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(
             f"frame payload {len(body)} bytes exceeds {MAX_FRAME_BYTES}"
@@ -117,16 +117,20 @@ def encode_frame(
     The JSON body is raw-deflate compressed past *threshold* bytes (no
     base64 step: the length prefix makes a text-safe envelope redundant).
     """
-    return _seal(json.dumps(payload).encode(), 0, threshold)
+    body, flags = json.dumps(payload).encode(), 0
+    if len(body) > threshold:
+        packer = zlib.compressobj(wbits=-zlib.MAX_WBITS)
+        body = packer.compress(body) + packer.flush()
+        flags = FRAME_FLAG_DEFLATE
+    return _seal(body, flags)
 
 
 class BinaryDoc:
     """A v3 binary columnar program record riding inside a frame.
 
     The wire layer does not decode the record — it hands the raw bytes to
-    the consumer, which picks the view it needs: :meth:`to_store` for a
-    whole program, :meth:`to_chunk` for one streamed chunk, or ``.data``
-    to forward the bytes untouched (spool writes, relays).
+    the consumer, which decodes them with :meth:`to_store` or forwards
+    ``.data`` untouched (spool writes, relays).
     """
 
     __slots__ = ("data",)
@@ -149,30 +153,17 @@ class BinaryDoc:
         except (ValueError, KeyError, TypeError) as exc:
             raise WireError(f"bad binary program document: {exc}") from exc
 
-    def to_chunk(self) -> dict[str, Any]:
-        """Decode as one streamed chunk (``kind == "chunk"``)."""
-        from ..core import binformat
-
-        try:
-            return binformat.decode_chunk(self.data)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise WireError(f"bad binary chunk document: {exc}") from exc
-
 
 def encode_bindoc_frame(
-    payload: dict[str, Any],
-    field: str,
-    doc: bytes,
-    *,
-    threshold: int = WIRE_COMPRESS_THRESHOLD,
+    payload: dict[str, Any], field: str, doc: bytes
 ) -> bytes:
     """One frame carrying *payload* plus a binary program document.
 
     *payload* must not already contain *field* — the document IS that
     field, shipped as raw bytes after the JSON part instead of as JSON
-    text.  The body is ``u32 BE json_len | json | doc`` and is deflated
-    as a whole past *threshold* (typed blobs still deflate well — runs
-    of small ints dominate).
+    text.  The body is ``u32 BE json_len | json | doc``, sealed as it is:
+    no deflate, so the receiver gets *doc* byte for byte.  A body over
+    :data:`MAX_FRAME_BYTES` raises :class:`WireError`.
     """
     if field in payload:
         raise WireError(f"payload already has field {field!r}")
@@ -180,7 +171,7 @@ def encode_bindoc_frame(
     message["_bindoc"] = field
     head = json.dumps(message).encode()
     body = len(head).to_bytes(4, "big") + head + doc
-    return _seal(body, FRAME_FLAG_BINARY_DOC, threshold)
+    return _seal(body, FRAME_FLAG_BINARY_DOC)
 
 
 def parse_frame_header(header: bytes) -> tuple[int, int]:

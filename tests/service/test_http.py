@@ -31,6 +31,7 @@ from repro.service import (
     TokenPolicy,
 )
 from repro.core.serialize import program_to_dict
+from repro.service.client import RemoteError
 from repro.service.wire import decode_metrics, encode_job
 
 
@@ -38,8 +39,9 @@ class DaemonThread:
     """An in-process daemon on a Unix socket, served off-thread so the
     gateway's blocking per-request clients have something to talk to."""
 
-    def __init__(self, socket_path):
+    def __init__(self, socket_path, spool_dir=None):
         self.socket_path = socket_path
+        self.spool_dir = spool_dir
         self._ready = threading.Event()
         self._stop = None
         self._loop = None
@@ -51,7 +53,9 @@ class DaemonThread:
     async def _main(self):
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        service = CompileService(inline=True, shards=1)
+        service = CompileService(
+            inline=True, shards=1, spool_dir=self.spool_dir
+        )
         server = ServiceServer(service, socket_path=self.socket_path)
         await server.start()
         self._ready.set()
@@ -279,6 +283,37 @@ class TestRestRoundTrip:
             assert "unreachable" in body["error"]
         finally:
             gateway.close()
+
+
+class TestUndecodableProgram:
+    def test_junk_spooled_program_is_a_remote_error_and_a_4xx(
+        self, tmp_path
+    ):
+        # The daemon ships the spooled record without decoding it, so a
+        # corrupt programs/<id>.bin surfaces in the client: as the
+        # RemoteError every undecodable response raises, on both the
+        # fetch and the stream, and as a 4xx at the gateway, not a 500.
+        spool = tmp_path / "spool"
+        with DaemonThread(tmp_path / "repro.sock", spool) as daemon:
+            client = ServiceClient(socket_path=daemon.socket_path)
+            _circuit, job = atomique_job(seed=3)
+            job_id = client.submit(job, keep_program=True)
+            client.result(job_id)
+            (spool / "programs" / f"{job_id}.bin").write_bytes(b"\x00junk")
+            with pytest.raises(RemoteError, match="undecodable"):
+                client.program(job_id)
+            with pytest.raises(RemoteError, match="undecodable"):
+                client.result_stream(job_id)
+            gateway = HttpGateway(socket_path=daemon.socket_path)
+            gateway.start()
+            try:
+                status, body = http(
+                    "GET", f"{gateway.url}/v1/jobs/{job_id}/program"
+                )
+            finally:
+                gateway.close()
+        assert status == 400
+        assert "undecodable service response" in body["error"]
 
 
 class TestRequestBodyHandling:

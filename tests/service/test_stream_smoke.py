@@ -1,14 +1,13 @@
 """Streaming smoke test (CI ``stream-smoke`` job, ``-m stream``, excluded
 from tier-1): boot ``python -m repro serve`` as a real subprocess, submit a
 large circuit with ``keep_program``, stream the result back over binary
-frames with per-pass progress, and assert the chunk-assembled program is
+frames with per-pass progress, and assert the streamed program is
 bit-identical to the classic single-shot fetch while the client's peak
 RSS stays bounded.
 
 The circuit size scales with ``REPRO_STREAM_SMOKE_GATES`` (total gate
 count target, default 100_000) so CI can dial the job up or down."""
 
-import math
 import os
 import resource
 import subprocess
@@ -23,7 +22,6 @@ from repro.core.serialize import dumps
 from repro.experiments import raa_for
 from repro.experiments.batch import CompileJob
 from repro.service import ServiceClient
-from repro.service.server import DEFAULT_STREAM_CHUNK_STAGES
 
 pytestmark = pytest.mark.stream
 
@@ -93,12 +91,11 @@ def test_streamed_program_is_bit_identical_and_bounded(tmp_path):
         )
         assert events[-1]["index"] == events[-1]["total"]
 
-        # The transfer actually rode the binary columnar codec: every
-        # program_chunk arrived as a packed v3 record.
+        # The transfer actually rode the binary columnar codec: the
+        # program arrived as one packed v3 record.
         assert store is not None and store.num_stages > 0
-        chunks = math.ceil(store.num_stages / DEFAULT_STREAM_CHUNK_STAGES)
         stats = client.last_stream_stats
-        assert stats == {"binary_chunks": chunks}, stats
+        assert stats == {"binary_chunks": 1}, stats
 
         # The streamed program reassembles bit-identically to the classic
         # whole-document fetch.
@@ -107,8 +104,8 @@ def test_streamed_program_is_bit_identical_and_bounded(tmp_path):
         classic = dumps(client.program(job_id))
         assert streamed == classic
 
-        # Bounded client memory: the whole exchange (frames, chunks,
-        # reassembly) stayed within the RSS budget.
+        # Bounded client memory: the whole exchange (frames, record,
+        # decode) stayed within the RSS budget.
         peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         assert peak_kb < MAX_CLIENT_RSS_MB * 1024, (
             f"client peak RSS {peak_kb / 1024:.0f} MB exceeds "

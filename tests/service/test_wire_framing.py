@@ -1,7 +1,6 @@
 """Binary frames and the binary program codec on the service wire."""
 
 import json
-import math
 
 import pytest
 
@@ -148,12 +147,21 @@ class TestBindocFrames:
         # the marker is stripped; nothing else leaks through
         assert payload == {"ok": True, "op": "program"}
 
-    def test_large_bindoc_deflates_as_a_whole(self):
+    def test_large_bindoc_ships_undeflated(self):
+        # Past the JSON deflate threshold, and as compressible as bytes
+        # get: a binary-doc frame still carries the record as it is.
         doc = b"\xabP3" + b"\x07" * (WIRE_COMPRESS_THRESHOLD + 1)
         data = encode_bindoc_frame({"ok": True, "op": "p"}, "program", doc)
-        assert data[3] & FRAME_FLAG_DEFLATE
-        assert len(data) < len(doc)  # constant runs deflate well
+        assert data[3] == FRAME_FLAG_BINARY_DOC
+        assert data.endswith(doc)
         assert decode_frame(data)["program"].data == doc
+
+    def test_bindoc_past_the_frame_cap_rejected(self, monkeypatch):
+        from repro.service import wire
+
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 1024)
+        with pytest.raises(WireError, match="exceeds 1024"):
+            encode_bindoc_frame({"op": "p"}, "program", self.DOC * 4)
 
     def test_doc_bytes_are_binary_safe(self):
         # newlines, frame magic, and the JSON length prefix inside the
@@ -194,12 +202,10 @@ class TestBindocFrames:
         restored = BinaryDoc(binformat.encode_program(store)).to_store()
         assert restored.gate_n_vib == store.gate_n_vib
         assert restored.off_gate == store.off_gate
-        chunk = store.chunk_doc(0, store.num_stages)
-        via_wire = BinaryDoc(binformat.encode_chunk(chunk)).to_chunk()
-        assert via_wire == chunk
-        # a program record is not a chunk record, and garbage is neither
-        with pytest.raises(WireError, match="bad binary chunk"):
-            BinaryDoc(binformat.encode_program(store)).to_chunk()
+        # a chunk record is not a program record, and garbage is neither
+        chunk = binformat.encode_chunk(store.chunk_doc(0, store.num_stages))
+        with pytest.raises(WireError, match="bad binary program"):
+            BinaryDoc(chunk).to_store()
         with pytest.raises(WireError, match="bad binary program"):
             BinaryDoc(b"\x00garbage").to_store()
 
@@ -299,7 +305,7 @@ class TestFrameNegotiation:
 
 
 class TestBindocNegotiation:
-    """Programs and streamed chunks always cross as packed v3 records."""
+    """Programs, fetched or streamed, always cross as packed v3 records."""
 
     def _serve(self, tmp_path, body):
         import asyncio
@@ -342,12 +348,9 @@ class TestBindocNegotiation:
         def body(client):
             job_id = client.submit(self._job(), keep_program=True)
             whole = client.program(job_id)  # rides a bindoc frame
-            metrics, streamed = client.result_stream(
-                job_id, chunk_stages=8
-            )
-            # every chunk arrived as a packed v3 record
-            chunks = math.ceil(streamed.num_stages / 8)
-            assert client.last_stream_stats == {"binary_chunks": chunks}
+            metrics, streamed = client.result_stream(job_id)
+            # the program arrived as one packed v3 record
+            assert client.last_stream_stats == {"binary_chunks": 1}
             return dumps(whole), dumps(streamed)
 
         whole, streamed = self._serve(tmp_path, body)

@@ -3,9 +3,9 @@ the socket turns arbitrary input into :class:`WireError` — never another
 exception type.
 
 The byte strategy mixes plain random bytes with truncated and bit-flipped
-copies of real frames and real v3 program and chunk records, so the
-mutations land inside structure the decoders actually parse (length
-prefixes, deflate streams, record meta JSON, column sections).
+copies of real frames and real v3 program records, so the mutations land
+inside structure the decoders actually parse (length prefixes, deflate
+streams, record meta JSON, column sections).
 """
 
 import zlib
@@ -32,20 +32,22 @@ def _seed_corpus() -> list[bytes]:
         RAAArchitecture.default(side=4), AtomiqueConfig(seed=7)
     ).compile(random_circuit(8, 6, 3, seed=5)).program
     program = binformat.encode_program(store)
-    chunk = binformat.encode_chunk(store.chunk_doc(0, min(3, store.num_stages)))
-    message = {"ok": True, "op": "result", "event": "program_chunk", "seq": 0}
+    message = {"ok": True, "op": "result", "event": "program"}
     frames = [
         encode_frame({"op": "ping"}),
         encode_frame({"op": "submit", "pad": "x" * 300}, threshold=64),
-        encode_bindoc_frame(message, "chunk", chunk),
-        encode_bindoc_frame({"ok": True, "op": "program"}, "program", program,
-                            threshold=64),
+        encode_bindoc_frame(message, "program", program),
+        encode_bindoc_frame({"ok": True, "op": "program"}, "program", program),
     ]
-    packer = zlib.compressobj(wbits=-zlib.MAX_WBITS)
-    deflated = packer.compress(program) + packer.flush()
     # frames whole and as bare bodies (what decode_frame_payload sees)
     bodies = [f[FRAME_HEADER_LEN:] for f in frames]
-    return [program, chunk, deflated, *frames, *bodies]
+    # deflated bodies: no sender deflates a bindoc body, but the decoder
+    # accepts both flags together and must still fail cleanly
+    deflated = []
+    for raw in (program, bodies[2]):
+        packer = zlib.compressobj(wbits=-zlib.MAX_WBITS)
+        deflated.append(packer.compress(raw) + packer.flush())
+    return [program, *deflated, *frames, *bodies]
 
 
 SEEDS = _seed_corpus()
@@ -93,9 +95,3 @@ def test_frame_payload_decoder(flags, data):
 @given(fuzz_bytes)
 def test_binary_program_record(data):
     only_wire_errors(BinaryDoc(data).to_store)
-
-
-@FUZZ
-@given(fuzz_bytes)
-def test_binary_chunk_record(data):
-    only_wire_errors(BinaryDoc(data).to_chunk)

@@ -60,12 +60,11 @@ def program_aggregates(
 ) -> dict[str, float]:
     """The program-level numbers every scoring adapter reads, in one place.
 
-    Each entry is a fold over the store's column segments (occupancy
-    counts via vectorized offset-table compares, distance and duration
-    sums computed elementwise then accumulated in stage order, so the
-    floats stay bit-identical to a scalar stage walk) — no stage views are
-    built, and a spilling store seek-reads just the columns it needs from
-    its binary segments.
+    Each entry is a reduction over the store's columns (occupancy counts
+    via vectorized offset-table compares, distance and duration sums
+    computed elementwise then accumulated in stage order, so the floats
+    stay bit-identical to a scalar stage walk) — no stage views are
+    built.
     """
     return {
         "num_2q_gates": program.num_2q_gates,

@@ -21,13 +21,11 @@ Record layout::
 
     b"\\xabP3" | codec u8 | meta_len u32 LE | meta JSON | section blobs...
 
-The meta JSON carries the record ``kind`` (``"program"`` for a whole
-document, ``"chunk"`` for a :meth:`ProgramStore.chunk_doc` stage range),
-the scalar header fields, and an *ordered* section table with per-section
-byte lengths — so a reader can seek to any single column without decoding
-the rest (:class:`~repro.core.program.SpillingProgramStore` segment
-reductions use exactly that).  The leading ``0xAB`` byte makes records
-first-byte sniffable against JSON text (``{``) in spool files.
+The meta JSON carries the record ``kind`` (always ``"program"``; the
+decoder rejects any other), the scalar header fields, and an *ordered*
+section table with per-section byte lengths, from which the decoder
+locates every column.  The leading ``0xAB`` byte makes records first-byte
+sniffable against JSON text (``{``) in spool files.
 
 Round trips are type- and bit-exact: ``decode_program(encode_program(s))``
 compares equal to ``s`` field by field, and re-serializing the decoded
@@ -37,12 +35,12 @@ store to a v2 JSON document is byte-identical to serializing the original.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
 from ..hardware.raa import AtomLocation
-from .program import _COLUMN_SPEC, _OFFSET_SPEC, _SECTION, ProgramStore
+from .program import _SECTION, ProgramStore
 from .serialize import _common_header
 
 #: the ``format_version`` this codec implements ("v3" next to the JSON v2)
@@ -163,28 +161,20 @@ def _pack_ragged(name: str, rows: list) -> tuple[list[dict], list[bytes]]:
     return [vmeta, ometa], [vblob, oblob]
 
 
-def _unpack_ragged(values: list, offsets: list, container: type) -> list:
+def _unpack_ragged(values: list, offsets: list) -> list[tuple]:
     n = len(offsets) - 1
     if not values:
-        if container is tuple:
-            return [()] * n
-        return [container() for _ in range(n)]
-    return [container(values[offsets[i]: offsets[i + 1]]) for i in range(n)]
+        return [()] * n
+    return [tuple(values[offsets[i]: offsets[i + 1]]) for i in range(n)]
 
 
-def decode_section(sec: dict, blob: bytes, *, as_array: bool = False):
-    """Rebuild one column from its descriptor and blob.
-
-    ``as_array=True`` returns the raw numpy view for numeric codes (the
-    spill reductions consume it directly); string sections always
-    rebuild python lists.
-    """
+def decode_section(sec: dict, blob: bytes) -> list:
+    """Rebuild one column from its descriptor and blob."""
     code = sec.get("c")
     if code == "empty":
-        return np.empty(0, dtype=np.float64) if as_array else []
+        return []
     if code == "json":
-        vals = list(sec["vals"])
-        return np.asarray(vals, dtype=np.float64) if as_array else vals
+        return list(sec["vals"])
     dtype = _DTYPES.get(code)
     if dtype is None:
         raise BinformatError(f"unknown section code {code!r}")
@@ -202,16 +192,15 @@ def decode_section(sec: dict, blob: bytes, *, as_array: bool = False):
             raise BinformatError(
                 f"section {sec.get('n')!r}: string index out of table range"
             ) from None
-    return arr if as_array else arr.tolist()
+    return arr.tolist()
 
 
 # -- record framing ------------------------------------------------------------
 
 
-def _assemble(kind: str, header: dict, sections: list[dict],
-              blobs: list[bytes]) -> bytes:
+def _assemble(header: dict, sections: list[dict], blobs: list[bytes]) -> bytes:
     meta = {
-        "kind": kind,
+        "kind": "program",
         "format_version": BINARY_FORMAT_VERSION,
         "header": header,
         "sections": sections,
@@ -249,18 +238,11 @@ def parse_record(data: bytes) -> tuple[dict, int]:
     return meta, payload_off
 
 
-def record_kind(data: bytes) -> str:
-    """``"program"`` or ``"chunk"`` (parses only the meta header)."""
-    meta, _ = parse_record(data)
-    return str(meta.get("kind"))
-
-
 def section_index(meta: dict, payload_off: int) -> dict[str, tuple[dict, int, int]]:
     """Name -> ``(descriptor, start, end)`` byte ranges inside the record.
 
     Sections are laid out back to back in table order, so the ranges come
-    from a running sum of the declared byte lengths — this is what makes
-    single-column seek reads possible on spilled segment records.
+    from a running sum of the declared byte lengths.
     """
     out: dict[str, tuple[dict, int, int]] = {}
     pos = payload_off
@@ -274,14 +256,14 @@ def section_index(meta: dict, payload_off: int) -> dict[str, tuple[dict, int, in
     return out
 
 
-def _read(data: bytes, smap: dict, name: str, *, as_array: bool = False):
+def _read(data: bytes, smap: dict, name: str) -> list:
     try:
         sec, lo, hi = smap[name]
     except KeyError:
         raise BinformatError(f"record is missing section {name!r}") from None
     if hi > len(data):
         raise BinformatError(f"section {name!r} extends past the record end")
-    return decode_section(sec, data[lo:hi], as_array=as_array)
+    return decode_section(sec, data[lo:hi])
 
 
 # -- whole-document codec ------------------------------------------------------
@@ -304,30 +286,28 @@ def _pack_sections(named_columns) -> tuple[list[dict], list[bytes]]:
     return sections, blobs
 
 
-def _read_column(data: bytes, smap: dict, name: str, container: type) -> list:
-    """One column back from its section(s), ragged rows as *container*."""
+def _read_column(data: bytes, smap: dict, name: str) -> list:
+    """One column back from its section(s), ragged rows as tuples."""
     if name.endswith(".params"):
         values = _read(data, smap, name + "#values")
         offsets = _read(data, smap, name + "#offsets")
-        return _unpack_ragged(values, offsets, container)
+        return _unpack_ragged(values, offsets)
     return _read(data, smap, name)
 
 
 def encode_program(program: ProgramStore) -> bytes:
-    """A full program -> one v3 ``"program"`` record (every segment of a
-    spilling store included)."""
-    store = program.collect()
+    """A full program -> one v3 ``"program"`` record."""
     sections, blobs = _pack_sections(
-        (name, getattr(store, attr), _array_getter(store, attr))
+        (name, getattr(program, attr), _array_getter(program, attr))
         for attr, name in _SECTION.items()
     )
-    loss_meta, loss_blob = _pack_scalars("atom_loss_log", store.atom_loss_log)
+    loss_meta, loss_blob = _pack_scalars("atom_loss_log", program.atom_loss_log)
     sections.append(loss_meta)
     blobs.append(loss_blob)
-    header = _common_header(store)
+    header = _common_header(program)
     del header["atom_loss_log"]  # carried as a section, it can be long
-    header["emit_seconds"] = store.emit_seconds
-    return _assemble("program", header, sections, blobs)
+    header["emit_seconds"] = program.emit_seconds
+    return _assemble(header, sections, blobs)
 
 
 def _array_getter(store: ProgramStore, attr: str):
@@ -351,7 +331,7 @@ def decode_program(data: bytes) -> ProgramStore:
     smap = section_index(meta, payload_off)
     header = meta["header"]
     kwargs: dict[str, Any] = {
-        attr: _read_column(data, smap, name, tuple)
+        attr: _read_column(data, smap, name)
         for attr, name in _SECTION.items()
     }
     try:
@@ -373,52 +353,3 @@ def decode_program(data: bytes) -> ProgramStore:
         )
     except (KeyError, TypeError) as exc:
         raise BinformatError(f"malformed program header: {exc}") from exc
-
-
-# -- chunk codec ---------------------------------------------------------------
-
-
-def encode_chunk(chunk: dict) -> bytes:
-    """A :meth:`ProgramStore.chunk_doc` dict -> one v3 ``"chunk"`` record."""
-    cols = chunk["columns"]
-    offsets = chunk["stage_offsets"]
-    sections, blobs = _pack_sections(
-        [(f"{fam}.{key}", cols[fam][key], None) for fam, key, *_ in _COLUMN_SPEC]
-        + [(f"off.{fam}", offsets[fam], None) for fam, _ in _OFFSET_SPEC]
-    )
-    return _assemble("chunk", {"stages": chunk["stages"]}, sections, blobs)
-
-
-def decode_chunk(data: bytes) -> dict:
-    """One v3 ``"chunk"`` record -> the exact chunk-doc dict it encoded."""
-    meta, payload_off = parse_record(data)
-    if meta.get("kind") != "chunk":
-        raise BinformatError(
-            f"expected a chunk record, got kind {meta.get('kind')!r}"
-        )
-    smap = section_index(meta, payload_off)
-    columns: dict[str, dict[str, list]] = {fam: {} for fam, _ in _OFFSET_SPEC}
-    for fam, key, *_ in _COLUMN_SPEC:
-        columns[fam][key] = _read_column(data, smap, f"{fam}.{key}", list)
-    stage_offsets = {
-        fam: _read(data, smap, f"off.{fam}") for fam, _ in _OFFSET_SPEC
-    }
-    try:
-        stages = meta["header"]["stages"]
-    except (KeyError, TypeError) as exc:
-        raise BinformatError(f"malformed chunk header: {exc}") from exc
-    return {
-        "stages": stages,
-        "columns": columns,
-        "stage_offsets": stage_offsets,
-    }
-
-
-def iter_chunk_records(store: ProgramStore,
-                       stages_per_chunk: int) -> Iterator[bytes]:
-    """Slice a dense store into encoded chunk records (streaming send path)."""
-    step = max(1, int(stages_per_chunk))
-    total = store.num_stages
-    for lo in range(0, total, step):
-        hi = min(lo + step, total)
-        yield encode_chunk(store.chunk_doc(lo, hi))

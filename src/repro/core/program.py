@@ -16,23 +16,16 @@ a :class:`StageView` that builds the :mod:`repro.core.instructions` records
 column slices on demand.  ``atom_move_distance`` preserves the pinned
 insertion order the noisy simulator consumes positionally.
 
-Every aggregate is one fold over the store's *column segments*: a dense
-store is one segment (its in-memory columns); a
-:class:`SpillingProgramStore` is its flushed segment records followed by
-its in-memory tail.  Count aggregates add per-segment counts (taken at
-flush time for flushed segments); float reductions compute per-element
-terms vectorized per segment and accumulate left to right in stage order,
-so a spilled store answers bit-identically to the dense one.
+Every aggregate reads the columns directly: counts are column lengths or
+vectorized offset-table compares; float reductions compute per-element
+terms vectorized and accumulate left to right in stage order, so they are
+bit-identical to a scalar walk over the stages.
 """
 
 from __future__ import annotations
 
-import copy
-import dataclasses
-import os
-import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -49,8 +42,7 @@ AXES = ("row", "col")
 #: primitives (``None`` when the scalars already are); ``decode`` is its
 #: exact inverse.  Family and column keys are the ``columns`` table of the
 #: v2 document (:mod:`repro.core.serialize`) and name the sections of the
-#: v3 record (:mod:`repro.core.binformat`); a chunk is a stage-range slice
-#: of that document with offsets rebased to 0.
+#: v3 record (:mod:`repro.core.binformat`).
 _COLUMN_SPEC: tuple = (
     ("raman", "qubit", "raman_qubit", None, None),
     ("raman", "name", "raman_name", None, None),
@@ -100,30 +92,11 @@ _OFFSET_SPEC: tuple = (
     ("amd", "off_amd"),
 )
 
-#: store attribute -> v3 section name (what a segment seek-read asks for)
+#: store attribute -> v3 section name
 _SECTION: dict[str, str] = {
     **{attr: f"{fam}.{key}" for fam, key, attr, _e, _d in _COLUMN_SPEC},
     **{off_attr: f"off.{fam}" for fam, off_attr in _OFFSET_SPEC},
 }
-
-#: count aggregate -> its value over one in-memory column segment.  A
-#: spilling store takes every count at flush time, so count folds never
-#: touch its segment file.
-_SEGMENT_COUNTS: dict[str, Callable[["ProgramStore"], int]] = {
-    "num_stages": lambda s: len(s.off_gate) - 1,
-    "num_1q_gates": lambda s: len(s.raman_qubit),
-    "num_2q_gates": lambda s: len(s.gate_a),
-    "num_moves": lambda s: len(s.move_aod),
-    "num_cooling_events": lambda s: len(s.cool_aod),
-    # integer sum: any order is exact, so the vectorized form is safe
-    "num_cooling_cz": lambda s: (
-        2 * int(s.column_array("cool_atoms", np.int64).sum())
-    ),
-    "num_1q_stages": lambda s: s._active_stage_count("off_raman"),
-    "num_moving_stages": lambda s: s._active_stage_count("off_move"),
-    "two_qubit_depth": lambda s: s._active_stage_count("off_gate"),
-}
-
 
 def _duration_lut(params: HardwareParams) -> list[float]:
     """Stage duration for every (raman, move, gate, cool) activity combo.
@@ -339,97 +312,19 @@ class StageList:
         return (StageView(store, i) for i in range(store.num_stages))
 
 
-class _SegmentFile:
-    """Append-only file of length-prefixed v3 chunk records.
-
-    Holds a spilling store's flushed stage ranges.  Each record keeps the
-    segment's count aggregates (taken at flush time) and its section index
-    (column name -> absolute byte range), so folds seek-read only the
-    columns they need.  An instance with no records is a dense store's
-    (empty) flushed part.
-    """
-
-    def __init__(self, spill_dir: str | None = None) -> None:
-        self.spill_dir = spill_dir
-        self.path: str | None = None
-        self.records: list[dict] = []
-
-    def append(self, doc: dict, counts: dict[str, int]) -> None:
-        from . import binformat  # deferred: binformat imports this module
-
-        record = binformat.encode_chunk(doc)
-        if self.path is None:
-            fd, self.path = tempfile.mkstemp(
-                prefix="program-", suffix=".segs", dir=self.spill_dir
-            )
-            os.close(fd)
-        with open(self.path, "ab") as fh:
-            pos = fh.tell()
-            fh.write(len(record).to_bytes(4, "little"))
-            fh.write(record)
-        meta, payload_off = binformat.parse_record(record)
-        self.records.append(
-            {
-                "counts": counts,
-                # section byte ranges rebased to absolute file offsets
-                "index": binformat.section_index(meta, pos + 4 + payload_off),
-            }
-        )
-
-    def docs(self) -> Iterator[dict]:
-        """Decode every record back to its chunk doc, in stage order."""
-        if not self.records:
-            return
-        from . import binformat
-
-        with open(self.path, "rb") as fh:
-            for _ in self.records:
-                length = int.from_bytes(fh.read(4), "little")
-                yield binformat.decode_chunk(fh.read(length))
-
-    def arrays(self, dtype, attrs: tuple[str, ...]) -> Iterator[tuple]:
-        """Seek-read the named columns of each record as *dtype* arrays."""
-        if not self.records:
-            return
-        from . import binformat
-
-        names = [_SECTION[attr] for attr in attrs]
-        with open(self.path, "rb") as fh:
-            for record in self.records:
-                row = []
-                for name in names:
-                    sec, lo, hi = record["index"][name]
-                    fh.seek(lo)
-                    blob = fh.read(hi - lo)
-                    row.append(
-                        binformat.decode_section(sec, blob, as_array=True)
-                        .astype(dtype, copy=False)
-                    )
-                yield tuple(row)
-
-    def discard(self) -> None:
-        if self.path is not None:
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
-            self.path = None
-            self.records.clear()
-
-
 @dataclass
 class ProgramStore:
     """A compiled RAA program in structure-of-arrays layout.
 
     Top-level attributes carry the compile-time bookkeeping (final
     placement, heating and loss history, transfers, overlap rejections);
-    aggregate properties are folds over the column segments; ``stages``
+    aggregate properties are reductions over the columns; ``stages``
     exposes lazy :class:`StageView` objects.
 
     The store doubles as its own builder: the router appends scalars to
     the columns and calls :meth:`end_stage` to close each stage.  The
     offset lists always hold ``num_stages + 1`` entries (CSR convention,
-    leading 0) for the in-memory segment.
+    leading 0).
     """
 
     #: logical circuit width
@@ -485,11 +380,6 @@ class ProgramStore:
     off_cool: list[int] = field(default_factory=lambda: [0])
     off_amd: list[int] = field(default_factory=lambda: [0])
 
-    #: flushed column segments, in stage order, ahead of the in-memory one.
-    #: A class attribute (not a field): dense stores share this empty file
-    #: and never append to it; a spilling store owns its own.
-    _flushed = _SegmentFile()
-
     # -- building --------------------------------------------------------------
 
     def end_stage(self) -> None:
@@ -507,14 +397,11 @@ class ProgramStore:
         return len(self.raman_qubit) - self.off_raman[-1]
 
     def extend(self, other: "ProgramStore") -> None:
-        """Append every stage of *other* (all its segments) after this
-        store's stages.
+        """Append every stage of *other* after this store's stages.
 
         Column concatenation plus an offset-table splice.  Top-level fields
         (locations, loss log, counters) are left to the caller.
         """
-        for doc in other._flushed.docs():
-            self.extend_from_chunk(doc)
         for _fam, _key, attr, _enc, _dec in _COLUMN_SPEC:
             getattr(self, attr).extend(getattr(other, attr))
         for _fam, off_attr in _OFFSET_SPEC:
@@ -523,11 +410,11 @@ class ProgramStore:
             mine.extend(base + o for o in getattr(other, off_attr)[1:])
 
     def extend_from_chunk(self, chunk: dict) -> None:
-        """Append a :meth:`chunk_doc` stage range after this store's stages.
+        """Append the stages of a v2 document's ``columns`` /
+        ``stage_offsets`` tables after this store's stages.
 
-        Column concatenation plus an offset splice — the assembly primitive
-        for v2 documents, streamed program transfers and spilled segment
-        files.
+        Column concatenation (each column decoded by its ``_COLUMN_SPEC``
+        entry) plus an offset splice — what v2 decoding builds a store with.
         """
         cols = chunk["columns"]
         for fam, key, attr, _enc, dec in _COLUMN_SPEC:
@@ -539,83 +426,19 @@ class ProgramStore:
             base = mine[-1]
             mine.extend(base + o for o in offs[fam][1:])
 
-    # -- segments --------------------------------------------------------------
-
-    def chunk_doc(self, lo: int, hi: int) -> dict:
-        """JSON-ready slice of the in-memory closed stages ``[lo, hi)``.
-
-        The document mirrors the v2 format's ``columns`` / ``stage_offsets``
-        tables for just that stage range, with the offsets rebased to start
-        at 0 — so chunks are self-contained and concatenate by
-        :meth:`extend_from_chunk`.  Indices address the in-memory offset
-        tables (the whole program for a dense store).
-        """
-        closed = len(self.off_gate) - 1
-        if not 0 <= lo <= hi <= closed:
-            raise ValueError(f"stage range [{lo}, {hi}) outside 0..{closed}")
-        bases: dict[str, tuple[int, int]] = {}
-        offsets: dict[str, list[int]] = {}
-        for fam, off_attr in _OFFSET_SPEC:
-            off = getattr(self, off_attr)
-            base = off[lo]
-            bases[fam] = (base, off[hi])
-            offsets[fam] = [o - base for o in off[lo : hi + 1]]
-        columns: dict[str, dict[str, list]] = {fam: {} for fam, _ in _OFFSET_SPEC}
-        for fam, key, attr, enc, _dec in _COLUMN_SPEC:
-            base, top = bases[fam]
-            sliced = getattr(self, attr)[base:top]
-            columns[fam][key] = enc(sliced) if enc is not None else sliced
-        return {"stages": hi - lo, "columns": columns, "stage_offsets": offsets}
-
-    def iter_segment_docs(self) -> Iterator[dict]:
-        """Every closed stage as chunk docs, one per segment in stage order."""
-        yield from self._flushed.docs()
-        k = len(self.off_gate) - 1
-        if k > 0:
-            yield self.chunk_doc(0, k)
-
-    def collect(self) -> "ProgramStore":
-        """A dense store holding every stage: the store itself when nothing
-        was flushed, else a copy assembled from all its segments."""
-        if not self._flushed.records:
-            return self
-        full = ProgramStore(
-            **{
-                f.name: copy.copy(getattr(self, f.name))
-                for f in dataclasses.fields(ProgramStore)
-                if f.name not in _SECTION
-            }
-        )
-        full.extend(self)
-        return full
-
-    def discard(self) -> None:
-        """Delete any spilled segment file (the store must not be read
-        afterwards); a no-op for a dense store."""
-        self._flushed.discard()
-
-    def _segment_arrays(self, dtype, *attrs: str) -> Iterator[tuple]:
-        """The named columns as *dtype* arrays, one tuple per segment."""
-        yield from self._flushed.arrays(dtype, attrs)
-        yield tuple(self.column_array(attr, dtype) for attr in attrs)
-
-    def _count(self, key: str) -> int:
-        """Fold one count aggregate over every segment."""
-        flushed = sum(record["counts"][key] for record in self._flushed.records)
-        return flushed + _SEGMENT_COUNTS[key](self)
-
     # -- cached numpy column views ---------------------------------------------
 
     def column_array(self, attr: str, dtype) -> np.ndarray:
-        """Cached numpy view of an in-memory column (shared by the binary
-        codec's ``tobytes`` packing and the vectorized reductions).
+        """Cached numpy view of a column (shared by the binary codec's
+        ``tobytes`` packing and the vectorized reductions).
 
         Entries are keyed by ``(attr, dtype)`` and validated against the
         column length, so router appends (which always grow the list)
         invalidate them naturally.  The cache lives in ``__dict__`` rather
         than a dataclass field: it is derived state, invisible to
         ``__eq__``/``__repr__``.  Code that mutates a column in place
-        without changing its length must call :meth:`drop_column_arrays`.
+        without changing its length must pop ``_np_views`` from
+        ``__dict__``.
         """
         cache = self.__dict__.setdefault("_np_views", {})
         column = getattr(self, attr)
@@ -627,12 +450,8 @@ class ProgramStore:
         cache[key] = (len(column), arr)
         return arr
 
-    def drop_column_arrays(self) -> None:
-        """Invalidate every cached column view (after in-place rewrites)."""
-        self.__dict__.pop("_np_views", None)
-
     def _active_stage_count(self, off_attr: str) -> int:
-        """In-memory stages whose family slice is non-empty."""
+        """Stages whose family slice is non-empty."""
         off = self.column_array(off_attr, np.int64)
         if off.size <= 1:
             return 0
@@ -642,64 +461,64 @@ class ProgramStore:
 
     @property
     def num_stages(self) -> int:
-        return self._count("num_stages")
+        return len(self.off_gate) - 1
 
     @property
     def stages(self) -> StageList:
-        """Lazy stage views (a spilling store is densified first)."""
-        return StageList(self.collect())
+        """Lazy stage views."""
+        return StageList(self)
 
-    # -- headline metrics (segment folds) --------------------------------------
+    # -- headline metrics (column reductions) ----------------------------------
 
     @property
     def num_2q_gates(self) -> int:
         """Two-qubit gates executed by Rydberg pulses (cooling CZs excluded)."""
-        return self._count("num_2q_gates")
+        return len(self.gate_a)
 
     @property
     def num_cooling_cz(self) -> int:
         """CZ gates spent on cooling swaps (two per atom in the array)."""
-        return self._count("num_cooling_cz")
+        # integer sum: any order is exact, so the vectorized form is safe
+        return 2 * int(self.column_array("cool_atoms", np.int64).sum())
 
     @property
     def num_1q_gates(self) -> int:
-        return self._count("num_1q_gates")
+        return len(self.raman_qubit)
 
     @property
     def two_qubit_depth(self) -> int:
         """Number of stages whose Rydberg pulse executes at least one gate."""
-        return self._count("two_qubit_depth")
+        return self._active_stage_count("off_gate")
 
     @property
     def num_moves(self) -> int:
-        return self._count("num_moves")
+        return len(self.move_aod)
 
     @property
     def num_moving_stages(self) -> int:
         """Stages that move at least one AOD line."""
-        return self._count("num_moving_stages")
+        return self._active_stage_count("off_move")
 
     @property
     def num_1q_stages(self) -> int:
         """Stages that flush at least one Raman pulse."""
-        return self._count("num_1q_stages")
+        return self._active_stage_count("off_raman")
 
     @property
     def num_cooling_events(self) -> int:
-        return self._count("num_cooling_events")
+        return len(self.cool_aod)
 
     def total_move_distance(self, params: HardwareParams) -> float:
         """Total AOD line travel in metres, summed over moves in stage order.
 
         Per-move distances are computed elementwise in float64 (bit-equal
         to the scalar ``abs(e - s) * pitch``); only the accumulation stays
-        sequential, left to right across segments.
+        sequential, left to right.
         """
         pitch = params.atom_distance
-        total = 0
-        for start, end in self._segment_arrays(np.float64, "move_start", "move_end"):
-            total = sum((np.abs(end - start) * pitch).tolist(), total)
-        return total
+        start = self.column_array("move_start", np.float64)
+        end = self.column_array("move_end", np.float64)
+        return sum((np.abs(end - start) * pitch).tolist(), 0)
 
     def avg_move_distance(self, params: HardwareParams) -> float:
         """Mean per-stage line travel (metres); Fig. 20's 'Avg. Moving Distance'."""
@@ -716,102 +535,17 @@ class ProgramStore:
         come from :func:`_stage_times`, then accumulate sequentially.
         """
         lut = np.asarray(_duration_lut(params), dtype=np.float64)
-        total = 0.0
-        for offsets in self._segment_arrays(
-            np.int64, "off_raman", "off_move", "off_gate", "off_cool"
-        ):
-            total = sum(_stage_times(*offsets, lut), total)
-        return total
+        offsets = [
+            self.column_array(attr, np.int64)
+            for attr in ("off_raman", "off_move", "off_gate", "off_cool")
+        ]
+        return sum(_stage_times(*offsets, lut), 0.0)
 
     def gate_pairs(self) -> list[tuple[int, int]]:
         """All executed 2Q pairs in order (for equivalence checks)."""
-        pairs: list[tuple[int, int]] = []
-        for a, b in self._segment_arrays(np.int64, "gate_a", "gate_b"):
-            pairs.extend(zip(a.tolist(), b.tolist()))
-        return pairs
+        return list(zip(self.gate_a, self.gate_b))
 
-    def gate_n_vib_arrays(self) -> Iterator[np.ndarray]:
-        """``n_vib`` per executed 2Q gate as float64 arrays, one per
-        segment, in execution order (what fidelity scoring reads)."""
-        for (n_vib,) in self._segment_arrays(np.float64, "gate_n_vib"):
-            yield n_vib
-
-
-#: environment switch: set to a directory path to make the router emit into
-#: a :class:`SpillingProgramStore` whose segment file lives there
-SPILL_ENV = "REPRO_PROGRAM_SPILL"
-#: environment override for the per-segment stage count
-SPILL_STAGES_ENV = "REPRO_PROGRAM_SPILL_STAGES"
-DEFAULT_SEGMENT_STAGES = 512
-
-
-class SpillingProgramStore(ProgramStore):
-    """Bounded-memory :class:`ProgramStore`: closed stages spill to disk.
-
-    Every ``segment_stages`` closed stages, the in-memory columns are
-    written to the segment file as one length-prefixed v3 binary chunk
-    record (:mod:`repro.core.binformat`), truncated in place, and the
-    offset tables rebased in place — *in place* because the router binds
-    ``end_stage`` and the column ``.append`` methods to the concrete list
-    objects before emission starts.  Emission RSS is therefore bounded by
-    the segment size, not the circuit size.
-
-    Aggregates need nothing here: the base folds walk the flushed segments
-    (their counts taken at flush time, their columns seek-read) before the
-    in-memory tail.  The segment file is not reference-counted — call
-    :meth:`discard` when the program is no longer needed.
-    """
-
-    def __init__(
-        self,
-        num_qubits: int = 0,
-        *,
-        spill_dir: str | None = None,
-        segment_stages: int = DEFAULT_SEGMENT_STAGES,
-    ) -> None:
-        super().__init__(num_qubits=num_qubits)
-        self.segment_stages = max(1, int(segment_stages))
-        self._flushed = _SegmentFile(spill_dir)
-
-    @property
-    def segment_path(self) -> str | None:
-        return self._flushed.path
-
-    def end_stage(self) -> None:
-        super().end_stage()
-        if len(self.off_gate) - 1 >= self.segment_stages:
-            self._flush()
-
-    def _flush(self) -> None:
-        """Spill every closed in-memory stage to the segment file."""
-        k = len(self.off_gate) - 1
-        counts = {key: count(self) for key, count in _SEGMENT_COUNTS.items()}
-        self._flushed.append(self.chunk_doc(0, k), counts)
-        cuts = {fam: getattr(self, off_attr)[k] for fam, off_attr in _OFFSET_SPEC}
-        for fam, _key, attr, _enc, _dec in _COLUMN_SPEC:
-            del getattr(self, attr)[: cuts[fam]]
-        for fam, off_attr in _OFFSET_SPEC:
-            off = getattr(self, off_attr)
-            base = off[k]
-            off[:] = [o - base for o in off[k:]]
-        # the in-place truncation/rebase above can leave stale same-length
-        # cached views behind — drop them all
-        self.drop_column_arrays()
-
-
-def emission_store(num_qubits: int) -> ProgramStore:
-    """The store the router emits into.
-
-    A plain :class:`ProgramStore` by default; a
-    :class:`SpillingProgramStore` when ``REPRO_PROGRAM_SPILL`` names a
-    directory (``REPRO_PROGRAM_SPILL_STAGES`` overrides the segment size).
-    """
-    spill_dir = os.environ.get(SPILL_ENV)
-    if not spill_dir:
-        return ProgramStore(num_qubits=num_qubits)
-    segment_stages = int(os.environ.get(SPILL_STAGES_ENV, DEFAULT_SEGMENT_STAGES))
-    return SpillingProgramStore(
-        num_qubits=num_qubits,
-        spill_dir=spill_dir,
-        segment_stages=segment_stages,
-    )
+    def gate_n_vib_array(self) -> np.ndarray:
+        """``n_vib`` per executed 2Q gate as a float64 array, in execution
+        order (what fidelity scoring reads)."""
+        return self.column_array("gate_n_vib", np.float64)

@@ -40,7 +40,7 @@ from .constraints import (
     _snap_site,
 )
 from .movement import MovementTracker
-from .program import ProgramStore, emission_store
+from .program import ProgramStore
 
 
 class RoutingError(RuntimeError):
@@ -296,9 +296,7 @@ class HighParallelismRouter:
             params=self.architecture.params,
             cooling_threshold=self.config.cooling_threshold,
         )
-        # spills closed stages to disk when REPRO_PROGRAM_SPILL is set, so
-        # emission RSS stops scaling with circuit size
-        store = emission_store(circuit.num_qubits)
+        store = ProgramStore(num_qubits=circuit.num_qubits)
         overlap_rejections = 0
         gates = dag.gates
         is_2q = dag.two_qubit

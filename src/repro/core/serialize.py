@@ -50,16 +50,18 @@ def program_to_dict(program: ProgramStore) -> dict[str, Any]:
     Every column is snapshotted, so the document neither tracks later store
     mutations nor exposes the store to callers editing the payload.
     """
-    store = program.collect()
     columns: dict[str, dict[str, list]] = {fam: {} for fam in DOC_FAMILIES}
     for fam, key, attr, enc, _dec in _COLUMN_SPEC:
-        col = getattr(store, attr)
+        col = getattr(program, attr)
         columns[fam][key] = enc(col) if enc is not None else list(col)
     return {
-        **store_header_doc(store),
+        "format_version": COLUMNAR_FORMAT_VERSION,
+        **_common_header(program),
+        "emit_seconds": program.emit_seconds,
         "columns": columns,
         "stage_offsets": {
-            fam: list(getattr(store, off_attr)) for fam, off_attr in _OFFSET_SPEC
+            fam: list(getattr(program, off_attr))
+            for fam, off_attr in _OFFSET_SPEC
         },
     }
 
@@ -69,44 +71,21 @@ def program_from_dict(doc: dict[str, Any]) -> ProgramStore:
     version = doc.get("format_version")
     if version != COLUMNAR_FORMAT_VERSION:
         raise ValueError(f"unsupported program format version {version!r}")
-    store = store_from_header(doc)
-    store.extend_from_chunk(doc)
-    return store
-
-
-def store_header_doc(store: ProgramStore) -> dict[str, Any]:
-    """The v2 document minus its column payload, without building the
-    columns (same keys, same order as :func:`program_to_dict`'s header).
-
-    The streaming server sends it first, alone, to open a program stream;
-    :func:`store_from_header` seeds the receiving store from it.
-    """
-    return {
-        "format_version": COLUMNAR_FORMAT_VERSION,
-        **_common_header(store),
-        "emit_seconds": store.emit_seconds,
-    }
-
-
-def store_from_header(header: dict[str, Any]) -> ProgramStore:
-    """An empty :class:`ProgramStore` seeded from :func:`store_header_doc`.
-
-    Feed the streamed chunks to :meth:`ProgramStore.extend_from_chunk`; the
-    assembled store is bit-identical to decoding the whole v2 document.
-    """
-    return ProgramStore(
-        num_qubits=header["num_qubits"],
+    store = ProgramStore(
+        num_qubits=doc["num_qubits"],
         qubit_locations={
             int(q): AtomLocation(*loc)
-            for q, loc in header["qubit_locations"].items()
+            for q, loc in doc["qubit_locations"].items()
         },
-        n_vib_final={int(q): v for q, v in header["n_vib_final"].items()},
-        atom_loss_log=list(header["atom_loss_log"]),
-        num_transfers=header["num_transfers"],
-        overlap_rejections=header["overlap_rejections"],
-        compile_seconds=header["compile_seconds"],
-        emit_seconds=header.get("emit_seconds", 0.0),
+        n_vib_final={int(q): v for q, v in doc["n_vib_final"].items()},
+        atom_loss_log=list(doc["atom_loss_log"]),
+        num_transfers=doc["num_transfers"],
+        overlap_rejections=doc["overlap_rejections"],
+        compile_seconds=doc["compile_seconds"],
+        emit_seconds=doc.get("emit_seconds", 0.0),
     )
+    store.extend_from_chunk(doc)
+    return store
 
 
 def dumps(program: ProgramStore, indent: int | None = None) -> str:

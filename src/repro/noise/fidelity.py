@@ -91,15 +91,14 @@ def estimate_raa_fidelity(
 ) -> FidelityReport:
     """Fidelity of a compiled RAA program (movement terms included).
 
-    Every aggregate is a fold over the store's column segments —
-    stage-occupancy counts off the offset tables and the ``n_vib`` column
-    read as numpy arrays, one per segment in gate order; no stage views
-    are built.
+    Every aggregate is a column reduction — stage-occupancy counts off
+    the offset tables and the ``n_vib`` column read as one numpy array in
+    gate order; no stage views are built.
     """
     n = program.num_qubits
     num_moving = program.num_moving_stages
-    f_heating = mov.movement_heating_fidelity_arrays(
-        program.gate_n_vib_arrays(), params
+    f_heating = mov.movement_heating_fidelity_array(
+        program.gate_n_vib_array(), params
     )
 
     f_transfer = (1.0 - params.p_transfer_loss) ** program.num_transfers

@@ -13,7 +13,7 @@ Four multiplicative fidelity terms characterize movement:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -44,26 +44,23 @@ def movement_heating_fidelity(
     return f
 
 
-def movement_heating_fidelity_arrays(
-    chunks: Iterable[np.ndarray], params: HardwareParams
+def movement_heating_fidelity_array(
+    gate_n_vibs: np.ndarray, params: HardwareParams
 ) -> float:
-    """Eq. 2 over ``n_vib`` column arrays (the vectorized fast path).
+    """Eq. 2 over the ``n_vib`` column array (the vectorized fast path).
 
     Bit-identical to :func:`movement_heating_fidelity` on the same values:
     the per-gate factor ``max(1 - (lam * (1 - f2q)) * n, 0)`` is computed
     elementwise in float64 (IEEE ops match the scalar path exactly), and
     the running product accumulates sequentially in column order.
-    *chunks* lets a spilling store hand over one array per flushed
-    segment without concatenating.
     """
     coef = params.lam * (1.0 - params.f_2q)
+    factors = np.maximum(
+        1.0 - coef * np.asarray(gate_n_vibs, dtype=np.float64), 0.0
+    )
     f = 1.0
-    for arr in chunks:
-        factors = np.maximum(
-            1.0 - coef * np.asarray(arr, dtype=np.float64), 0.0
-        )
-        for v in factors.tolist():
-            f *= v
+    for v in factors.tolist():
+        f *= v
     return f
 
 

@@ -7,6 +7,10 @@ jobs are still pending, jobs that were ``RUNNING`` when the process died
 are re-queued (their worker is gone), and finished results are served
 from the spool without recompiling.  There is no memory-only mode: a
 service started without a spool spools to a temporary directory it owns.
+A record that reaches a terminal state drops its circuit body, in memory
+and in its spool file, and keeps only the backend and benchmark name its
+summary reports — a long-running daemon's memory does not grow with the
+gate lists of every job it ever finished.
 
 A ``RUNNING`` job holds a **lease**: :meth:`JobQueue.acquire` stamps an
 owner and a lease deadline and increments the record's attempt counter;
@@ -101,6 +105,16 @@ class QueueError(RuntimeError):
     """An operation referenced a job the queue does not hold."""
 
 
+def _payload_label(payload: dict[str, Any]) -> dict[str, Any]:
+    """What a terminal record keeps of its wire payload: the backend and
+    the circuit name :meth:`JobRecord.summary` reports, not the gates."""
+    circuit = payload.get("circuit") or {}
+    return {
+        "backend": payload.get("backend"),
+        "circuit": {"name": circuit.get("name")},
+    }
+
+
 @dataclass
 class JobRecord:
     """One queued compile job: wire payload plus lifecycle bookkeeping."""
@@ -108,6 +122,7 @@ class JobRecord:
     job_id: str
     seq: int
     shard: int
+    #: the wire-encoded job; cut to :func:`_payload_label` once terminal
     payload: dict[str, Any]
     state: JobState = JobState.PENDING
     error: str | None = None
@@ -523,6 +538,10 @@ class JobQueue:
     # -- persistence ---------------------------------------------------------
 
     def _persist(self, record: JobRecord) -> None:
+        if record.state.terminal:
+            # Rebound, not mutated: an in-flight attempt may still hold
+            # the full payload dict.
+            record.payload = _payload_label(record.payload)
         path = self.spool_dir / "jobs" / f"{record.job_id}.json"
         faults.maybe_fail("spool.write", str(path))
         atomic_write(
@@ -606,12 +625,16 @@ class JobQueue:
     def _decode_record_file(self, path: Path) -> JobRecord | None:
         try:
             data = json.loads(path.read_text())
+            state = JobState(data["state"])
+            payload = data["payload"]
             return JobRecord(
                 job_id=data["job_id"],
                 seq=int(data["seq"]),
                 shard=int(data["shard"]),
-                payload=data["payload"],
-                state=JobState(data["state"]),
+                # spool files written before terminal records were cut
+                # still carry the gates
+                payload=_payload_label(payload) if state.terminal else payload,
+                state=state,
                 error=data.get("error"),
                 attempts=int(data.get("attempts", 0)),
                 max_retries=int(data.get("max_retries", DEFAULT_MAX_RETRIES)),
@@ -623,8 +646,8 @@ class JobQueue:
                 deadline=data.get("deadline"),
                 keep_program=bool(data.get("keep_program", False)),
             )
-        except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError):
-            return None
+        except (OSError, AttributeError, KeyError, TypeError, ValueError):
+            return None  # ValueError covers json.JSONDecodeError
 
     def _quarantine(self, path: Path) -> None:
         """Move an undecodable spool file aside instead of refusing to boot."""

@@ -1079,8 +1079,11 @@ class CompileService:
         ``{"metrics", "program"}`` envelope of :func:`_execute_wire_job`."""
         slot = self._slot(shard)
         progress_path = self.queue.progress_path(record.job_id)
+        # Taken before any await: a cancel that lands meanwhile cuts the
+        # record's payload down to its label.
+        payload = record.payload
         if self.inline:
-            job = decode_job(record.payload)
+            job = decode_job(payload)
             context = f"{job.backend}:{job.circuit.name}#a{record.attempts}"
             faults.maybe_sleep("job.slow", context)
             previous = set_pass_progress_sink(
@@ -1088,8 +1091,8 @@ class CompileService:
             )
             try:
                 if record.keep_program:
-                    return self._execute_inline(record.payload, slot, True)
-                return self._execute_inline(record.payload, slot)
+                    return self._execute_inline(payload, slot, True)
+                return self._execute_inline(payload, slot)
             finally:
                 set_pass_progress_sink(previous)
         loop = asyncio.get_running_loop()
@@ -1108,7 +1111,7 @@ class CompileService:
             future = loop.run_in_executor(
                 self._pools[slot],
                 _execute_wire_job,
-                record.payload,
+                payload,
                 record.attempts,
                 record.keep_program,
                 str(progress_path),
@@ -1248,12 +1251,16 @@ class CompileService:
                     "job %s: program capture lost to a spool write failure",
                     job_id,
                 )
+        # decoded before mark_done, which cuts the record's payload down
+        job = (
+            decode_job(record.payload)
+            if self._result_cache is not None
+            else None
+        )
         self.queue.mark_done(job_id, encoded["metrics"])
         self._release_claim(job_id)
-        if self._result_cache is not None:
-            self._result_cache.put(
-                decode_job(record.payload), decode_metrics(encoded["metrics"])
-            )
+        if job is not None:
+            self._result_cache.put(job, decode_metrics(encoded["metrics"]))
         self._finish(job_id)
         # Chaos hook: a deterministic stand-in for "SIGKILL mid-run" —
         # fires only under an installed fault plan.

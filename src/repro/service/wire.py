@@ -25,7 +25,8 @@ length — followed by the JSON body, raw-deflate compressed past
 :func:`encode_bindoc_frame`): the body is a u32 length-prefixed JSON
 message followed by the spooled v3 record from
 :mod:`repro.core.binformat`, byte for byte and never deflated, which the
-receiver surfaces as a :class:`BinaryDoc`.  There is no negotiation: both
+receiver checks against the message's CRC-32 and surfaces as a
+:class:`BinaryDoc`.  There is no negotiation: both
 ends always speak this one format.  The REST gateway
 (:mod:`repro.service.http`) is the only JSON-text edge.
 """
@@ -78,8 +79,9 @@ FRAME_FLAG_DEFLATE = 0x01
 #: Flags bit 1: the payload is a JSON message plus a binary columnar
 #: program document — ``u32 BE json_len | json message | v3 record``.  The
 #: JSON part carries ``"_bindoc": "<field>"`` naming where the attachment
-#: belongs; :func:`decode_frame_payload` restores it as a
-#: :class:`BinaryDoc` under that field.
+#: belongs and ``"_crc32": <zlib.crc32 of the record>``;
+#: :func:`decode_frame_payload` checks the checksum and restores the record
+#: as a :class:`BinaryDoc` under that field.
 FRAME_FLAG_BINARY_DOC = 0x02
 
 #: All flag bits a receiver understands; anything else is rejected.
@@ -162,13 +164,17 @@ def encode_bindoc_frame(
     *payload* must not already contain *field* — the document IS that
     field, shipped as raw bytes after the JSON part instead of as JSON
     text.  The body is ``u32 BE json_len | json | doc``, sealed as it is:
-    no deflate, so the receiver gets *doc* byte for byte.  A body over
-    :data:`MAX_FRAME_BYTES` raises :class:`WireError`.
+    no deflate, so the receiver gets *doc* byte for byte.  The JSON part
+    carries ``zlib.crc32(doc)``: the v3 record has no checksum of its own,
+    and a flipped byte in a column section would otherwise decode to a
+    different program.  A body over :data:`MAX_FRAME_BYTES` raises
+    :class:`WireError`.
     """
     if field in payload:
         raise WireError(f"payload already has field {field!r}")
     message = dict(payload)
     message["_bindoc"] = field
+    message["_crc32"] = zlib.crc32(doc)
     head = json.dumps(message).encode()
     body = len(head).to_bytes(4, "big") + head + doc
     return _seal(body, FRAME_FLAG_BINARY_DOC)
@@ -200,7 +206,8 @@ def decode_frame_payload(flags: int, body: bytes) -> dict[str, Any]:
 
     A :data:`FRAME_FLAG_BINARY_DOC` body decodes to the JSON message with
     its binary attachment restored as a :class:`BinaryDoc` under the field
-    named by the ``"_bindoc"`` marker (the marker itself is stripped).
+    named by the ``"_bindoc"`` marker, once the attachment matches the
+    message's ``"_crc32"`` (both markers are stripped).
     """
     if flags & FRAME_FLAG_DEFLATE:
         try:
@@ -237,6 +244,8 @@ def decode_frame_payload(flags: int, body: bytes) -> dict[str, Any]:
         field = payload.pop("_bindoc", None)
         if not isinstance(field, str) or not field:
             raise WireError("bindoc frame missing its _bindoc field marker")
+        if payload.pop("_crc32", None) != zlib.crc32(doc):
+            raise WireError("bindoc checksum mismatch: the record is corrupt")
         payload[field] = BinaryDoc(bytes(doc))
     return payload
 

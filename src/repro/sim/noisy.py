@@ -72,7 +72,7 @@ def _stage_events(program: ProgramStore, params: HardwareParams):
     events = []
     loss_iter = iter(program.atom_loss_log)
     n = program.num_qubits
-    s = program.collect()
+    s = program
     p_1q = 1.0 - params.f_1q
     p_deco_1q = 1.0 - math.exp(-params.t_1q / params.t1 * n)
     p_deco_move = 1.0 - math.exp(-params.t_per_move / params.t1 * n)

@@ -23,7 +23,7 @@ def program_to_circuit(program: ProgramStore) -> QuantumCircuit:
     pulse/gate columns in stage-order slices.
     """
     circ = QuantumCircuit(program.num_qubits, "replayed")
-    s = program.collect()
+    s = program
     append = circ.append
     gate = Gate.trusted  # the columns hold the fields of valid gates
     for si in range(s.num_stages):

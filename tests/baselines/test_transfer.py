@@ -9,8 +9,7 @@ from repro.baselines import (
 )
 from repro.circuits import QuantumCircuit
 from repro.circuits.decompose import lower_to_two_qubit
-from repro.core.program import SPILL_ENV, SPILL_STAGES_ENV
-from repro.generators import qaoa_random, qaoa_regular, qsim_random
+from repro.generators import qaoa_regular, qsim_random
 from repro.hardware import RAAArchitecture
 
 
@@ -75,19 +74,3 @@ class TestTransferCompilation:
         m = compile_with_transfers(c)
         assert m.extras["num_transfers"] == 0
         assert m.num_2q_gates == 2
-
-    def test_spilled_routing_keeps_every_stage(self, tmp_path, monkeypatch):
-        """Regression: with spilling on, each routed segment's flushed
-        stages must reach the combined program, and every segment file is
-        deleted once its stages are copied."""
-        circ = qaoa_random(30, seed=3)
-        arch = RAAArchitecture.default(side=4)
-        dense = compile_with_transfers(circ, arch)
-        monkeypatch.setenv(SPILL_ENV, str(tmp_path))
-        monkeypatch.setenv(SPILL_STAGES_ENV, "8")
-        spilled = compile_with_transfers(circ, arch)
-        assert spilled.num_2q_gates == dense.num_2q_gates
-        assert spilled.depth == dense.depth
-        assert spilled.execution_seconds == dense.execution_seconds
-        assert spilled.fidelity == dense.fidelity
-        assert list(tmp_path.iterdir()) == []

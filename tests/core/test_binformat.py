@@ -1,7 +1,7 @@
 """v3 binary columnar codec: typed column packing must round trip type-
 and bit-exactly, agree with the JSON v2 codec document for document, and
-hold across empty columns, ragged params, non-finite floats, narrow int
-widths, and spill-collected stores."""
+hold across empty columns, ragged params, non-finite floats and narrow int
+widths."""
 
 import dataclasses
 import json
@@ -13,21 +13,10 @@ from hypothesis import strategies as st
 
 from repro.circuits.random_circuits import random_circuit
 from repro.core import AtomiqueCompiler, AtomiqueConfig, binformat
-from repro.core.program import (
-    SPILL_ENV,
-    SPILL_STAGES_ENV,
-    ProgramStore,
-    SpillingProgramStore,
-)
-from repro.core.serialize import (
-    program_from_dict,
-    program_to_dict,
-    store_from_header,
-    store_header_doc,
-)
+from repro.core.program import ProgramStore
+from repro.core.serialize import program_from_dict, program_to_dict
 from repro.hardware import RAAArchitecture
 from repro.hardware.raa import AtomLocation
-from tests.program_doc_oracle import program_doc_header
 
 #: wall-clock fields: naturally different between two separate compiles
 TIMING_FIELDS = {"compile_seconds", "emit_seconds"}
@@ -70,6 +59,19 @@ def assert_stores_bit_identical(a, b):
             assert column_key(ca) == column_key(cb), name
         else:
             assert ca == cb, name
+
+
+def relabel(record, kind):
+    """*record* with its meta ``kind`` replaced, everything else as-is."""
+    meta, payload_off = binformat.parse_record(record)
+    meta["kind"] = kind
+    meta_bytes = json.dumps(meta).encode("utf-8")
+    return (
+        record[: len(binformat.MAGIC) + 1]
+        + len(meta_bytes).to_bytes(4, "little")
+        + meta_bytes
+        + record[payload_off:]
+    )
 
 
 def canon(store):
@@ -154,7 +156,7 @@ class TestRoundTripDifferential:
     def test_v3_roundtrip_bit_exact(self, store):
         data = binformat.encode_program(store)
         assert binformat.is_binary_record(data)
-        assert binformat.record_kind(data) == "program"
+        assert binformat.parse_record(data)[0]["kind"] == "program"
         assert_stores_bit_identical(binformat.decode_program(data), store)
 
     @settings(max_examples=50, deadline=None)
@@ -168,18 +170,6 @@ class TestRoundTripDifferential:
             json.loads(json.dumps(program_to_dict(store)))
         )
         assert canon(via_v3) == canon(via_v2) == canon(store)
-
-    @settings(max_examples=25, deadline=None)
-    @given(stores())
-    def test_chunk_roundtrip_is_exact(self, store):
-        total = store.num_stages
-        if total == 0:
-            return
-        chunk = store.chunk_doc(0, total)
-        back = binformat.decode_chunk(binformat.encode_chunk(chunk))
-        assert json.dumps(back, sort_keys=True) == json.dumps(
-            chunk, sort_keys=True
-        )
 
     def test_empty_store_roundtrip(self):
         store = ProgramStore()
@@ -197,36 +187,6 @@ class TestCompiledProgram:
         decoded = binformat.decode_program(binformat.encode_program(dense))
         assert canon(decoded) == canon(dense)
         assert decoded.emit_seconds == dense.emit_seconds
-
-    def test_store_header_doc_matches_the_v2_header(self, dense):
-        # the streaming server builds the header from the store; it must
-        # equal the v2 document's header key for key, in order
-        header = program_doc_header(program_to_dict(dense))
-        assert json.dumps(store_header_doc(dense)) == json.dumps(header)
-
-    def test_chunk_records_reassemble_the_program(self, dense):
-        doc = program_to_dict(dense)
-        rebuilt = store_from_header(program_doc_header(doc))
-        for record in binformat.iter_chunk_records(dense, 7):
-            assert binformat.record_kind(record) == "chunk"
-            rebuilt.extend_from_chunk(binformat.decode_chunk(record))
-        assert_stores_bit_identical(rebuilt, dense)
-
-    def test_spilled_store_encodes_the_same_program(self, tmp_path,
-                                                    monkeypatch):
-        circuit = random_circuit(14, 12, 3, seed=11)
-        dense = compile_store(circuit)
-        monkeypatch.setenv(SPILL_ENV, str(tmp_path))
-        monkeypatch.setenv(SPILL_STAGES_ENV, "8")
-        spilled = compile_store(circuit)
-        assert isinstance(spilled, SpillingProgramStore)
-        assert spilled.num_stages > len(spilled.off_gate) - 1, (
-            "circuit too small to spill"
-        )
-        decoded = binformat.decode_program(
-            binformat.encode_program(spilled)
-        )
-        assert canon(decoded) == canon(dense)
 
     def test_narrow_int_widths_are_chosen(self, dense):
         meta, payload_off = binformat.parse_record(
@@ -301,12 +261,11 @@ class TestMalformedRecords:
     def test_kind_mismatch_rejected(self):
         store = ProgramStore()
         store.end_stage()
-        program = binformat.encode_program(store)
-        chunk = binformat.encode_chunk(store.chunk_doc(0, 1))
-        with pytest.raises(binformat.BinformatError, match="kind"):
-            binformat.decode_chunk(program)
-        with pytest.raises(binformat.BinformatError, match="kind"):
-            binformat.decode_program(chunk)
+        for kind in ("chunk", None):
+            with pytest.raises(binformat.BinformatError, match="kind"):
+                binformat.decode_program(
+                    relabel(binformat.encode_program(store), kind)
+                )
 
     def test_unknown_section_code_rejected(self):
         with pytest.raises(binformat.BinformatError, match="unknown section"):

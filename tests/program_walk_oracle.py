@@ -74,9 +74,7 @@ def store_aggregates(program, params) -> dict:
         "avg_move_distance": program.avg_move_distance(params),
         "execution_time": program.execution_time(params),
         "gate_pairs": program.gate_pairs(),
-        "gate_n_vib": [
-            v for arr in program.gate_n_vib_arrays() for v in arr.tolist()
-        ],
+        "gate_n_vib": program.gate_n_vib_array().tolist(),
     }
 
 

@@ -5,7 +5,7 @@ incrementally, from the newly-unlocked indices ``dag.execute`` returns.
 :class:`RescanRouter` is the historical loop it replaced: every sweep asks
 the DAG for ``front_indices()`` and filters it.  Gate selection
 (``_select_gates``), movement emission (``MovementTracker.bind_store``) and
-the store (``emission_store``) are the library's own, so the two routers
+the store (``ProgramStore``) are the library's own, so the two routers
 differ only in frontier bookkeeping and must emit byte-identical programs.
 The wall-clock fields stay 0.0: they are measurements, not outputs.
 """
@@ -17,7 +17,7 @@ import numpy as np
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import DAGCircuit
 from repro.core.movement import MovementTracker
-from repro.core.program import ProgramStore, emission_store
+from repro.core.program import ProgramStore
 from repro.core.router import HighParallelismRouter, RoutingError
 
 
@@ -32,7 +32,7 @@ class RescanRouter(HighParallelismRouter):
             params=self.architecture.params,
             cooling_threshold=self.config.cooling_threshold,
         )
-        store = emission_store(circuit.num_qubits)
+        store = ProgramStore(num_qubits=circuit.num_qubits)
         emit_stage = tracker.bind_store(store)
         gates = dag.gates
         trials = max(1, self.config.ordering_trials)

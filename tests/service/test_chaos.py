@@ -318,7 +318,7 @@ class TestClientBackoff:
         open: under ``-W error::ResourceWarning`` an unclosed socket
         reports itself on stderr when collected."""
         code = (
-            "import gc\n"
+            "from gc import collect\n"
             "from repro.service import ServiceClient, ServiceUnavailable\n"
             f"client = ServiceClient(socket_path={str(tmp_path / 'no.sock')!r},"
             " retries=0)\n"
@@ -328,7 +328,7 @@ class TestClientBackoff:
             "    pass\n"
             "else:\n"
             "    raise SystemExit('connected to a missing socket')\n"
-            "gc.collect()\n"
+            "collect()\n"
         )
         out = subprocess.run(
             [sys.executable, "-W", "error::ResourceWarning", "-c", code],

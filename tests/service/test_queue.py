@@ -121,6 +121,65 @@ class TestSpoolPersistence:
         assert JobQueue(tmp_path).quarantined == []
 
 
+class TestTerminalRecordsDropTheCircuit:
+    """A finished job's gate list is dead weight for the daemon's whole
+    life: terminal records keep only what their summary reports."""
+
+    def finish_every_way(self, queue):
+        done, failed, cancelled, dead, pending = (
+            queue.submit(payload(i), shard=0, max_retries=1).job_id
+            for i in range(5)
+        )
+        queue.acquire(done)
+        queue.mark_done(done, {})
+        queue.mark_failed(failed, "boom")
+        queue.cancel(cancelled)
+        queue.acquire(dead)
+        assert queue.retry_or_fail(dead, "crashed") is JobState.FAILED
+        return [done, failed, cancelled, dead], pending
+
+    def test_no_terminal_record_holds_a_circuit(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        finished, pending = self.finish_every_way(queue)
+        for job_id in finished:
+            record = queue.get(job_id)
+            assert record.payload == {
+                "backend": "Atomique",
+                "circuit": {"name": record.payload["circuit"]["name"]},
+            }
+            on_disk = json.loads(
+                (tmp_path / "jobs" / f"{job_id}.json").read_text()
+            )
+            assert "gates" not in on_disk["payload"]["circuit"]
+        # a job still to run keeps its whole payload
+        assert queue.get(pending).payload == payload(4)
+
+    def test_summaries_keep_backend_and_benchmark_across_restart(
+        self, tmp_path
+    ):
+        queue = JobQueue(tmp_path)
+        finished, _ = self.finish_every_way(queue)
+        for reborn in (queue, JobQueue(tmp_path)):
+            summaries = {r.job_id: r.summary() for r in reborn.jobs()}
+            for i, job_id in enumerate(finished):
+                assert summaries[job_id]["backend"] == "Atomique"
+                assert summaries[job_id]["benchmark"] == f"circ-{i}"
+
+    def test_old_spool_records_load_without_their_circuit(self, tmp_path):
+        # spool files written before terminal records were cut carry the
+        # gates; a restarted daemon does not keep them
+        queue = JobQueue(tmp_path)
+        job_id = queue.submit(payload(0), shard=0).job_id
+        path = tmp_path / "jobs" / f"{job_id}.json"
+        data = json.loads(path.read_text())
+        data["state"] = "done"
+        path.write_text(json.dumps(data))
+        record = JobQueue(tmp_path).get(job_id)
+        assert record.state is JobState.DONE
+        assert record.payload["circuit"] == {"name": "circ-0"}
+        assert record.summary()["benchmark"] == "circ-0"
+
+
 class TestSpoolCompression:
     def test_large_results_deflate_on_disk_and_sniff_back(self, tmp_path):
         from repro.service.queue import (

@@ -302,6 +302,44 @@ class TestSpoolRestart:
             compile_on(job.backend, job.circuit, raa=job.options.raa)
         )
 
+    def test_finished_jobs_listed_without_their_circuits(self, tmp_path):
+        """Terminal records drop their gate lists; ``jobs`` and
+        ``status`` still name backend and benchmark, before and after a
+        restart on the same spool."""
+        spool = tmp_path / "spool"
+        jobs = mixed_jobs()
+
+        async def first_boot():
+            service = CompileService(
+                spool_dir=spool, inline=True, result_cache_dir=tmp_path / "rc"
+            )
+            ids, _ = await submit_and_collect(service, jobs)
+            records = [service.queue.get(i) for i in ids]
+            assert all("gates" not in r.payload["circuit"] for r in records)
+            listed = service.jobs()
+            # the result cache was fed from the full payload: a resubmit
+            # is DONE at submission
+            again = await service.submit(encode_job(jobs[0]))
+            assert service.status(again)["state"] == "done"
+            await service.drain()
+            return ids, listed
+
+        async def second_boot():
+            service = CompileService(spool_dir=spool, inline=True)
+            await service.start()
+            listed = service.jobs()
+            status = [service.status(i) for i in ids]
+            await service.aclose()
+            return listed, status
+
+        expected = [(j.backend, j.circuit.name) for j in jobs]
+        ids, listed = asyncio.run(first_boot())
+        relisted, status = asyncio.run(second_boot())
+        relisted = relisted[: len(jobs)]  # the resubmit comes last
+        for view in (listed, relisted, status):
+            assert [(s["backend"], s["benchmark"]) for s in view] == expected
+        assert [s["state"] for s in relisted] == ["done"] * len(jobs)
+
     def test_result_cache_short_circuits_resubmission(self, tmp_path):
         """With a result cache, resubmitting a finished job is DONE at
         submission time — no queue trip, no recompile."""

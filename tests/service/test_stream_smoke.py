@@ -47,10 +47,6 @@ def test_streamed_program_is_bit_identical_and_bounded(tmp_path):
     env["PYTHONPATH"] = SRC + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    # The daemon compiles in spill mode: closed stage ranges go to disk
-    # segments instead of accumulating in worker memory.
-    env["REPRO_PROGRAM_SPILL"] = str(tmp_path / "spill")
-    (tmp_path / "spill").mkdir()
     daemon = subprocess.Popen(
         [
             sys.executable,

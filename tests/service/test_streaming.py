@@ -146,20 +146,36 @@ class TestStreamingResult:
     ):
         with ServerThread(tmp_path / "chaos.sock") as srv:
             client = ServiceClient(
-                socket_path=srv.socket_path, timeout=30.0, retries=0
+                socket_path=srv.socket_path, timeout=120.0, retries=0
             )
             client.wait_ready(timeout=10.0)
             assert client.ping()
-            faults.install(
-                {"rules": [{"site": "frame.corrupt", "at": [1]}]}
-            )
-            try:
-                with pytest.raises(RemoteError, match="undecodable"):
-                    client.backends()
-            finally:
-                faults.reset()
-            # The next (uncorrupted) frame works on a fresh connection.
+            job_id = client.submit(atomique_job(), keep_program=True)
+            client.result(job_id, wait=True)
+            expected = dumps(client.program(job_id))
+            # A finished job streams its progress events, then the program.
+            program_frame = len(client.status(job_id)["progress"]) + 1
+            # A flipped last byte of a program frame lands in the record's
+            # final column section, which still parses: the frame checksum
+            # is what turns it into an error, on the fetch and the stream.
+            for rule, fetch in (
+                ({"at": [1]}, client.backends),
+                ({"match": "program", "at": [1]}, lambda: client.program(job_id)),
+                (
+                    {"match": "result", "at": [program_frame]},
+                    lambda: client.result_stream(job_id),
+                ),
+            ):
+                faults.install({"rules": [{"site": "frame.corrupt", **rule}]})
+                try:
+                    with pytest.raises(RemoteError, match="undecodable"):
+                        fetch()
+                finally:
+                    faults.reset()
+            # The next (uncorrupted) frames work on fresh connections.
             assert "Atomique" in client.backends()
+            assert dumps(client.program(job_id)) == expected
+            assert dumps(client.result_stream(job_id)[1]) == expected
 
 
 class TestProgramRecordOnTheWire:

@@ -144,7 +144,7 @@ class TestBindocFrames:
         payload = decode_frame(data)
         blob = payload.pop("program")
         assert isinstance(blob, BinaryDoc) and blob.data == self.DOC
-        # the marker is stripped; nothing else leaks through
+        # the markers are stripped; nothing else leaks through
         assert payload == {"ok": True, "op": "program"}
 
     def test_large_bindoc_ships_undeflated(self):
@@ -182,6 +182,24 @@ class TestBindocFrames:
         with pytest.raises(WireError, match="bindoc json length"):
             decode_frame(header + body)
 
+    def test_flipped_doc_byte_fails_the_checksum(self):
+        # What the frame.corrupt chaos site does to a program frame: a v3
+        # record with its last byte flipped can still parse as a (wrong)
+        # program, so the frame's CRC-32 is what catches it.
+        data = encode_bindoc_frame({"ok": True, "op": "p"}, "program", self.DOC)
+        corrupt = data[:-1] + bytes((data[-1] ^ 0xFF,))
+        with pytest.raises(WireError, match="checksum"):
+            decode_frame(corrupt)
+
+    def test_bindoc_without_checksum_rejected(self):
+        head = json.dumps({"ok": True, "op": "p", "_bindoc": "d"}).encode()
+        body = len(head).to_bytes(4, "big") + head + b"doc"
+        header = FRAME_MAGIC + bytes(
+            (FRAME_VERSION, FRAME_FLAG_BINARY_DOC)
+        ) + len(body).to_bytes(4, "big")
+        with pytest.raises(WireError, match="checksum"):
+            decode_frame(header + body)
+
     def test_bindoc_without_marker_rejected(self):
         head = json.dumps({"ok": True, "op": "p"}).encode()
         body = len(head).to_bytes(4, "big") + head + b"doc"
@@ -202,10 +220,22 @@ class TestBindocFrames:
         restored = BinaryDoc(binformat.encode_program(store)).to_store()
         assert restored.gate_n_vib == store.gate_n_vib
         assert restored.off_gate == store.off_gate
-        # a chunk record is not a program record, and garbage is neither
-        chunk = binformat.encode_chunk(store.chunk_doc(0, store.num_stages))
+        # a record of any other kind is not a program record, and garbage
+        # is neither
+        record = binformat.encode_program(store)
+        meta, payload_off = binformat.parse_record(record)
+        meta["kind"] = "chunk"
+        meta_bytes = json.dumps(meta).encode("utf-8")
+        other = (
+            record[: len(binformat.MAGIC) + 1]
+            + len(meta_bytes).to_bytes(4, "little")
+            + meta_bytes
+            + record[payload_off:]
+        )
+        with pytest.raises(binformat.BinformatError, match="kind"):
+            binformat.decode_program(other)
         with pytest.raises(WireError, match="bad binary program"):
-            BinaryDoc(chunk).to_store()
+            BinaryDoc(other).to_store()
         with pytest.raises(WireError, match="bad binary program"):
             BinaryDoc(b"\x00garbage").to_store()
 

@@ -111,13 +111,6 @@ def get_backend(name: str) -> BackendSpec:
         ) from None
 
 
-def has_backend(name: str) -> bool:
-    """Whether *name* resolves — wire-side validation for the service,
-    which receives backend names as strings and must reject unknown ones
-    at submission time rather than when a worker picks the job up."""
-    return name in _REGISTRY
-
-
 def available_backends() -> list[str]:
     """Sorted names of every registered backend."""
     return sorted(_REGISTRY)

@@ -7,7 +7,6 @@ Qiskit surface (``circ.h(0)``, ``circ.cx(0, 1)``, ...).
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
 
@@ -180,11 +179,6 @@ class QuantumCircuit:
 
     # -- statistics ----------------------------------------------------------
 
-    @property
-    def unitary_gates(self) -> list[Gate]:
-        """All gates excluding measure/barrier directives."""
-        return [g for g in self._gates if not g.is_directive]
-
     def count_ops(self) -> Counter:
         """Histogram of gate names."""
         return Counter(g.name for g in self._gates)
@@ -289,8 +283,3 @@ class QuantumCircuit:
         c = QuantumCircuit(self.num_qubits, self.name)
         c._gates = list(reversed([g for g in self._gates if not g.is_directive]))
         return c
-
-
-def random_angle(rng) -> float:
-    """Uniform angle in ``[0, 2*pi)`` from a ``numpy`` generator."""
-    return float(rng.uniform(0.0, 2.0 * math.pi))

@@ -28,14 +28,15 @@ only *engaged* atoms can collide, and the constraint checks reduce to:
 
 Each check can be relaxed independently (Fig. 22's ablation).
 
-The constraint engine is **incremental**: every mutation goes through
-:meth:`StagePlan.add`, which journals the entries it touched (so
-:meth:`StagePlan.restore` pops the journal instead of deep-copying the whole
-plan), keeps per-line sorted indices for O(log n) C2/C3 checks, and updates
-a site-occupancy index so :meth:`StagePlan.is_legal` is an O(1) lookup
-rather than a full :meth:`engaged_atoms` rebuild.  Mutating ``row_maps`` /
-``col_maps`` directly bypasses these indexes; the authoritative full scans
-(:meth:`engaged_atoms`, :meth:`violates_c1`) still see such edits.
+A :class:`StagePlan` is filled one gate at a time by
+:meth:`StagePlan.place_pair`, which probes a gate's candidate sites
+best-first and commits the first one that every enforced constraint
+admits; :meth:`StagePlan.reset` empties it for the next stage.  The plan
+keeps a sorted mirror of each AOD line map for O(log n) C2/C3 checks and a
+site-occupancy index of engaged AOD atoms, which the exact C1 pre-check
+reads, so a candidate is committed only once it is known to be legal and
+nothing is ever undone.  The from-scratch reference the tests compare the
+plan against is ``tests/stage_plan_oracle.py``.
 """
 
 from __future__ import annotations
@@ -66,18 +67,12 @@ class ConstraintToggles:
     no_overlap: bool = True  # constraint 3
 
 
-def _snap(x: float) -> float:
-    """Round to the comparison resolution."""
-    return round(x / _EPS) * _EPS
-
-
 def _snap_site(r: float, c: float) -> Site:
     """Snap both coordinates of a site to the comparison resolution.
 
-    The single definition of the float-snapping discipline shared by
-    :meth:`StagePlan.can_add`, :meth:`StagePlan.add`, and both
-    :meth:`StagePlan.place_pair` paths, so occupancy keys cannot drift
-    between them.
+    The single definition of the float-snapping discipline shared by the
+    router's candidate sets and both :meth:`StagePlan.place_pair` commit
+    paths, so occupancy keys cannot drift between them.
     """
     return (round(r / _EPS) * _EPS, round(c / _EPS) * _EPS)
 
@@ -107,9 +102,7 @@ class CandidateSet(NamedTuple):
 
     @classmethod
     def from_pairs(cls, pairs: list[tuple[Site, Site]]) -> "CandidateSet":
-        """Build a set (with its extremes) from ``(raw, snapped)`` pairs —
-        the one constructor both the router and direct list-of-pairs
-        callers go through."""
+        """Build a set (with its extremes) from ``(raw, snapped)`` pairs."""
         if not pairs:
             return cls(pairs, 0.0, 0.0, 0.0, 0.0)
         rs = [s[0] for _raw, s in pairs]
@@ -126,7 +119,7 @@ class LocationIndex:
     rebuilding the dictionaries per stage.
     """
 
-    __slots__ = ("slm_site_to_qubit", "aod_atoms", "line_atoms")
+    __slots__ = ("slm_site_to_qubit", "line_atoms")
 
     def __init__(self, locations: dict[int, AtomLocation]) -> None:
         self.slm_site_to_qubit: dict[Site, int] = {
@@ -134,7 +127,6 @@ class LocationIndex:
             for q, loc in locations.items()
             if loc.is_slm
         }
-        self.aod_atoms: dict[int, list[tuple[int, AtomLocation]]] = {}
         #: per axis, (aod, line) -> {other-axis index: qubit}: the atom at
         #: each crosspoint of that line.  A new line entry engages exactly
         #: the atoms at its crosspoints with the other axis's committed
@@ -147,7 +139,6 @@ class LocationIndex:
         by_row, by_col = self.line_atoms
         for q, loc in locations.items():
             if loc.is_aod:
-                self.aod_atoms.setdefault(loc.array, []).append((q, loc))
                 by_row.setdefault((loc.array, loc.row), {})[loc.col] = q
                 by_col.setdefault((loc.array, loc.col), {})[loc.row] = q
 
@@ -157,28 +148,21 @@ class _SortedLine:
 
     ``idx``/``tgt`` are parallel arrays sorted by line index; ``tsorted``
     holds the same targets sorted by value (for the C3 equality probe).
-    ``monotone`` stays True while the targets are weakly increasing in line
-    index — guaranteed when C2 was enforced on every insertion — enabling
-    the neighbour-only C2 check; it turns sticky-False otherwise and the
-    check falls back to a linear scan.
+    While C2 is enforced every commit keeps ``tgt`` weakly increasing, so
+    a new entry's C2 window is bounded by its two neighbours in ``idx``.
     """
 
-    __slots__ = ("idx", "tgt", "tsorted", "monotone")
+    __slots__ = ("idx", "tgt", "tsorted")
 
     def __init__(self) -> None:
         self.idx: list[int] = []
         self.tgt: list[float] = []
         self.tsorted: list[float] = []
-        self.monotone = True
 
     def insert(self, index: int, target: float) -> None:
         p = bisect_left(self.idx, index)
         self.idx.insert(p, index)
         self.tgt.insert(p, target)
-        if p > 0 and self.tgt[p - 1] > target + _EPS:
-            self.monotone = False
-        if p + 1 < len(self.tgt) and self.tgt[p + 1] < target - _EPS:
-            self.monotone = False
         insort(self.tsorted, target)
 
     def remove(self, index: int, target: float) -> None:
@@ -188,8 +172,8 @@ class _SortedLine:
         del self.tsorted[bisect_left(self.tsorted, target)]
 
 
-# journal record tags
-_ROW, _COL, _SCHED, _BUSY = 0, 1, 2, 3
+# line axes
+_ROW, _COL = 0, 1
 
 
 @dataclass
@@ -198,7 +182,8 @@ class StagePlan:
 
     ``row_maps[aod]`` maps AOD row index -> target coordinate (site units);
     likewise for columns.  ``scheduled`` maps an interaction point to the
-    qubit pair gated there.
+    qubit pair gated there.  A plan starts empty and is filled only by
+    :meth:`place_pair`.
 
     ``index`` may be a precomputed :class:`LocationIndex` for these
     locations; passing one lets the router skip rebuilding the static
@@ -208,20 +193,19 @@ class StagePlan:
     architecture: RAAArchitecture
     locations: dict[int, AtomLocation]
     toggles: ConstraintToggles = field(default_factory=ConstraintToggles)
-    row_maps: dict[int, dict[int, float]] = field(default_factory=dict)
-    col_maps: dict[int, dict[int, float]] = field(default_factory=dict)
-    scheduled: dict[Site, tuple[int, int]] = field(default_factory=dict)
-    busy_qubits: set[int] = field(default_factory=set)
+    row_maps: dict[int, dict[int, float]] = field(init=False, default_factory=dict)
+    col_maps: dict[int, dict[int, float]] = field(init=False, default_factory=dict)
+    scheduled: dict[Site, tuple[int, int]] = field(init=False, default_factory=dict)
+    busy_qubits: set[int] = field(init=False, default_factory=set)
     index: LocationIndex | None = None
 
     def __post_init__(self) -> None:
         for a in range(1, self.architecture.num_arrays):
-            self.row_maps.setdefault(a, {})
-            self.col_maps.setdefault(a, {})
+            self.row_maps[a] = {}
+            self.col_maps[a] = {}
         if self.index is None:
             self.index = LocationIndex(self.locations)
         self._slm_site_to_qubit = self.index.slm_site_to_qubit
-        self._aod_atoms = self.index.aod_atoms
         self._lines: tuple[dict[int, _SortedLine], dict[int, _SortedLine]] = ({}, {})
         #: per-pair requirement templates for :meth:`place_pair` — static
         #: for the plan's lifetime (locations and toggles are fixed, and
@@ -233,22 +217,6 @@ class StagePlan:
         self._max_c: float = self.architecture.site_cols - 0.5
         #: engaged AOD atoms per interaction point (incremental occupancy)
         self._occupancy: dict[Site, list[int]] = {}
-        #: interaction points currently violating C1
-        self._bad_sites: set[Site] = set()
-        self._journal: list[tuple] = []
-        self._num_line_entries = 0
-        # Replay any prefilled maps through the incremental indexes: every
-        # line entry first, then each engaged atom once (engaging per entry
-        # would land an atom once from its row and again from its column).
-        for axis, maps in ((_ROW, self.row_maps), (_COL, self.col_maps)):
-            for aod, m in maps.items():
-                for idx, target in m.items():
-                    self._line(axis, aod).insert(idx, target)
-                    self._num_line_entries += 1
-        for q, site in self.engaged_atoms():
-            self._occupancy.setdefault(site, []).append(q)
-        for site in self._occupancy:
-            self._refresh_site(site)
 
     def _line(self, axis: int, aod: int) -> _SortedLine:
         per_axis = self._lines[axis]
@@ -346,10 +314,9 @@ class StagePlan:
     def reset(self) -> None:
         """Return the plan to the empty state in O(structures touched).
 
-        Equivalent to ``restore(0)`` for plans built through
-        :meth:`add`/:meth:`place_pair`, but clears wholesale instead of
-        popping the journal entry by entry — the router uses this to reuse
-        one scratch plan across stages.
+        Clears every structure in place, so the cached templates' map and
+        line references stay valid; the router uses this to reuse one
+        scratch plan across stages.
         """
         for m in self.row_maps.values():
             m.clear()
@@ -362,31 +329,22 @@ class StagePlan:
                 line.idx.clear()
                 line.tgt.clear()
                 line.tsorted.clear()
-                line.monotone = True
         self._occupancy.clear()
-        self._bad_sites.clear()
-        self._journal.clear()
-        self._num_line_entries = 0
 
-    # -- incremental C1 occupancy -------------------------------------------------
+    def _disengage(self, axis: int, aod: int, idx: int, target: float) -> None:
+        """Take the atoms that line entry ``idx -> target`` engaged out of
+        the occupancy index, before :meth:`place_pair` re-sets the entry.
 
-    def _engage(
-        self, axis: int, aod: int, idx: int, target: float, add: bool
-    ) -> None:
-        """Engage/disengage the atoms a map entry completes.
-
-        A row entry ``idx -> target`` lands every AOD atom in that row whose
-        column is also mapped; symmetrically for column entries.  The walk
-        visits the other axis's committed entries and looks up the atom at
-        each crosspoint.
+        An entry engages the AOD atom at each of its crosspoints with the
+        other axis's committed entries; the walk visits those entries and
+        looks up the atom at each crosspoint.
         """
         atoms_on_line = self.index.line_atoms[axis].get((aod, idx))
-        other_map = (self.col_maps if axis == _ROW else self.row_maps)[aod]
-        if not atoms_on_line or not other_map:
+        if not atoms_on_line:
             return
+        other_map = (self.col_maps if axis == _ROW else self.row_maps)[aod]
         snapped = round(target / _EPS) * _EPS
         occupancy = self._occupancy
-        slm_lookup = self._slm_site_to_qubit
         for other_idx, other_t in other_map.items():
             q = atoms_on_line.get(other_idx)
             if q is None:
@@ -396,230 +354,17 @@ class StagePlan:
                 site = (snapped, other_snapped)
             else:
                 site = (other_snapped, snapped)
-            if add:
-                atoms = occupancy.get(site)
-                if atoms is None:
-                    occupancy[site] = [q]
-                    # a lone engaged atom only matters on an SLM trap
-                    if site in slm_lookup:
-                        self._refresh_site(site)
-                else:
-                    atoms.append(q)
-                    self._refresh_site(site)
+            atoms = occupancy[site]
+            if len(atoms) == 1:
+                del occupancy[site]
             else:
-                atoms = occupancy[site]
-                if len(atoms) == 1:
-                    del occupancy[site]
-                    # 0 engaged atoms can never violate C1
-                    self._bad_sites.discard(site)
-                else:
-                    atoms.remove(q)
-                    self._refresh_site(site)
-
-    def _refresh_site(self, site: Site) -> None:
-        """Recompute whether *site* violates C1 after an occupancy change."""
-        atoms = self._occupancy.get(site, ())
-        slm_q = self._slm_site_to_qubit.get(site)
-        total = len(atoms) + (slm_q is not None)
-        if total < 2:
-            self._bad_sites.discard(site)
-            return
-        if total > 2:
-            self._bad_sites.add(site)
-            return
-        pair = self.scheduled.get(site)
-        if pair is None:
-            self._bad_sites.add(site)
-            return
-        if slm_q is None:
-            first, second = atoms
-        else:
-            first, second = atoms[0], slm_q
-        pa, pb = pair
-        if (first == pa and second == pb) or (first == pb and second == pa):
-            self._bad_sites.discard(site)
-        else:
-            self._bad_sites.add(site)
-
-    # -- journaled mutation -------------------------------------------------------
-
-    def _map_set(self, axis: int, aod: int, idx: int, target: float) -> None:
-        """Set one line-map entry, journaling the old value for undo."""
-        m = (self.row_maps if axis == _ROW else self.col_maps)[aod]
-        old = m.get(idx)
-        if old is not None and old == target:
-            return  # no-op: a second gate reusing an already-set line
-        line = self._line(axis, aod)
-        if old is not None:
-            self._engage(axis, aod, idx, old, add=False)
-            line.remove(idx, old)
-        else:
-            self._num_line_entries += 1
-        m[idx] = target
-        line.insert(idx, target)
-        self._engage(axis, aod, idx, target, add=True)
-        self._journal.append((axis, aod, idx, old))
-
-    def _map_unset(self, axis: int, aod: int, idx: int, old: float | None) -> None:
-        """Undo one :meth:`_map_set` (restore *old*, or delete if None)."""
-        m = (self.row_maps if axis == _ROW else self.col_maps)[aod]
-        current = m[idx]
-        line = self._line(axis, aod)
-        self._engage(axis, aod, idx, current, add=False)
-        line.remove(idx, current)
-        if old is None:
-            del m[idx]
-            self._num_line_entries -= 1
-        else:
-            m[idx] = old
-            line.insert(idx, old)
-            self._engage(axis, aod, idx, old, add=True)
-
-    # -- map-extension feasibility ------------------------------------------------
-
-    def _line_ok(self, existing: dict[int, float], index: int, target: float) -> bool:
-        """Can line *index* map to *target* given the other entries?
-
-        Order preservation (C2) forbids *inversions*; overlap (C3) forbids
-        *equal* targets.  With both enforced the map is strictly monotone;
-        relaxing C3 alone still requires a weakly monotone map.
-
-        Reference (linear) implementation, kept for arbitrary dicts; the
-        hot path uses :meth:`_line_ok_fast` over the sorted mirrors.
-        """
-        bound = existing.get(index)
-        if bound is not None:
-            return abs(bound - target) < _EPS
-        for other_idx, other_t in existing.items():
-            if self.toggles.no_overlap and abs(other_t - target) < _EPS:
-                return False
-            if self.toggles.preserve_order:
-                if other_idx < index and other_t > target + _EPS:
-                    return False
-                if other_idx > index and other_t < target - _EPS:
-                    return False
-        return True
-
-    def _line_ok_fast(
-        self,
-        axis: int,
-        aod: int,
-        idx: int,
-        target: float,
-        staged: list[tuple[int, int, int, float]],
-    ) -> bool:
-        """O(log n) version of :meth:`_line_ok` against the committed map
-        plus the (tiny) *staged* requirement list of the current probe."""
-        bound = (self.row_maps if axis == _ROW else self.col_maps)[aod].get(idx)
-        if bound is None:
-            for ax2, aod2, idx2, t2 in staged:
-                if ax2 == axis and aod2 == aod and idx2 == idx:
-                    bound = t2
-        if bound is not None:
-            return abs(bound - target) < _EPS
-        line = self._lines[axis].get(aod)
-        no_overlap = self.toggles.no_overlap
-        preserve_order = self.toggles.preserve_order
-        if line is not None and line.idx:
-            if no_overlap:
-                ts = line.tsorted
-                j = bisect_left(ts, target)
-                if j < len(ts) and ts[j] - target < _EPS:
-                    return False
-                if j > 0 and target - ts[j - 1] < _EPS:
-                    return False
-            if preserve_order:
-                if line.monotone:
-                    # weakly increasing => prefix max / suffix min are the
-                    # immediate neighbours of the insertion point
-                    p = bisect_left(line.idx, idx)
-                    if p > 0 and line.tgt[p - 1] > target + _EPS:
-                        return False
-                    if p < len(line.idx) and line.tgt[p] < target - _EPS:
-                        return False
-                else:
-                    for other_idx, other_t in zip(line.idx, line.tgt):
-                        if other_idx < idx and other_t > target + _EPS:
-                            return False
-                        if other_idx > idx and other_t < target - _EPS:
-                            return False
-        for ax2, aod2, idx2, t2 in staged:
-            if ax2 != axis or aod2 != aod:
-                continue
-            if no_overlap and abs(t2 - target) < _EPS:
-                return False
-            if preserve_order:
-                if idx2 < idx and t2 > target + _EPS:
-                    return False
-                if idx2 > idx and t2 < target - _EPS:
-                    return False
-        return True
-
-    def line_requirements(
-        self, qubit: int, site: Site
-    ) -> list[tuple[str, int, int, float]]:
-        """Row/col map entries needed to bring *qubit* to *site*."""
-        loc = self.locations[qubit]
-        if loc.is_slm:
-            if abs(loc.row - site[0]) > _EPS or abs(loc.col - site[1]) > _EPS:
-                raise ValueError(
-                    f"SLM qubit {qubit} at {(loc.row, loc.col)} cannot reach {site}"
-                )
-            return []
-        return [
-            ("row", loc.array, loc.row, site[0]),
-            ("col", loc.array, loc.col, site[1]),
-        ]
-
-    def can_add(self, qubit_a: int, qubit_b: int, site: Site) -> bool:
-        """Check constraints 2 & 3 for scheduling the pair at *site*.
-
-        Constraint 1 needs the global occupancy view, so callers verify
-        :meth:`is_legal` after a tentative :meth:`add` (undo via
-        :meth:`snapshot`/:meth:`restore`).
-        """
-        busy = self.busy_qubits
-        if qubit_a in busy or qubit_b in busy:
-            return False
-        site = _snap_site(site[0], site[1])
-        if site in self.scheduled:
-            return False
-        if not (
-            -0.5 <= site[0] <= self.architecture.site_rows - 0.5
-            and -0.5 <= site[1] <= self.architecture.site_cols - 0.5
-        ):
-            return False
-        slm_here = self._slm_site_to_qubit.get(site)
-        if (
-            slm_here is not None
-            and slm_here not in (qubit_a, qubit_b)
-            and self.toggles.no_unintended_interaction
-        ):
-            return False
-        staged: list[tuple[int, int, int, float]] = []
-        for q in (qubit_a, qubit_b):
-            loc = self.locations[q]
-            if loc.is_slm:
-                if (
-                    abs(loc.row - site[0]) > _EPS
-                    or abs(loc.col - site[1]) > _EPS
-                ):
-                    return False
-                continue
-            for axis, idx, target in (
-                (_ROW, loc.row, site[0]),
-                (_COL, loc.col, site[1]),
-            ):
-                if not self._line_ok_fast(axis, loc.array, idx, target, staged):
-                    return False
-                staged.append((axis, loc.array, idx, target))
-        return True
+                atoms.remove(q)
 
     def place_pair(
         self,
         qubit_a: int,
         qubit_b: int,
-        candidates: CandidateSet | list[tuple[Site, Site]],
+        candidates: CandidateSet,
     ) -> tuple[Site | None, bool]:
         """Router hot path: try ``(raw, snapped)`` candidate sites best-first.
 
@@ -627,21 +372,14 @@ class StagePlan:
         first candidate that passed every enforced constraint (committed
         into the plan) or None, and ``overlap_blocked`` is True when C3 is
         enforced and at least one rejected candidate would have been
-        feasible with C3 relaxed (the Fig. 24 statistic).  Equivalent to
-        looping ``can_add`` + ``add`` + ``is_legal`` + ``restore`` per site,
-        under every toggle setting, with the strict and C3-relaxed
-        feasibility evaluated in one pass.
+        feasible with C3 relaxed (the Fig. 24 statistic).  The strict and
+        C3-relaxed feasibility are evaluated in one pass, under every
+        toggle setting.
 
         The two atoms must sit in different arrays (every routed gate is
         inter-array): two distinct atoms of one AOD array raise
-        ``ValueError``, as does a committed line that breaks C2 while C2
-        is enforced (only direct map edits can make one).
+        ``ValueError``.
         """
-        if type(candidates) is not CandidateSet:
-            # Direct list-of-pairs callers (tests, baselines) get extremes
-            # computed once at entry, so they take the identical path as
-            # router-built CandidateSets.
-            candidates = CandidateSet.from_pairs(candidates)
         extremes = candidates
         candidates = candidates.sites
         tmpl = self._pair_templates.get((qubit_a, qubit_b))
@@ -656,21 +394,16 @@ class StagePlan:
         busy = self.busy_qubits
         if qubit_a in busy or qubit_b in busy:
             return None, False
-        if (
-            empty_ok
-            and self._num_line_entries == 0
-            and not self.scheduled
-            and not busy
-            and candidates
-        ):
-            # Empty plan, atoms in different arrays: nothing in the plan can
-            # conflict, so the best-ranked *valid* candidate commits
-            # immediately (the common case for the first gate of every
-            # stage).  Router-built CandidateSets are pre-filtered, so the
-            # validity check below only guards direct callers; on any
-            # failure we fall through to the probe loop.  The only atoms
-            # the new entries can engage are the pair itself, so the
-            # occupancy update is a single direct write.
+        if empty_ok and not self.scheduled and candidates:
+            # Empty plan (every commit schedules a gate, so no schedule
+            # means no line entries either), atoms in different arrays:
+            # nothing in the plan can conflict, so the best-ranked *valid*
+            # candidate commits immediately (the common case for the first
+            # gate of every stage).  Router-built CandidateSets are
+            # pre-filtered, so the validity check below only guards direct
+            # callers; on any failure we fall through to the probe loop.
+            # The only atoms the new entries can engage are the pair
+            # itself, so the occupancy update is a single direct write.
             raw, site = candidates[0]
             slm_here = self._slm_site_to_qubit.get(site)
             stray_slm = (
@@ -689,27 +422,17 @@ class StagePlan:
             if site_ok:
                 # Every line is empty, and the template's line objects are
                 # already resolved: write each entry straight through them.
-                journal_append = self._journal.append
-                for m, line, idx, coord, _atoms, _other, is_row, aod in reqs:
+                for m, line, idx, coord, _atoms, _other, _is_row, _aod in reqs:
                     target = site[coord]
                     m[idx] = target
                     line.insert(idx, target)
-                    journal_append((_ROW if is_row else _COL, aod, idx, None))
-                self._num_line_entries = len(reqs)
                 engaged = [qubit_a] if a_aod else []
                 if b_aod:
                     engaged.append(qubit_b)
-                landing = _snap_site(site[0], site[1])
-                self._occupancy[landing] = engaged
+                self._occupancy[_snap_site(site[0], site[1])] = engaged
                 self.scheduled[site] = (qubit_a, qubit_b)
-                journal_append((_SCHED, site))
-                if stray_slm:
-                    # C1 relaxed let the pair meet on another atom's trap
-                    self._refresh_site(landing)
                 busy.add(qubit_a)
                 busy.add(qubit_b)
-                journal_append((_BUSY, qubit_a))
-                journal_append((_BUSY, qubit_b))
                 return raw, False
             # fall through: validate every candidate via the probe loop
         toggles = self.toggles
@@ -761,10 +484,6 @@ class StagePlan:
                         rbound = bound
                     continue
                 if preserve_order:
-                    if not line.monotone:
-                        raise ValueError(
-                            "a committed line breaks C2 (order preservation)"
-                        )
                     p = bisect_left(line.idx, idx)
                     tgt = line.tgt
                     if coord:
@@ -927,25 +646,21 @@ class StagePlan:
                             landings.append(landing)
                 if viol:
                     continue
-            # Commit: :meth:`_map_set` + the ``add=True`` arm of
-            # :meth:`_engage` inlined over the requirements (identical to
-            # :meth:`add` — the only entries ``reqs`` drops are exact
-            # duplicates, which ``_map_set`` would no-op without
-            # journaling).
-            journal = self._journal
-            journal_append = journal.append
-            token = len(journal)
+            # Commit: every enforced constraint holds (with C1 enforced the
+            # exact pre-check above passed), so nothing is ever rolled
+            # back.  Each new line entry engages the atoms at its
+            # crosspoints with the other axis's committed entries.  A
+            # committed entry is pinned within _EPS, not exactly, so one
+            # whose target differs by less than that is re-set: the atoms
+            # it engaged leave the occupancy index first.
             for m, line, idx, coord, line_atoms, other_map, is_row, aod in reqs:
                 target = site[coord]
                 old = m.get(idx)
                 if old is not None and old == target:
                     continue
-                axis = _ROW if is_row else _COL
                 if old is not None:
-                    self._engage(axis, aod, idx, old, add=False)
+                    self._disengage(_ROW if is_row else _COL, aod, idx, old)
                     line.remove(idx, old)
-                else:
-                    self._num_line_entries += 1
                 m[idx] = target
                 line.insert(idx, target)
                 if other_map:
@@ -962,108 +677,10 @@ class StagePlan:
                         atoms = occupancy.get(esite)
                         if atoms is None:
                             occupancy[esite] = [q2]
-                            # a lone engaged atom only matters on an SLM
-                            # trap
-                            if esite in slm_lookup:
-                                self._refresh_site(esite)
                         else:
                             atoms.append(q2)
-                            self._refresh_site(esite)
-                journal_append((axis, aod, idx, old))
-            pair = (qubit_a, qubit_b)
-            scheduled[site] = pair
-            journal_append((_SCHED, site))
-            self._refresh_site(site)
-            for q in pair:
-                if q not in busy:
-                    busy.add(q)
-                    journal_append((_BUSY, q))
-            if not (check_c1 and self._bad_sites):
-                return raw, overlap_blocked
-            # The pre-check is exact, so only a plan that was illegal before
-            # this commit (direct map edits) is rolled back here.
-            self.restore(token)
+            scheduled[site] = (qubit_a, qubit_b)
+            busy.add(qubit_a)
+            busy.add(qubit_b)
+            return raw, overlap_blocked
         return None, overlap_blocked
-
-    def add(self, qubit_a: int, qubit_b: int, site: Site) -> None:
-        """Commit the pair at *site* (must have passed :meth:`can_add`)."""
-        site = _snap_site(site[0], site[1])
-        for q in (qubit_a, qubit_b):
-            for axis, aod, idx, target in self.line_requirements(q, site):
-                self._map_set(_ROW if axis == "row" else _COL, aod, idx, target)
-        self.scheduled[site] = (qubit_a, qubit_b)
-        self._journal.append((_SCHED, site))
-        self._refresh_site(site)
-        for q in (qubit_a, qubit_b):
-            if q not in self.busy_qubits:
-                self.busy_qubits.add(q)
-                self._journal.append((_BUSY, q))
-
-    def snapshot(self) -> int:
-        """O(1) undo token for speculative adds: the journal length."""
-        return len(self._journal)
-
-    def restore(self, token: int) -> None:
-        """Pop the journal back to *token*, undoing every later mutation."""
-        journal = self._journal
-        while len(journal) > token:
-            rec = journal.pop()
-            tag = rec[0]
-            if tag == _SCHED:
-                site = rec[1]
-                del self.scheduled[site]
-                self._refresh_site(site)
-            elif tag == _BUSY:
-                self.busy_qubits.discard(rec[1])
-            else:  # _ROW / _COL map entry
-                _, aod, idx, old = rec
-                self._map_unset(tag, aod, idx, old)
-
-    # -- constraint 1 (global occupancy) ----------------------------------------
-
-    def engaged_atoms(self) -> list[tuple[int, Site]]:
-        """All engaged AOD atoms and their landing coordinates (full scan)."""
-        out: list[tuple[int, Site]] = []
-        for aod, atoms in self._aod_atoms.items():
-            rmap = self.row_maps[aod]
-            cmap = self.col_maps[aod]
-            if not rmap or not cmap:
-                continue
-            for q, loc in atoms:
-                r = rmap.get(loc.row)
-                c = cmap.get(loc.col)
-                if r is not None and c is not None:
-                    out.append((q, _snap_site(r, c)))
-        return out
-
-    def violates_c1(self) -> bool:
-        """True if any interaction point hosts a non-scheduled pair or >2 atoms.
-
-        Authoritative full scan (sees even direct map edits); the router's
-        hot path uses the incremental :meth:`is_legal` instead.
-        """
-        occupancy: dict[Site, list[int]] = {}
-        for q, site in self.engaged_atoms():
-            occupancy.setdefault(site, []).append(q)
-        for site, aod_atoms in occupancy.items():
-            atoms = list(aod_atoms)
-            slm_q = self._slm_site_to_qubit.get(site)
-            if slm_q is not None:
-                atoms.append(slm_q)
-            if len(atoms) == 1:
-                continue
-            if len(atoms) > 2:
-                return True
-            pair = self.scheduled.get(site)
-            if pair is None or set(atoms) != set(pair):
-                return True
-        return False
-
-    def is_legal(self) -> bool:
-        """Full legality under the active toggles (C2/C3 hold by construction).
-
-        O(1): reads the incrementally maintained violating-site set.
-        """
-        if self.toggles.no_unintended_interaction and self._bad_sites:
-            return False
-        return True

@@ -69,15 +69,6 @@ def _run_topology_grid(
     ]
 
 
-def aspect_ratio_shapes(total: int = 48) -> list[tuple[int, int]]:
-    """Factor pairs of *total*, wide to tall (paper uses 49 = 7x7 family)."""
-    shapes = []
-    for rows in range(1, total + 1):
-        if total % rows == 0:
-            shapes.append((rows, total // rows))
-    return shapes
-
-
 def run_aspect_ratio(
     shapes: list[tuple[int, int]] | None = None,
     benchmarks: list[QuantumCircuit] | None = None,

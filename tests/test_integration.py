@@ -82,22 +82,26 @@ class TestEndToEndArtifacts:
         assert res.num_swaps <= 2
 
     def test_every_stage_obeys_toggles(self):
-        """Replay a compiled program through a fresh StagePlan validator."""
-        from repro.core.constraints import StagePlan
+        """Replay every compiled stage through the from-scratch oracle, with
+        all constraints enforced and with each one relaxed in turn."""
+        from repro.core.constraints import ConstraintToggles
+        from repro.core.router import RouterConfig
+        from tests.stage_plan_oracle import Rules, stage_violation
 
         circ = qsim_random(20, seed=20)
         arch = RAAArchitecture.default()
-        res = AtomiqueCompiler(arch).compile(circ)
-        for stage in res.program.stages:
-            if not stage.gates:
-                continue
-            plan = StagePlan(architecture=arch, locations=res.locations)
-            for g in stage.gates:
-                assert plan.can_add(g.qubit_a, g.qubit_b, g.site), (
-                    f"replay rejected {g}"
-                )
-                plan.add(g.qubit_a, g.qubit_b, g.site)
-            assert plan.is_legal()
+        for toggles in (
+            ConstraintToggles(),
+            ConstraintToggles(no_unintended_interaction=False),
+            ConstraintToggles(preserve_order=False),
+            ConstraintToggles(no_overlap=False),
+        ):
+            cfg = AtomiqueConfig(router=RouterConfig(toggles=toggles))
+            res = AtomiqueCompiler(arch, cfg).compile(circ)
+            rules = Rules(arch, res.locations, toggles)
+            for stage in res.program.stages:
+                gates = [(g.qubit_a, g.qubit_b, g.site) for g in stage.gates]
+                assert stage_violation(rules, gates) is None, (toggles, gates)
 
     def test_fidelity_model_consistent_with_metrics(self):
         circ = qaoa_regular(16, 4, seed=4)

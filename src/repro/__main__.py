@@ -114,7 +114,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         result_cache_dir=args.result_cache,
         inline=args.inline,
         lease_seconds=args.lease,
-        fault_spec=fault_spec,
+        fault_plan=fault_spec,
         farm=args.farm,
         node=args.node,
         workers=args.workers,

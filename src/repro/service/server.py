@@ -35,21 +35,14 @@ results are identical either way because compiles are seeded and
 deterministic.  Timeouts are not preemptive inline (nothing can interrupt
 the in-process compile).
 
-**Farm mode** (``farm=True``): N daemons share one spool (and one
-:class:`~repro.core.pipeline.DiskPipelineCache` directory) with no
-coordinator.  Shard ownership is elected through
-:class:`~repro.service.shards.ShardBoard` lease files — each daemon
-claims up to its fair share ``ceil(shards / live_daemons)`` of shards,
-renews them on the farm tick, and adopts expired ones (a dead peer's
-shards redistribute within one shard-lease).  Every dispatch is guarded
-by a :class:`~repro.service.shards.JobClaims` exclusive-create claim
-file, so the takeover window and the **work-stealing** path (a daemon
-whose owned shards drain takes PENDING jobs from the most backlogged
-unowned shard) can never double-run a job.  Worker slots decouple from
-logical shards in farm mode (``workers`` local pools, shard → slot by
-modulo); peers' record writes are ingested by the queue's fingerprint
-``sync`` on the same tick, and cross-daemon cancellation travels as
-marker files under ``spool/control/`` applied by the owning daemon.
+The lifecycle decisions (dispatch, reap, cancel, every terminal
+transition) are made by the sans-IO
+:class:`~repro.service.lifecycle.FarmNode`; :class:`CompileService` is the
+asyncio driver around it.  A solo daemon's node owns every shard.  **Farm
+mode** (``farm=True``) gives the node a shard-lease board and per-job
+claim files on a spool shared by N daemons, with no coordinator; worker
+slots then decouple from logical shards (``workers`` local pools, shard →
+slot by modulo).
 
 :class:`ServiceServer` exposes the service over a binary-frame socket
 protocol (:mod:`repro.service.wire`: one request frame in, one response
@@ -65,7 +58,6 @@ import asyncio
 import hashlib
 import json
 import logging
-import math
 import os
 import tempfile
 import time
@@ -88,11 +80,11 @@ from ..core.pipeline import (
     set_pass_progress_sink,
 )
 from ..core import binformat
-from ..core.blobs import atomic_write
 from ..experiments import batch
 from ..experiments.batch import CompileJob, ResultCache
 from ..hardware.raa import RAAArchitecture
 from . import faults
+from .lifecycle import FarmNode
 from .queue import JobQueue, JobRecord, JobState, QueueError
 from .shards import DEFAULT_SHARD_LEASE_SECONDS, JobClaims, ShardBoard
 from .wire import (
@@ -241,6 +233,18 @@ def _pool_ready() -> bool:
     return True
 
 
+def _shutdown_pool(pool: ProcessPoolExecutor, kill: bool) -> None:
+    """Shut *pool* down without waiting; ``kill`` also ends workers still
+    computing."""
+    victims = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in victims if kill else ():
+        try:
+            proc.kill()
+        except Exception:
+            pass
+
+
 class CompileService:
     """Job submission/status/result orchestration over sharded workers."""
 
@@ -258,7 +262,6 @@ class CompileService:
         workers: int | None = None,
         shard_lease_seconds: float = DEFAULT_SHARD_LEASE_SECONDS,
         farm_tick_seconds: float | None = None,
-        steal: bool = True,
         clock: Callable[[], float] = time.time,
     ) -> None:
         if shards < 1:
@@ -273,7 +276,6 @@ class CompileService:
         self.fault_plan = faults.FaultPlan.coerce(fault_plan)
         self.farm = farm
         self.node = node or f"daemon-{os.getpid()}"
-        self._owner = self.node
         # Non-farm keeps the historical one-worker-per-shard shape; a farm
         # daemon covers all logical shards with a small local pool (shard →
         # slot by modulo), since the farm-wide shard count exceeds any one
@@ -284,8 +286,6 @@ class CompileService:
         )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        self.steal = steal
-        self.shard_lease_seconds = shard_lease_seconds
         self._farm_tick = (
             farm_tick_seconds
             if farm_tick_seconds is not None
@@ -305,22 +305,27 @@ class CompileService:
             node_id=node_digest if farm else None,
             shared=farm,
         )
-        self._board: ShardBoard | None = None
-        self._claims: JobClaims | None = None
+        board = claims = None
         if farm:
-            self._board = ShardBoard(
+            board = ShardBoard(
                 Path(spool_dir) / "shards",
                 owner=self.node,
                 shards=shards,
                 lease_seconds=shard_lease_seconds,
                 clock=clock,
             )
-            self._claims = JobClaims(
+            claims = JobClaims(
                 Path(spool_dir) / "claims",
                 owner=self.node,
                 lease_seconds=lease_seconds,
                 clock=clock,
             )
+        #: every dispatch, reap, cancel and terminal decision; a solo
+        #: daemon's node has no board and no claims and owns every shard
+        self.lifecycle = FarmNode(
+            self.queue, shards, self.node, lease_seconds, board, claims,
+            wake=self._wake_shard, finished=self._job_finished,
+        )
         self._prefix_cache_dir = (
             str(prefix_cache_dir) if prefix_cache_dir is not None else None
         )
@@ -339,21 +344,9 @@ class CompileService:
         self._dispatchers: list[asyncio.Task[None]] = []
         self._reaper: asyncio.Task[None] | None = None
         self._farm_task: asyncio.Task[None] | None = None
+        #: waiters of unfinished jobs, set and dropped when the job finishes
         self._events: dict[str, asyncio.Event] = {}
         self._inflight: dict[str, asyncio.Future[Any]] = {}
-        #: shards this daemon currently owns (all of them when not a farm)
-        self._owned: set[int] = set(range(shards)) if not farm else set()
-        #: unowned-shard jobs this daemon claimed through work-stealing
-        self._stolen: set[str] = set()
-        #: job_id -> retry-not-before time after a lost claim race
-        self._claim_skip: dict[str, float] = {}
-        self._steal_count = 0
-        self._shards_claimed = 0
-        self._shards_lost = 0
-        #: cleared by crash-simulation tests so aclose() leaves leases to
-        #: expire naturally instead of releasing them gracefully
-        self.release_leases_on_close = True
-        self._accepting = True
         self._started = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -390,39 +383,25 @@ class CompileService:
             ]
         else:
             self._pools = [self._make_pool() for _ in range(self.workers)]
-        if self.farm:
-            # Claim our fair share of shards before the first dispatch so
-            # the boot backlog does not sit through a whole tick.
-            self._farm_step()
+        # A farm node claims its fair share of shards before the first
+        # dispatch, so the boot backlog does not sit through a whole tick.
+        self.lifecycle.tick()
+        # Each dispatcher scans its shard before it first waits, so jobs
+        # spooled by a previous daemon need no wake.
         self._dispatchers = [
             asyncio.create_task(self._dispatch(shard))
             for shard in range(self.shards)
         ]
-        self._reaper = asyncio.create_task(self._reap_expired_leases())
-        if self.farm:
-            self._farm_task = asyncio.create_task(self._farm_loop())
-        # Jobs spooled by a previous daemon: PENDING (including interrupted
-        # RUNNING ones, already demoted by the queue's loader when the
-        # spool is unshared) wake their shard; every non-terminal record
-        # needs a waiter event.
-        for record in self.queue.jobs():
-            if not record.state.terminal:
-                self._events.setdefault(record.job_id, asyncio.Event())
-            if record.state is JobState.PENDING:
-                self._wake_shard(record.shard % self.shards)
-
-    def _our_backlog(self) -> list[JobRecord]:
-        """Non-terminal records this daemon is responsible for finishing."""
-        records = [r for r in self.queue.jobs() if not r.state.terminal]
-        if not self.farm:
-            return records
-        return [
-            r
-            for r in records
-            if (r.shard % self.shards) in self._owned
-            or r.job_id in self._stolen
-            or r.owner == self.node
-        ]
+        # The reaper is the backstop for a dispatcher that died or a daemon
+        # that froze past its lease, and how a dead farm peer's in-flight
+        # jobs come back; with healthy dispatchers it never fires.
+        self._reaper = asyncio.create_task(
+            self._every(max(self.lease_seconds / 2.0, 0.1), self.lifecycle.reap)
+        )
+        if self.lifecycle.board is not None:
+            self._farm_task = asyncio.create_task(
+                self._every(self._farm_tick, self.lifecycle.tick)
+            )
 
     async def drain(self) -> int:
         """Stop accepting, finish everything queued, shut workers down.
@@ -433,14 +412,13 @@ class CompileService:
         renewing its shard leases meanwhile so peers do not steal the
         backlog it is about to finish.  Idempotent; the service cannot be
         restarted after."""
-        self._accepting = False
-        if self.farm:
-            # Sweep in peers' latest spool writes before judging the
-            # backlog: a submission accepted seconds ago on another
-            # daemon may not have crossed a farm tick yet.
-            self._farm_step()
-        in_flight = len(self._our_backlog())
-        while self._our_backlog():
+        self.lifecycle.accepting = False
+        # Sweep in peers' latest spool writes before judging the backlog:
+        # a submission accepted seconds ago on another daemon may not have
+        # crossed a farm tick yet.
+        self.lifecycle.tick()
+        in_flight = len(self.lifecycle.backlog())
+        while self.lifecycle.backlog():
             await asyncio.sleep(0.02)
         await self.aclose()
         return in_flight
@@ -448,7 +426,7 @@ class CompileService:
     async def aclose(self) -> None:
         """Tear down dispatchers and worker pools (no waiting for jobs);
         an ephemeral service also removes its temporary spool."""
-        self._accepting = False
+        self.lifecycle.accepting = False
         tasks = list(self._dispatchers)
         if self._reaper is not None:
             tasks.append(self._reaper)
@@ -464,27 +442,12 @@ class CompileService:
         self._dispatchers = []
         self._reaper = None
         self._farm_task = None
-        if (
-            self.farm
-            and self._board is not None
-            and self.release_leases_on_close
-        ):
-            # Graceful exit: hand the shards back instantly instead of
-            # making peers wait out the lease (crash tests skip this).
-            for shard in sorted(self._owned):
-                self._board.release(shard)
-            self._owned.clear()
+        self.lifecycle.release_shards()
         for pool in self._pools:
             # Kill workers still computing (e.g. a cancelled job's
             # attempt): their results are discarded anyway, and a live
             # worker would block interpreter exit until it finishes.
-            victims = list((getattr(pool, "_processes", None) or {}).values())
-            pool.shutdown(wait=False, cancel_futures=True)
-            for proc in victims:
-                try:
-                    proc.kill()
-                except Exception:
-                    pass
+            _shutdown_pool(pool, kill=True)
         self._pools = []
         if self._temp_spool is not None:
             self._temp_spool.cleanup()
@@ -518,15 +481,14 @@ class CompileService:
         """
         if not self._started:
             await self.start()
-        if self.farm:
-            # A key submitted through a peer daemon lives on disk, not in
-            # our memory yet: sync before the idempotency check.
-            self.queue.sync()
+        # A key submitted through a peer daemon lives on disk, not in our
+        # memory yet: sync before the idempotency check.
+        self.lifecycle.sync()
         if job_key is not None:
             existing = self.queue.by_key(job_key)
             if existing is not None:
                 return existing.job_id
-        if not self._accepting:
+        if not self.lifecycle.accepting:
             raise ServiceError("service is draining; submissions are closed")
         try:
             job = decode_job(payload)
@@ -551,7 +513,6 @@ class CompileService:
             ),
             keep_program=keep_program,
         )
-        event = self._events.setdefault(record.job_id, asyncio.Event())
         # A result-cache hit cannot supply the program, so keep_program
         # jobs always compile.
         hit = (
@@ -560,8 +521,10 @@ class CompileService:
             else None
         )
         if hit is not None:
-            self.queue.mark_done(record.job_id, encode_metrics(hit))
-            event.set()
+            self.lifecycle.settle(
+                record.job_id,
+                lambda: self.queue.mark_done(record.job_id, encode_metrics(hit)),
+            )
         else:
             self._wake_shard(shard)
         return record.job_id
@@ -572,7 +535,7 @@ class CompileService:
         try:
             return self.queue.get(job_id)
         except QueueError as exc:
-            if self.farm:
+            if self.queue.shared:
                 record = self.queue.refresh_from_disk(job_id)
                 if record is not None:
                     return record
@@ -599,8 +562,8 @@ class CompileService:
         recorded error."""
         record = self._lookup(job_id)
         if wait and not record.state.terminal:
-            # The event is set locally by _finish and, for jobs finishing
-            # on a peer daemon, by the farm tick's spool sync.
+            # The event is set when the node settles the job: locally, or
+            # for a job finishing on a peer daemon, on the farm tick.
             event = self._events.setdefault(job_id, asyncio.Event())
             try:
                 await asyncio.wait_for(event.wait(), timeout)
@@ -635,43 +598,14 @@ class CompileService:
         interrupted mid-flight, so the attempt may run to completion, but
         its result is discarded and the job stays CANCELLED.
 
-        A farm daemon that is not responsible for the job (unowned shard,
-        foreign attempt) must not write its record — only owners write,
-        or a half-applied cancel races the owner's heartbeat.  It drops a
-        marker file instead; the owner applies it on its next tick."""
-        record = self._lookup(job_id)
-        if (
-            self.farm
-            and not record.state.terminal
-            and (record.shard % self.shards) not in self._owned
-            and record.owner != self.node
-            and job_id not in self._stolen
-        ):
-            self._write_cancel_marker(job_id)
-            return True
-        try:
-            cancelled = self.queue.cancel(job_id)
-        except QueueError as exc:
-            raise ServiceError(str(exc)) from exc
-        if cancelled:
-            future = self._inflight.get(job_id)
-            if future is not None:
-                future.cancel()
-            event = self._events.get(job_id)
-            if event is not None:
-                event.set()
+        A farm daemon that is not responsible for the job drops a marker
+        file for the owner instead (:meth:`FarmNode.cancel`)."""
+        self._lookup(job_id)
+        cancelled = self.lifecycle.cancel(job_id)
+        future = self._inflight.get(job_id)
+        if cancelled and future is not None:
+            future.cancel()
         return cancelled
-
-    def _control_dir(self) -> Path:
-        return self.queue.spool_dir / "control"
-
-    def _write_cancel_marker(self, job_id: str) -> None:
-        control = self._control_dir()
-        control.mkdir(parents=True, exist_ok=True)
-        atomic_write(
-            control / f"cancel-{job_id}.json",
-            json.dumps({"job_id": job_id, "by": self.node}).encode(),
-        )
 
     def program_bytes(self, job_id: str) -> bytes:
         """The v3 binary record of a DONE ``keep_program`` job."""
@@ -710,8 +644,8 @@ class CompileService:
         return {
             "shards": self.shards,
             "inline": self.inline,
-            "accepting": self._accepting,
-            "owner": self._owner,
+            "accepting": self.lifecycle.accepting,
+            "owner": self.node,
             "node": self.node,
             "farm": self.farm,
             "workers": self.workers,
@@ -722,13 +656,15 @@ class CompileService:
             "retried_jobs": retried,
             "dead_lettered": dead_lettered,
             "quarantined_spool_files": len(self.queue.quarantined),
-            "owned_shards": sorted(self._owned),
+            "owned_shards": sorted(self.lifecycle.owned),
             "shard_leases": (
-                self._board.snapshot() if self._board is not None else None
+                self.lifecycle.board.snapshot()
+                if self.lifecycle.board is not None
+                else None
             ),
-            "steals": self._steal_count,
-            "shards_claimed": self._shards_claimed,
-            "shards_lost": self._shards_lost,
+            "steals": self.lifecycle.steals,
+            "shards_claimed": self.lifecycle.shards_claimed,
+            "shards_lost": self.lifecycle.shards_lost,
             "prefix_cache_dir": self._prefix_cache_dir,
             "backends": available_backends(),
             "faults": (
@@ -742,40 +678,16 @@ class CompileService:
         if self._wake:
             self._wake[shard].set()
 
-    def _next_dispatchable(self, shard: int) -> str | None:
-        """The highest-ranked runnable job of *shard*, or None.
-
-        Scans the shard backlog in dispatch order (priority desc, EDF,
-        FIFO).  A farm daemon only dispatches from shards it owns — plus
-        individually stolen jobs — and jobs whose claim was just lost to
-        a peer sit out a short backoff.  Jobs whose dispatch deadline
-        already passed fail here with a clear error instead of running
-        late."""
-        owned = (not self.farm) or shard in self._owned
-        now = self.queue.clock()
-        for record in self.queue.pending_for(shard, self.shards):
-            if not owned and record.job_id not in self._stolen:
-                continue
-            skip_until = self._claim_skip.get(record.job_id)
-            if skip_until is not None and now < skip_until:
-                continue
-            if record.deadline is not None and record.deadline < now:
-                self.queue.mark_failed(
-                    record.job_id,
-                    f"deadline expired {now - record.deadline:.3f}s before "
-                    "dispatch",
-                )
-                self._release_claim(record.job_id)
-                self._finish(record.job_id)
-                continue
-            return record.job_id
-        return None
+    def _job_finished(self, job_id: str) -> None:
+        event = self._events.pop(job_id, None)
+        if event is not None:
+            event.set()
 
     async def _dispatch(self, shard: int) -> None:
         wake = self._wake[shard]
         while True:
             wake.clear()
-            job_id = self._next_dispatchable(shard)
+            job_id = self.lifecycle.next_dispatchable(shard)
             if job_id is None:
                 await wake.wait()
                 continue
@@ -789,265 +701,33 @@ class CompileService:
                 # single job, or every later job on this shard strands in
                 # PENDING; record the failure if the spool lets us.
                 log.exception(
-                    "shard %d: bookkeeping failure while running %s",
-                    shard,
-                    job_id,
+                    "shard %d: bookkeeping failure while running %s", shard, job_id
                 )
                 try:
-                    self.queue.mark_failed(
-                        job_id, traceback.format_exc(limit=8)
-                    )
+                    self.lifecycle.fail(job_id, traceback.format_exc(limit=8))
                 except Exception:
                     log.exception(
-                        "shard %d: could not record the failure of %s — "
-                        "the job stays in its last spooled state",
-                        shard,
-                        job_id,
+                        "shard %d: could not record the failure of %s — the "
+                        "job stays in its last spooled state", shard, job_id,
                     )
-                self._release_claim(job_id)
-                self._finish(job_id)
 
     async def _heartbeat(self, job_id: str) -> None:
         interval = max(self.lease_seconds / 3.0, 0.05)
         while True:
             await asyncio.sleep(interval)
-            if self.farm:
-                # Disk is authoritative: a peer may have reaped and
-                # re-leased the job while we froze.
-                self.queue.refresh_from_disk(job_id)
-            held = self.queue.heartbeat(
-                job_id,
-                self.lease_seconds,
-                owner=self.node if self.farm else None,
-            )
-            if not held:
+            if not self.lifecycle.heartbeat(job_id):
                 return  # job left RUNNING (cancelled/reaped): stop beating
 
-    def _reap_record(self, record: JobRecord) -> None:
-        """Requeue (or dead-letter) one expired-lease RUNNING record."""
-        log.warning(
-            "lease expired for %s (owner %s, attempt %d/%d)",
-            record.job_id,
-            record.owner,
-            record.attempts,
-            record.max_retries,
-        )
-        if self._claims is not None:
-            # The dead holder's claim file must go, or nobody can
-            # re-dispatch the job we are about to requeue.
-            self._claims.revoke(record.job_id)
-        state = self.queue.retry_or_fail(
-            record.job_id,
-            f"lease expired after {self.lease_seconds}s "
-            f"(owner {record.owner})",
-        )
-        if state is JobState.PENDING:
-            self._wake_shard(record.shard % self.shards)
-        else:
-            self._finish(record.job_id)
-
-    async def _reap_expired_leases(self) -> None:
-        """Requeue (or dead-letter) RUNNING jobs whose lease expired.
-
-        With healthy dispatchers the heartbeat keeps leases alive and this
-        never fires; it is the backstop for a dispatcher that died or a
-        daemon that froze past its lease.  In the farm it is also how a
-        dead peer's in-flight jobs come back: whoever owns (or has just
-        adopted) the shard requeues them.  A farm daemon only reaps on
-        shards it owns, its own strays, and its stolen jobs — reaping a
-        live peer's territory would race that peer's own reaper."""
-        interval = max(self.lease_seconds / 2.0, 0.1)
+    async def _every(self, seconds: float, step: Callable[[], None]) -> None:
+        """Run *step* every *seconds*: the lease reaper and the farm tick.
+        One failed round (e.g. a transient spool error) must not end the
+        loop; the next round retries."""
         while True:
-            await asyncio.sleep(interval)
-            for record in self.queue.expired_leases():
-                if self.farm and not (
-                    (record.shard % self.shards) in self._owned
-                    or record.owner == self.node
-                    or record.job_id in self._stolen
-                ):
-                    continue
-                self._reap_record(record)
-
-    def _finish(self, job_id: str) -> None:
-        event = self._events.get(job_id)
-        if event is not None:
-            event.set()
-
-    def _release_claim(self, job_id: str) -> None:
-        """Drop the farm claim and steal bookkeeping of a finished attempt."""
-        if self._claims is not None:
-            self._claims.release(job_id)
-        self._stolen.discard(job_id)
-        self._claim_skip.pop(job_id, None)
-
-    # -- farm tick ------------------------------------------------------------
-
-    async def _farm_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self._farm_tick)
+            await asyncio.sleep(seconds)
             try:
-                self._farm_step()
-            except asyncio.CancelledError:
-                raise
+                step()
             except Exception:
-                # One failed tick (e.g. a transient spool error) must not
-                # kill the farm membership; the next tick retries.
-                log.exception("%s: farm tick failed", self.node)
-
-    def _farm_step(self) -> None:
-        """One round of farm housekeeping (also run synchronously at boot).
-
-        Order matters: sync first (decisions below see the freshest
-        records), then apply cancel markers, renew before claiming (a
-        renewal failure lowers our owned count, freeing budget), and
-        steal only after whole-shard claims came up empty — whole shards
-        preserve cache affinity, single stolen jobs do not."""
-        assert self._board is not None
-        for record in self.queue.sync():
-            event = self._events.setdefault(record.job_id, asyncio.Event())
-            if record.state.terminal:
-                event.set()
-            elif record.state is JobState.PENDING:
-                self._wake_shard(record.shard % self.shards)
-        self._apply_cancel_markers()
-        for shard in sorted(self._owned):
-            if not self._board.renew(shard):
-                self._owned.discard(shard)
-                self._shards_lost += 1
-                log.warning("%s: lost the lease on shard %d", self.node, shard)
-        if self._accepting:
-            self._claim_shards()
-            if self.steal and not any(
-                self.queue.pending_for(shard, self.shards)
-                for shard in self._owned
-            ):
-                self._try_steal()
-        # Re-wake owned shards with work: a job skipped on a lost claim
-        # race would otherwise wait for an unrelated wake.
-        for shard in self._owned:
-            if self.queue.pending_for(shard, self.shards):
-                self._wake_shard(shard)
-
-    def _apply_cancel_markers(self) -> None:
-        """Apply peers' cancel requests for jobs we are responsible for."""
-        control = self._control_dir()
-        if not control.is_dir():
-            return
-        for path in control.glob("cancel-*.json"):
-            job_id = path.name[len("cancel-") : -len(".json")]
-            try:
-                record = self.queue.get(job_id)
-            except QueueError:
-                record = self.queue.refresh_from_disk(job_id)
-            if record is None:
-                continue  # not visible yet; keep the marker
-            if record.state.terminal:
-                # Already finished (possibly cancelled by its owner):
-                # the marker is spent either way.
-                path.unlink(missing_ok=True)
-                continue
-            mine = (
-                (record.shard % self.shards) in self._owned
-                or record.owner == self.node
-                or record.job_id in self._stolen
-            )
-            if not mine:
-                continue
-            try:
-                self.cancel(job_id)
-            except ServiceError:
-                continue
-            path.unlink(missing_ok=True)
-
-    def _claim_shards(self) -> None:
-        """Claim free/expired shards up to a fair share of the live farm.
-
-        The budget is ``ceil(shards / live_owners)`` where live owners
-        are daemons holding at least one unexpired lease (us included):
-        when a peer dies its leases expire, the divisor shrinks, and the
-        survivors' budgets grow to cover its territory.  Expired shards
-        are ranked by backlog so a dead peer's hottest shard is adopted
-        first."""
-        assert self._board is not None
-        live = self._board.live_owners() | {self.node}
-        budget = math.ceil(self.shards / len(live))
-        if len(self._owned) >= budget:
-            return
-        candidates: list[tuple[int, int]] = []
-        for row in self._board.snapshot():
-            shard = row["shard"]
-            if shard in self._owned or not row["expired"]:
-                continue
-            backlog = len(self.queue.pending_for(shard, self.shards))
-            candidates.append((-backlog, shard))
-        candidates.sort()
-        for _neg_backlog, shard in candidates:
-            if len(self._owned) >= budget:
-                break
-            if self._board.claim(shard):
-                self._adopt_shard(shard)
-
-    def _adopt_shard(self, shard: int) -> None:
-        """Take over a shard we just claimed: reap its orphans, wake it."""
-        self._owned.add(shard)
-        self._shards_claimed += 1
-        log.info("%s: claimed shard %d", self.node, shard)
-        now = self.queue.clock()
-        for record in self.queue.jobs():
-            if (
-                record.shard % self.shards == shard
-                and record.state is JobState.RUNNING
-                and record.lease_deadline is not None
-                and record.lease_deadline < now
-            ):
-                self._reap_record(record)
-        self._wake_shard(shard)
-
-    def _try_steal(self) -> None:
-        """Steal one PENDING job from the most backlogged unowned shard.
-
-        Runs only when every owned shard is drained, and only after
-        :meth:`_claim_shards` found no whole shard to adopt — a stolen
-        single job gives up the prefix-cache affinity a whole-shard claim
-        keeps.  The claim file is the handoff guard; ``steal.race`` chaos
-        rules widen the window between choosing a victim and claiming
-        it."""
-        assert self._claims is not None
-        best: tuple[int, int] | None = None
-        for shard in range(self.shards):
-            if shard in self._owned:
-                continue
-            backlog = len(self.queue.pending_for(shard, self.shards))
-            if backlog and (best is None or backlog > best[0]):
-                best = (backlog, shard)
-        if best is None:
-            return
-        shard = best[1]
-        for record in self.queue.pending_for(shard, self.shards):
-            if record.job_id in self._stolen:
-                continue
-            faults.maybe_sleep("steal.race", f"{self.node}:{record.job_id}")
-            if not self._claims.claim(record.job_id):
-                continue
-            fresh = self.queue.refresh_from_disk(record.job_id)
-            if fresh is None or fresh.state is not JobState.PENDING:
-                self._claims.release(record.job_id)
-                continue
-            self._stolen.add(record.job_id)
-            self._steal_count += 1
-            log.info(
-                "%s: stole %s from shard %d (backlog %d)",
-                self.node,
-                record.job_id,
-                shard,
-                best[0],
-            )
-            self._wake_shard(shard)
-            return
-
-    def _slot(self, shard: int) -> int:
-        """The local worker slot covering a logical shard."""
-        return shard % self.workers
+                log.exception("%s: %s failed", self.node, step.__name__)
 
     def _rebuild_slot(self, slot: int, kill: bool = False) -> None:
         """Replace a worker slot's pool (crash containment / timeout).
@@ -1058,30 +738,18 @@ class CompileService:
         the in-memory layer is lost."""
         if self.inline:
             return
-        pool = self._pools[slot]
-        victims = (
-            list((getattr(pool, "_processes", None) or {}).values())
-            if kill
-            else []
-        )
-        pool.shutdown(wait=False, cancel_futures=True)
-        for proc in victims:
-            try:
-                proc.kill()
-            except Exception:
-                pass
+        _shutdown_pool(self._pools[slot], kill)
         self._pools[slot] = self._make_pool()
         log.warning("shard %d: worker pool rebuilt (kill=%s)", slot, kill)
 
-    async def _execute(self, record: Any, shard: int) -> dict[str, Any]:
+    async def _execute(
+        self, record: JobRecord, payload: dict[str, Any], shard: int
+    ) -> dict[str, Any]:
         """Run one attempt, translating infrastructure failures into
         :class:`_RetryableJobError` for the retry path.  Returns the
         ``{"metrics", "program"}`` envelope of :func:`_execute_wire_job`."""
-        slot = self._slot(shard)
+        slot = shard % self.workers  # the local worker slot of the shard
         progress_path = self.queue.progress_path(record.job_id)
-        # Taken before any await: a cancel that lands meanwhile cuts the
-        # record's payload down to its label.
-        payload = record.payload
         if self.inline:
             job = decode_job(payload)
             context = f"{job.backend}:{job.circuit.name}#a{record.attempts}"
@@ -1136,132 +804,48 @@ class CompileService:
             self._inflight.pop(record.job_id, None)
 
     async def _run_one(self, job_id: str, shard: int) -> None:
-        record = self.queue.get(job_id)
-        if record.state is not JobState.PENDING:
-            return  # cancelled while queued, or a duplicate wake
-        if self._claims is not None and not self._claims.holds(job_id):
-            # Farm mode: the exclusive claim file is what makes the
-            # takeover window and the steal handoff single-winner.
-            if not self._claims.claim(job_id):
-                # A peer holds the claim (it is dispatching the job, or
-                # died a moment ago): back this job off briefly and let
-                # the spool sync surface the outcome.
-                self._claim_skip[job_id] = self.queue.clock() + min(
-                    self.lease_seconds / 4.0, 0.5
-                )
-                refreshed = self.queue.refresh_from_disk(job_id)
-                if refreshed is not None and refreshed.state.terminal:
-                    self._finish(job_id)
-                return
-            # We hold the claim; disk is authoritative on whether the
-            # job is still PENDING (our view may predate a peer's write).
-            refreshed = self.queue.refresh_from_disk(job_id)
-            if refreshed is None or refreshed.state is not JobState.PENDING:
-                self._release_claim(job_id)
-                if refreshed is not None and refreshed.state.terminal:
-                    self._finish(job_id)
-                return
-            record = refreshed
-        self.queue.acquire(
-            job_id, owner=self.node, lease_seconds=self.lease_seconds
-        )
+        record = self.lifecycle.begin(job_id)
+        if record is None:
+            return
         attempt = record.attempts
+        # Taken before any await: a cancel that lands meanwhile cuts the
+        # record's payload down to its label.
+        payload = record.payload
         beat = asyncio.create_task(self._heartbeat(job_id))
         try:
-            encoded = await self._execute(record, shard)
+            encoded = await self._execute(record, payload, shard)
         except asyncio.CancelledError:
             # Job-level cancellation (cancel() revoked the lease and
             # cancelled the in-flight future) and dispatcher-task
             # cancellation (aclose()) both land here; a task cancel must
             # propagate even when the job was also cancelled, or the
             # dispatcher swallows it and aclose() waits forever.
+            self.lifecycle.abandon(job_id, attempt)
             task = asyncio.current_task()
-            dying = task is not None and task.cancelling()
-            requeued = False
-            if self.queue.get(job_id).state is not JobState.CANCELLED:
-                # Hand the attempt back uncharged: on shutdown the next
-                # daemon re-runs it from the spool; otherwise (the future
-                # was cancelled out from under us) re-wake it here.
-                self.queue.requeue(job_id, refund_attempt=True)
-                requeued = True
-            self._release_claim(job_id)
-            if dying:
+            if task is not None and task.cancelling():
                 raise
-            if requeued:
-                self._wake_shard(shard)
             return
         except _RetryableJobError as exc:
             log.warning("job %s: %s", job_id, exc)
-            state = self.queue.retry_or_fail(job_id, str(exc))
-            self._release_claim(job_id)
-            if state is JobState.PENDING:
-                self._wake_shard(shard)
-            else:
-                log.error(
-                    "job %s dead-lettered after %d attempt(s): %s",
-                    job_id,
-                    self.queue.get(job_id).attempts,
-                    exc,
-                )
-                self._finish(job_id)
+            self.lifecycle.fail(job_id, str(exc), attempt, retry=True)
             return
         except Exception:
             # The job itself raised — deterministic, so retrying cannot
             # help; fail it now with the traceback.
             error = traceback.format_exc(limit=8)
             log.warning("job %s failed:\n%s", job_id, error)
-            self.queue.mark_failed(job_id, error)
-            self._release_claim(job_id)
-            self._finish(job_id)
+            self.lifecycle.fail(job_id, error, attempt)
             return
         finally:
             beat.cancel()
-        if self.farm:
-            # A peer may have reaped (and even re-run) the job while our
-            # attempt executed; its spool record, not ours, decides.
-            self.queue.refresh_from_disk(job_id)
-        current = self.queue.get(job_id)
-        superseded = (
-            current.state is not JobState.RUNNING
-            or current.attempts != attempt
-            or (self.farm and current.owner != self.node)
-        )
-        if superseded:
-            # Cancelled or reaped while the attempt ran: discard the late
-            # result (the reaped case re-runs and produces it again).
-            log.warning(
-                "job %s: discarding result of superseded attempt %d "
-                "(state=%s, attempts=%d, owner=%s)",
-                job_id,
-                attempt,
-                current.state.value,
-                current.attempts,
-                current.owner,
-            )
-            self._release_claim(job_id)
+        if not self.lifecycle.complete(
+            job_id, attempt, encoded["metrics"], encoded.get("program")
+        ):
             return
-        program_payload = encoded.get("program")
-        if program_payload is not None:
-            try:
-                self.queue.store_program(job_id, program_payload)
-            except OSError:
-                # The metrics are the contract; a lost program capture
-                # degrades the `program` op, not the job.
-                log.warning(
-                    "job %s: program capture lost to a spool write failure",
-                    job_id,
-                )
-        # decoded before mark_done, which cuts the record's payload down
-        job = (
-            decode_job(record.payload)
-            if self._result_cache is not None
-            else None
-        )
-        self.queue.mark_done(job_id, encoded["metrics"])
-        self._release_claim(job_id)
-        if job is not None:
-            self._result_cache.put(job, decode_metrics(encoded["metrics"]))
-        self._finish(job_id)
+        if self._result_cache is not None:
+            self._result_cache.put(
+                decode_job(payload), decode_metrics(encoded["metrics"])
+            )
         # Chaos hook: a deterministic stand-in for "SIGKILL mid-run" —
         # fires only under an installed fault plan.
         faults.maybe_exit("daemon.exit", job_id)
@@ -1582,31 +1166,9 @@ async def _serve(
     socket_path: str | None,
     host: str,
     port: int,
-    spool_dir: str | None,
-    shards: int,
-    prefix_cache_dir: str | None,
-    result_cache_dir: str | None,
-    inline: bool,
-    lease_seconds: float,
-    fault_spec: str | None,
-    farm: bool,
-    node: str | None,
-    workers: int | None,
-    shard_lease_seconds: float,
+    service_options: dict[str, Any],
 ) -> None:
-    service = CompileService(
-        spool_dir=spool_dir,
-        shards=shards,
-        prefix_cache_dir=prefix_cache_dir,
-        result_cache_dir=result_cache_dir,
-        inline=inline,
-        lease_seconds=lease_seconds,
-        fault_plan=fault_spec if fault_spec is not None else faults.active(),
-        farm=farm,
-        node=node,
-        workers=workers,
-        shard_lease_seconds=shard_lease_seconds,
-    )
+    service = CompileService(**service_options)
     server = ServiceServer(service, socket_path=socket_path, host=host, port=port)
     await server.start()
     # Machine-parseable readiness line: the smoke harness and `repro submit
@@ -1623,19 +1185,11 @@ def serve_forever(
     socket_path: str | None = None,
     host: str = "127.0.0.1",
     port: int = 0,
-    spool_dir: str | None = None,
-    shards: int = 2,
-    prefix_cache_dir: str | None = None,
-    result_cache_dir: str | None = None,
-    inline: bool = False,
-    lease_seconds: float = DEFAULT_LEASE_SECONDS,
-    fault_spec: str | None = None,
-    farm: bool = False,
-    node: str | None = None,
-    workers: int | None = None,
-    shard_lease_seconds: float = DEFAULT_SHARD_LEASE_SECONDS,
+    **service_options: Any,
 ) -> int:
-    """Blocking entry point used by ``python -m repro serve``."""
+    """Blocking entry point used by ``python -m repro serve``.
+
+    *service_options* go to :class:`CompileService` as they are."""
     logging.basicConfig(
         level=logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
@@ -1643,25 +1197,10 @@ def serve_forever(
     # Chaos harnesses arm a whole daemon subprocess via the environment;
     # an explicit --faults spec wins over it.
     faults.install_from_env()
+    if service_options.get("fault_plan") is None:
+        service_options["fault_plan"] = faults.active()
     try:
-        asyncio.run(
-            _serve(
-                socket_path,
-                host,
-                port,
-                spool_dir,
-                shards,
-                prefix_cache_dir,
-                result_cache_dir,
-                inline,
-                lease_seconds,
-                fault_spec,
-                farm,
-                node,
-                workers,
-                shard_lease_seconds,
-            )
-        )
+        asyncio.run(_serve(socket_path, host, port, service_options))
     except KeyboardInterrupt:
         pass
     return 0

@@ -15,9 +15,10 @@ Two primitives live here:
 :class:`ShardBoard`
     One lease file per shard (``shard-0007.json``), holding the owner,
     a monotonically increasing ``epoch`` (bumped on every ownership
-    change — a fencing aid for debugging split-brain incidents), and the
-    wall-clock deadline.  Claiming a **free** shard is an exclusive
-    create (``O_CREAT | O_EXCL`` — exactly one winner).  Taking over an
+    change, a graceful release included — a fencing aid for debugging
+    split-brain incidents), and the wall-clock deadline.  Claiming a
+    **free** shard is an exclusive create (``O_CREAT | O_EXCL`` —
+    exactly one winner).  Taking over an
     **expired** lease is a two-step protocol that is also
     single-winner: atomically rename the corpse aside (only one renamer
     can succeed; ``os.replace`` of a missing file raises), then
@@ -161,13 +162,15 @@ class ShardBoard:
     def _path(self, shard: int) -> Path:
         return self.directory / f"shard-{shard:04d}.json"
 
-    def _payload(self, shard: int, epoch: int, now: float) -> str:
+    def _payload(
+        self, shard: int, epoch: int, now: float, deadline: float | None = None
+    ) -> str:
         return json.dumps(
             {
                 "shard": shard,
                 "owner": self.owner,
                 "epoch": epoch,
-                "deadline": now + self.lease_seconds,
+                "deadline": now + self.lease_seconds if deadline is None else deadline,
                 "claimed_at": now,
             }
         )
@@ -264,12 +267,19 @@ class ShardBoard:
         return True
 
     def release(self, shard: int) -> None:
-        """Give *shard* up (graceful shutdown) so peers claim it instantly."""
+        """Give *shard* up (graceful shutdown) so peers claim it instantly.
+
+        The lease is expired in place rather than deleted, so the next
+        owner takes it over with the epoch bumped: epochs only increase."""
         current = self.read(shard)
         if current is None or current.owner != self.owner:
             return
+        now = self.clock()
         try:
-            self._path(shard).unlink()
+            atomic_write(
+                self._path(shard),
+                self._payload(shard, current.epoch, now, deadline=now).encode(),
+            )
         except OSError:
             pass
 
@@ -342,10 +352,8 @@ class JobClaims:
         return job_id in self._tokens
 
     def holder(self, job_id: str) -> str | None:
-        try:
-            return str(json.loads(self._path(job_id).read_text())["owner"])
-        except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError):
-            return None
+        owner = (self._read(job_id) or {}).get("owner")
+        return None if owner is None else str(owner)
 
     def claim(self, job_id: str) -> bool:
         """Take the run-this-job token; returns whether we hold it.
@@ -355,10 +363,17 @@ class JobClaims:
         claimant died between claiming and acquiring.  Stale claims are
         buried with the same single-winner rename as shard takeover.
         (Claims of RUNNING jobs are cleared by the lease reaper through
-        :meth:`revoke`, never guessed at here.)
+        :meth:`revoke`, never guessed at here.)  Our own claim, held past
+        the lease, must win the election again: a peer may bury it.
         """
-        if self.holds(job_id):
-            return True
+        held = self._tokens.pop(job_id, None)
+        if held is not None:
+            data = self._read(job_id)
+            if data is not None and data.get("token") == held and (
+                self._age(data) <= self.lease_seconds
+            ):
+                self._tokens[job_id] = held
+                return True
         path = self._path(job_id)
         self._serial += 1
         token = f"{self.owner}/{os.getpid()}/{self._serial}"
@@ -370,13 +385,7 @@ class JobClaims:
             faults.maybe_fail("lease.write", context)
             _write_excl(path, payload)
         except FileExistsError:
-            try:
-                data = json.loads(path.read_text())
-                age = self.clock() - float(data["time"])
-            except (OSError, KeyError, TypeError, ValueError,
-                    json.JSONDecodeError):
-                age = float("inf")  # corrupt claim: treat as stale
-            if age <= self.lease_seconds:
+            if self._age(self._read(job_id)) <= self.lease_seconds:
                 return False
             if not self._bury(path):
                 return False
@@ -393,18 +402,27 @@ class JobClaims:
     def release(self, job_id: str) -> None:
         """Drop our claim (no-op unless the file still carries our token)."""
         token = self._tokens.pop(job_id, None)
-        if token is None:
-            return
-        path = self._path(job_id)
+        if token is None or (self._read(job_id) or {}).get("token") != token:
+            return  # superseded (revoked and re-claimed): not ours
         try:
-            if json.loads(path.read_text()).get("token") != token:
-                return  # superseded (revoked and re-claimed): not ours
-        except (OSError, ValueError):
-            return
-        try:
-            path.unlink()
+            self._path(job_id).unlink()
         except OSError:
             pass
+
+    def _read(self, job_id: str) -> dict[str, Any] | None:
+        """The decoded claim file of *job_id*, or None."""
+        try:
+            data = json.loads(self._path(job_id).read_text())
+        except (OSError, ValueError):
+            return None
+        return data if isinstance(data, dict) else None
+
+    def _age(self, data: dict[str, Any] | None) -> float:
+        """How long ago a claim was taken (a corrupt one counts as stale)."""
+        try:
+            return self.clock() - float(data["time"])  # type: ignore[index]
+        except (KeyError, TypeError, ValueError):
+            return float("inf")
 
     def revoke(self, job_id: str) -> None:
         """Force-clear the claim of a dead/frozen holder (reaper path)."""

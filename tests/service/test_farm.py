@@ -117,9 +117,9 @@ class TestFarmBasics:
             # Fair share: a claimed everything first (it was alone), but b
             # must own at least its floor once leases churn; at boot the
             # invariant is weaker — no shard unowned, no shard owned twice.
-            owned = sorted(a._owned | b._owned)
+            owned = sorted(a.lifecycle.owned | b.lifecycle.owned)
             assert owned == [0, 1, 2, 3]
-            assert not (a._owned & b._owned)
+            assert not (a.lifecycle.owned & b.lifecycle.owned)
             ids = [await a.submit(encode_job(j)) for j in jobs[:3]]
             ids += [await b.submit(encode_job(j)) for j in jobs[3:]]
             await asyncio.gather(a.drain(), b.drain())
@@ -146,18 +146,18 @@ class TestFarmBasics:
             # and one fake RUNNING attempt (claim file + queue lease) are
             # left behind.
             a = freeze(farm_service(spool, "node-a", now, lease_seconds=8.0))
-            a._farm_step()
-            assert a._owned == {0, 1, 2, 3}
+            a.lifecycle.tick()
+            assert a.lifecycle.owned == {0, 1, 2, 3}
             ids = [await a.submit(encode_job(j)) for j in jobs]
             a.queue.acquire(ids[0], owner="node-a", lease_seconds=8.0)
-            assert a._claims.claim(ids[0])
+            assert a.lifecycle.claims.claim(ids[0])
 
             # Both the shard leases (5 s) and the job lease (8 s) age out.
             now[0] += 9.0
             b = farm_service(spool, "node-b", now, lease_seconds=8.0)
             await b.start()
-            assert b._owned == {0, 1, 2, 3}, "expired shards not adopted"
-            assert b._shards_claimed == 4
+            assert b.lifecycle.owned == {0, 1, 2, 3}, "expired shards not adopted"
+            assert b.lifecycle.shards_claimed == 4
             record = b.queue.get(ids[0])
             assert record.state is JobState.PENDING, (
                 "abandoned RUNNING attempt was not requeued"
@@ -182,18 +182,18 @@ class TestFarmBasics:
             # a owns all shards (live leases, so b cannot claim any) but
             # is frozen: it never dispatches.
             a = freeze(farm_service(spool, "node-a", now))
-            a._farm_step()
+            a.lifecycle.tick()
             ids = [await a.submit(encode_job(j)) for j in jobs]
 
             b = farm_service(spool, "node-b", now)
             await b.start()
-            assert b._owned == set()
+            assert b.lifecycle.owned == set()
             # Keep a's leases fresh while b works, as a live-but-busy
             # peer would: b must steal, not take over.
             async def keep_renewing():
                 while True:
                     for shard in range(4):
-                        a._board.renew(shard)
+                        a.lifecycle.board.renew(shard)
                     await asyncio.sleep(0.01)
 
             renewer = asyncio.create_task(keep_renewing())
@@ -213,8 +213,8 @@ class TestFarmBasics:
                     await asyncio.sleep(0.02)
             finally:
                 renewer.cancel()
-            assert b._owned == set(), "b stole shards instead of jobs"
-            assert b._steal_count == len(ids)
+            assert b.lifecycle.owned == set(), "b stole shards instead of jobs"
+            assert b.lifecycle.steals == len(ids)
             assert b.stats()["steals"] == len(ids)
             await b.aclose()
             return ids
@@ -232,7 +232,7 @@ class TestFarmBasics:
 
         async def scenario():
             a = freeze(farm_service(spool, "node-a", now))
-            a._farm_step()  # owns every shard, dispatches nothing
+            a.lifecycle.tick()  # owns every shard, dispatches nothing
             job = farm_jobs(1)[0]
             job_id = await a.submit(encode_job(job))
 
@@ -244,11 +244,168 @@ class TestFarmBasics:
             record = b.queue.refresh_from_disk(job_id) or b.queue.get(job_id)
             assert record.state is JobState.PENDING  # not applied yet
 
-            a._farm_step()  # the owner picks the marker up
+            a.lifecycle.tick()  # the owner picks the marker up
             assert a.queue.get(job_id).state is JobState.CANCELLED
             assert not list((spool / "control").glob("cancel-*.json"))
 
         asyncio.run(scenario())
+
+
+class TestTerminalBookkeeping:
+    """Every terminal transition drops the node's claim, steal and skip
+    entries for the job, whichever path it took."""
+
+    def test_stolen_job_cancelled_before_dispatch_releases_its_claim(
+        self, tmp_path
+    ):
+        spool = tmp_path / "spool"
+        now = [1000.0]
+
+        async def scenario():
+            a = freeze(farm_service(spool, "node-a", now))
+            a.lifecycle.tick()  # owns every shard, dispatches nothing
+            job_id = await a.submit(encode_job(farm_jobs(1)[0]))
+            b = freeze(farm_service(spool, "node-b", now))
+            b.lifecycle.tick()  # owns nothing: steals the job
+            assert b.lifecycle.stolen == {job_id}
+            assert b.lifecycle.claims.holder(job_id) == "node-b"
+
+            assert b.cancel(job_id) is True
+            b.lifecycle.tick()
+            assert b.queue.get(job_id).state is JobState.CANCELLED
+            assert not (spool / "claims" / f"{job_id}.json").exists()
+            assert job_id not in b.lifecycle.stolen
+            assert not b.lifecycle.claims.holds(job_id)
+
+        asyncio.run(scenario())
+
+    def test_lost_claim_race_forgets_the_job_once_a_peer_finishes_it(
+        self, tmp_path
+    ):
+        spool = tmp_path / "spool"
+        now = [1000.0]
+
+        async def scenario():
+            a = freeze(farm_service(spool, "node-a", now))
+            a.lifecycle.tick()
+            job_id = await a.submit(encode_job(farm_jobs(1)[0]))
+            b = freeze(farm_service(spool, "node-b", now))
+            b.queue.sync()  # b still sees the job PENDING ...
+            record = a.lifecycle.begin(job_id)  # ... as a claims and runs it
+            assert b.lifecycle.begin(job_id) is None  # lost the claim race
+            assert job_id in b.lifecycle.claim_skip
+
+            assert a.lifecycle.complete(job_id, record.attempts, {"m": 1})
+            assert not (spool / "claims" / f"{job_id}.json").exists()
+            b.lifecycle.tick()
+            assert b.queue.get(job_id).state is JobState.DONE
+            assert job_id not in b.lifecycle.claim_skip
+
+        asyncio.run(scenario())
+
+
+class TestStaleViews:
+    """A farm node writes a record only after re-reading it from the
+    spool: its in-memory view may predate a peer's write."""
+
+    def stolen_job(self, spool, now):
+        """a owns every shard and holds a job that b has stolen."""
+        a = freeze(farm_service(spool, "node-a", now))
+        a.lifecycle.tick()
+        b = freeze(farm_service(spool, "node-b", now))
+
+        async def submit():
+            return await a.submit(encode_job(farm_jobs(1)[0]))
+
+        job_id = asyncio.run(submit())
+        b.lifecycle.tick()
+        assert b.lifecycle.stolen == {job_id}
+        return a, b, job_id
+
+    def test_cancel_never_overwrites_a_peers_result(self, tmp_path):
+        a, b, job_id = self.stolen_job(tmp_path / "spool", [1000.0])
+        record = b.lifecycle.begin(job_id)
+        assert b.lifecycle.complete(job_id, record.attempts, {"m": 1})
+        # a owns the shard and still sees the job PENDING
+        assert a.queue.get(job_id).state is JobState.PENDING
+        assert a.cancel(job_id) is False
+        assert b.queue.refresh_from_disk(job_id).state is JobState.DONE
+
+    def test_stolen_claim_rereads_before_dispatch(self, tmp_path):
+        a, b, job_id = self.stolen_job(tmp_path / "spool", [1000.0])
+        assert a.cancel(job_id) is True  # the owner cancels it
+        # b has not synced since the steal, yet must not run the job
+        assert b.lifecycle.begin(job_id) is None
+        assert a.queue.refresh_from_disk(job_id).state is JobState.CANCELLED
+        assert not b.lifecycle.claims.holds(job_id)
+        assert job_id not in b.lifecycle.stolen
+
+    def test_reap_waits_for_the_spools_lease(self, tmp_path):
+        now = [1000.0]
+        a, b, job_id = self.stolen_job(tmp_path / "spool", now)
+        record = b.lifecycle.begin(job_id)  # lease runs to 1030
+        a.lifecycle.tick()  # a sees b's attempt at its first lease
+        now[0] += 25.0
+        assert b.lifecycle.heartbeat(job_id)  # b extends it to 1055
+        now[0] += 10.0  # past the lease a saw, not the one on the spool
+        a.lifecycle.reap()
+        fresh = a.queue.refresh_from_disk(job_id)
+        assert (fresh.state, fresh.owner) == (JobState.RUNNING, "node-b")
+        assert b.lifecycle.complete(job_id, record.attempts, {"m": 1})
+
+    def test_waiter_wakes_when_a_submit_syncs_a_peers_result(self, tmp_path):
+        """The submit path ingests peers' writes through the node, so a
+        job a peer finished still wakes this daemon's waiters."""
+        spool = tmp_path / "spool"
+        now = [1000.0]
+
+        async def scenario():
+            a = freeze(farm_service(spool, "node-a", now))
+            a.lifecycle.tick()
+            job_id = await a.submit(encode_job(farm_jobs(1)[0]))
+            b = freeze(farm_service(spool, "node-b", now))
+            b.queue.sync()
+            waiter = asyncio.create_task(b.result(job_id, wait=True))
+            await asyncio.sleep(0)
+            record = a.lifecycle.begin(job_id)
+            assert a.lifecycle.complete(job_id, record.attempts, {"m": 1})
+            await b.submit(encode_job(farm_jobs(2)[1]))  # syncs a's write
+            b.lifecycle.tick()
+            assert await asyncio.wait_for(waiter, 5.0) == {"m": 1}
+
+        asyncio.run(scenario())
+
+
+class TestSoloNode:
+    def test_solo_daemon_does_no_farm_io(self, tmp_path):
+        """A solo daemon is a node that owns every shard: finishing jobs
+        (a cancel and a keep_program compile among them) writes no shard
+        lease, claim or cancel marker."""
+        spool = tmp_path / "spool"
+        circuit = qaoa_regular(6, 3, seed=3)
+        program_job = CompileJob(
+            "Atomique", circuit, CompileOptions(raa=raa_for(circuit))
+        )
+
+        async def scenario():
+            service = CompileService(spool_dir=spool, inline=True, shards=2)
+            doomed = await service.submit(encode_job(farm_jobs(1)[0]))
+            assert service.cancel(doomed) is True
+            ids = [await service.submit(encode_job(j)) for j in farm_jobs(3)]
+            ids.append(
+                await service.submit(encode_job(program_job), keep_program=True)
+            )
+            for job_id in ids:
+                await service.result(job_id, wait=True, timeout=60.0)
+            assert service.lifecycle.owned == {0, 1}
+            assert service.stats()["farm"] is False
+            assert service.status(doomed)["state"] == "cancelled"
+            assert service.program_bytes(ids[-1])
+            await service.drain()
+
+        asyncio.run(scenario())
+        for name in ("shards", "claims", "control"):
+            assert not (spool / name).exists(), f"solo daemon wrote {name}/"
 
 
 class TestPriorityAndDeadline:

@@ -149,6 +149,9 @@ def test_three_daemon_farm_survives_sigkill_bit_identical(tmp_path):
         for node in survivors:
             clients[node].drain()
             assert daemons[node].wait(timeout=120) == 0
+        # Claims are released: every attempt, the dead daemon's included
+        # (its lease reaped or its stale claim buried), settled its claim.
+        assert not sorted((spool / "claims").glob("*.json"))
     finally:
         _kill_all(daemons)
         print(log.read_text() if log.exists() else "")

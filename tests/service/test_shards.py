@@ -96,6 +96,7 @@ class TestShardBoard:
         assert a.claim(0)
         a.release(0)
         assert b.claim(0)  # no lease wait after a graceful shutdown
+        assert b.read(0).epoch == 2  # the handback is fenced too
 
     def test_shard_count_mismatch_refuses_to_boot(self, tmp_path):
         now = [0.0]
@@ -183,6 +184,19 @@ class TestJobClaims:
         assert not b.claim("job-1")  # within the lease: respected
         now[0] = 31.0
         assert b.claim("job-1")  # older than the lease: crash remnant
+
+    def test_claim_held_past_the_lease_is_elected_again(self, tmp_path):
+        now = [0.0]
+        a = self.claims(tmp_path, "a", now)
+        b = self.claims(tmp_path, "b", now)
+        assert a.claim("job-1") and a.claim("job-2")
+        now[0] = 31.0  # a sat on both claims past the lease
+        assert b.claim("job-1")  # b buried a's stale claim
+        assert not a.claim("job-1")  # a's token is gone: b holds the job
+        assert not a.holds("job-1")
+        assert a.claim("job-2")  # nobody took job-2: a wins it again
+        now[0] = 40.0
+        assert not b.claim("job-2")  # ... with a fresh claim
 
     def test_release_after_revoke_is_a_noop(self, tmp_path):
         now = [0.0]
